@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gibbs
-from .ensemble import IndexedEnsemble, greedy_packing
-from .quench import (QuenchedEstimate, ThresholdResult, beta_star,
+from .ensemble import IndexedEnsemble, _ball_mask, greedy_packing
+from .quench import (QuenchedEstimate, ThresholdResult, _mean_se, beta_star,
                      expected_max_estimate, mc_estimate, realization_batch,
                      standard_normal_batch)
 
@@ -125,13 +125,6 @@ def _sqrt_side(coef, mean, se):
 
 def _est(e: QuenchedEstimate) -> tuple[float, float]:
     return (e.mean, e.std_error)
-
-
-def _mean_se(values) -> tuple[float, float]:
-    values = np.asarray(values, dtype=np.float64)
-    n = values.shape[0]
-    return (float(np.mean(values)),
-            float(np.std(values, ddof=1) / np.sqrt(n)))
 
 
 def g_upper(ens: IndexedEnsemble, beta, n: int, seed: int,
@@ -272,20 +265,16 @@ def soft_super_sudakov(ens: IndexedEnsemble, beta, n: int, seed: int,
     diagnostic lhs <= E softmax(X over T).
     """
     cfg = cfg or BoundConfig()
-    beta = float(beta)
-    if not (np.isfinite(beta) and beta > 0):
-        raise ValueError(
-            f"invalid-parameter: beta must be positive and finite, got {beta}")
+    beta = gibbs._check_beta(beta, positive=True)
     r = ens.sigma_max if scale is None else float(scale)
     if not (np.isfinite(r) and r > 0):
         raise ValueError(f"invalid-parameter: scale must be positive, got {scale}")
 
     packing = greedy_packing(ens, 4.0 * r)
     s_pos = ens.indices_of(packing)
-    d2 = ens.squared_distances
-    r2 = r * r
-    ball_positions = [np.flatnonzero(d2[p] <= r2) for p in s_pos]
-    union = np.flatnonzero((d2[:, s_pos] <= r2).any(axis=1))
+    balls = _ball_mask(ens, s_pos, r)
+    ball_positions = [np.flatnonzero(row) for row in balls]
+    union = np.flatnonzero(balls.any(axis=0))
 
     x = realization_batch(ens, n, seed)
     lhs = _mean_se(gibbs.soft_max(x, beta, union))
@@ -351,10 +340,7 @@ class SandwichDiagnostics:
 
 def sandwich_suite(x, beta) -> SandwichDiagnostics:
     """Evaluate both per-realization sandwiches; batched over leading axes."""
-    beta = float(beta)
-    if not (np.isfinite(beta) and beta > 0):
-        raise ValueError(
-            f"invalid-parameter: beta must be positive and finite, got {beta}")
+    beta = gibbs._check_beta(beta, positive=True)
     x = np.asarray(x, dtype=np.float64)
     m = x.shape[-1]
     phi = gibbs.soft_max(x, beta, np.arange(m))
@@ -364,8 +350,4 @@ def sandwich_suite(x, beta) -> SandwichDiagnostics:
     gap = math.log(m) / beta
     slacks = (phi - top, top + gap - phi, top - avg, avg - (top - gap))
     ok = bool(all(np.all(np.asarray(s) >= -SLACK_TOL) for s in slacks))
-
-    def _scalarize(v):
-        return float(v) if np.ndim(v) == 0 else v
-
-    return SandwichDiagnostics(*(_scalarize(s) for s in slacks), ok=ok)
+    return SandwichDiagnostics(*(gibbs._scalar(s) for s in slacks), ok=ok)

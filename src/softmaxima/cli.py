@@ -159,15 +159,23 @@ def parse_config(argv) -> ExperimentConfig:
         raw = data["beta_grid"]
         if isinstance(raw, str):
             grid = _parse_grid(raw)
-        else:
+        elif isinstance(raw, list) and all(type(b) in (int, float) for b in raw):
             grid = tuple(float(b) for b in raw)
+        else:
+            raise ConfigError(
+                f"beta_grid must be a grid string or a list of numbers, got {raw!r}")
     else:
         grid = (1.0,)
 
     if args.observables is not None:
         observables = _split_observables(args.observables)
     else:
-        observables = tuple(data.get("observables", ("gibbs_average",)))
+        observables = data.get("observables", ["gibbs_average"])
+        if not (isinstance(observables, list)
+                and all(isinstance(o, str) for o in observables)):
+            raise ConfigError(
+                f"observables must be a list of names, got {observables!r}")
+        observables = tuple(observables)
 
     cfg = ExperimentConfig(
         command=command,
@@ -179,7 +187,7 @@ def parse_config(argv) -> ExperimentConfig:
         c=_pick(args.c, data, "c", 1.0 / 17.0),
         output=_pick(args.out, data, "output", "softmaxima_run"),
         format=_pick(args.format, data, "format", "csv"),
-        plot=bool(_pick(args.plot, data, "plot", False)),
+        plot=_pick(args.plot, data, "plot", False),
         observables=observables,
         n_spins=_pick(args.n_spins, data, "n_spins", None),
         nodes=_pick(args.nodes, data, "nodes", 128),
@@ -215,12 +223,18 @@ def _pick(flag_value, data, key, default):
 
 
 def _validate(cfg: ExperimentConfig) -> None:
-    if not isinstance(cfg.n_samples, int) or cfg.n_samples < 2:
+    # Config-file values arrive as arbitrary JSON: a field's type is checked
+    # before it is compared or used, and a JSON true is not the integer 1.
+    if type(cfg.n_samples) is not int or cfg.n_samples < 2:
         raise ConfigError(f"n_samples must be an integer >= 2, got {cfg.n_samples}")
-    if not isinstance(cfg.seed, int):
+    if type(cfg.seed) is not int:
         raise ConfigError(f"seed must be an integer, got {cfg.seed!r}")
-    if not (0.0 < cfg.c < 1.0):
+    if not (type(cfg.c) in (int, float) and 0.0 < cfg.c < 1.0):
         raise ConfigError(f"c must lie in (0, 1), got {cfg.c}")
+    if not isinstance(cfg.output, str):
+        raise ConfigError(f"output must be a path string, got {cfg.output!r}")
+    if not isinstance(cfg.plot, bool):
+        raise ConfigError(f"plot must be true or false, got {cfg.plot!r}")
     if cfg.format not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {cfg.format!r}")
     if len(cfg.beta_grid) == 0:
@@ -233,9 +247,11 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"{cfg.command} needs an ensemble spec")
     if cfg.command == "rem-sweep" and cfg.n_spins is None:
         raise ConfigError("rem-sweep needs n_spins")
+    if cfg.n_spins is not None and type(cfg.n_spins) is not int:
+        raise ConfigError(f"n_spins must be an integer, got {cfg.n_spins!r}")
     if cfg.command == "estimate" and not cfg.observables:
         raise ConfigError("estimate needs at least one observable")
-    if not isinstance(cfg.threads, int) or cfg.threads < 1:
+    if type(cfg.threads) is not int or cfg.threads < 1:
         raise ConfigError(f"threads must be a positive integer, got {cfg.threads}")
 
 
@@ -431,7 +447,10 @@ def main(argv=None) -> int:
         print(f"error: config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        return run(cfg)
+        # Overflow shows up as a non-finite estimate, which is reported as an
+        # error; numpy's warnings would only add lines to that report.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return run(cfg)
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return EXIT_CONFIG

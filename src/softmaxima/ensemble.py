@@ -292,9 +292,17 @@ def ball(ens: IndexedEnsemble, center: str, radius: float) -> list[str]:
     """Closed metric ball around `center`; always contains the center."""
     if radius < 0:
         raise ValueError(f"invalid-parameter: radius must be nonnegative, got {radius}")
-    c = ens.index_of(center)
-    row = np.sqrt(ens.squared_distances[c])
-    return [ens.labels[i] for i in range(ens.size) if row[i] <= radius]
+    inside = _ball_mask(ens, [ens.index_of(center)], radius)[0]
+    return [ens.labels[i] for i in np.flatnonzero(inside)]
+
+
+def _ball_mask(ens: IndexedEnsemble, centers, radius: float) -> np.ndarray:
+    """Mask of d(center, t) <= radius, one row per center position.
+
+    Compared at distance scale, as greedy_packing does, so that a point at
+    exactly the radius is inside every ball built here.
+    """
+    return np.sqrt(ens.squared_distances[list(centers)]) <= radius
 
 
 def from_spec(spec: dict) -> IndexedEnsemble:

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp, xlogy
 
 # Switch renyi_to_uniform to its alpha -> 1 limit (the KL divergence) inside
 # this window; the generic formula is 0/0 there.
@@ -40,6 +39,29 @@ def _check_beta(beta, positive=False):
     return beta
 
 
+def _scalar(out):
+    """A 0-d result as a Python float; batched results pass through."""
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def _lse(x, beta, log_weights=False):
+    """Lambda(beta) = log sum_i exp(beta x_i) over the last axis.
+
+    Shifts by max x before scaling by beta, so no exponent is positive.  With
+    log_weights=True also returns beta * x - Lambda(beta), formed from the
+    shifted exponents, so it is finite for every finite beta.
+    """
+    x_max = np.max(x, axis=-1, keepdims=True)
+    z = x - x_max
+    z *= beta
+    log_s = np.log(np.sum(np.exp(z), axis=-1))
+    log_z = beta * x_max[..., 0] + log_s
+    if not log_weights:
+        return log_z
+    z -= log_s[..., None]
+    return log_z, z
+
+
 def _check_x(x):
     x = np.asarray(x, dtype=np.float64)
     if x.ndim < 1 or x.shape[-1] < 1:
@@ -56,8 +78,7 @@ def log_partition(x, beta) -> np.ndarray | float:
     """
     beta = _check_beta(beta)
     x = _check_x(x)
-    out = logsumexp(beta * x, axis=-1)
-    return float(out) if out.ndim == 0 else out
+    return _scalar(_lse(x, beta))
 
 
 @dataclass(frozen=True)
@@ -83,17 +104,13 @@ def gibbs_measure(x, beta) -> GibbsState:
     x = _check_x(x)
     if beta == 0.0:
         m = x.shape[-1]
-        log_z = np.full(x.shape[:-1], np.log(m))
         return GibbsState(beta=beta,
                           log_weights=np.full(x.shape, -np.log(m)),
                           weights=np.full(x.shape, 1.0 / m),
-                          log_z=float(log_z) if log_z.ndim == 0 else log_z)
-    z = beta * x
-    zmax = np.max(z, axis=-1, keepdims=True)
-    log_z = zmax[..., 0] + np.log(np.sum(np.exp(z - zmax), axis=-1))
-    log_w = z - log_z[..., None]
+                          log_z=_scalar(np.full(x.shape[:-1], np.log(m))))
+    log_z, log_w = _lse(x, beta, log_weights=True)
     return GibbsState(beta=beta, log_weights=log_w, weights=np.exp(log_w),
-                      log_z=float(log_z) if log_z.ndim == 0 else log_z)
+                      log_z=_scalar(log_z))
 
 
 def gibbs_average(state: GibbsState, x) -> np.ndarray | float:
@@ -107,16 +124,13 @@ def gibbs_average(state: GibbsState, x) -> np.ndarray | float:
         raise ValueError(
             f"invalid-input: state over {state.weights.shape[-1]} coordinates "
             f"cannot average a realization with {x.shape[-1]}")
-    out = np.sum(state.weights * x, axis=-1)
-    return float(out) if np.ndim(out) == 0 else out
+    return _scalar(np.sum(state.weights * x, axis=-1))
 
 
 def _tilted_mean(x, beta):
     """<X>_beta without materializing a state (batched internal helper)."""
-    z = beta * np.asarray(x, dtype=np.float64)
-    z = z - np.max(z, axis=-1, keepdims=True)
-    w = np.exp(z)
-    return np.sum(w * x, axis=-1) / np.sum(w, axis=-1)
+    _, log_w = _lse(x, beta, log_weights=True)
+    return np.sum(np.exp(log_w) * x, axis=-1)
 
 
 def free_energy(x, beta) -> np.ndarray | float:
@@ -128,10 +142,8 @@ def free_energy(x, beta) -> np.ndarray | float:
     beta = _check_beta(beta)
     x = _check_x(x)
     if beta == 0.0:
-        out = np.zeros(x.shape[:-1])
-        return 0.0 if out.ndim == 0 else out
-    out = (logsumexp(beta * x, axis=-1) - np.log(x.shape[-1])) / beta
-    return float(out) if np.ndim(out) == 0 else out
+        return _scalar(np.zeros(x.shape[:-1]))
+    return _scalar((_lse(x, beta) - np.log(x.shape[-1])) / beta)
 
 
 def soft_max(x, beta, subset=None) -> np.ndarray | float:
@@ -148,10 +160,8 @@ def soft_max(x, beta, subset=None) -> np.ndarray | float:
     idx = _check_subset(subset, x.shape[-1])
     sub = x[..., idx]
     if idx.size == 1:
-        out = sub[..., 0]
-        return float(out) if np.ndim(out) == 0 else out
-    out = logsumexp(beta * sub, axis=-1) / beta
-    return float(out) if np.ndim(out) == 0 else out
+        return _scalar(sub[..., 0])
+    return _scalar(_lse(sub, beta) / beta)
 
 
 def _check_subset(subset, m):
@@ -172,10 +182,7 @@ def participation_ratio(x, beta) -> np.ndarray | float:
     """
     beta = _check_beta(beta)
     x = _check_x(x)
-    lam2 = logsumexp(2.0 * beta * x, axis=-1)
-    lam1 = logsumexp(beta * x, axis=-1)
-    out = np.exp(lam2 - 2.0 * lam1)
-    return float(out) if np.ndim(out) == 0 else out
+    return _scalar(np.exp(_lse(x, 2.0 * beta) - 2.0 * _lse(x, beta)))
 
 
 def participation_derivative(x, beta) -> np.ndarray | float:
@@ -187,8 +194,7 @@ def participation_derivative(x, beta) -> np.ndarray | float:
     beta = _check_beta(beta)
     x = _check_x(x)
     pr = participation_ratio(x, beta)
-    out = 2.0 * pr * (_tilted_mean(x, 2.0 * beta) - _tilted_mean(x, beta))
-    return float(out) if np.ndim(out) == 0 else out
+    return _scalar(2.0 * pr * (_tilted_mean(x, 2.0 * beta) - _tilted_mean(x, beta)))
 
 
 def kl_to_uniform(x, beta) -> np.ndarray | float:
@@ -201,8 +207,7 @@ def kl_to_uniform(x, beta) -> np.ndarray | float:
     beta = _check_beta(beta)
     x = _check_x(x)
     m = x.shape[-1]
-    out = np.log(m) + beta * _tilted_mean(x, beta) - logsumexp(beta * x, axis=-1)
-    return float(out) if np.ndim(out) == 0 else out
+    return _scalar(np.log(m) + beta * _tilted_mean(x, beta) - _lse(x, beta))
 
 
 def renyi_to_uniform(x, beta, alpha) -> np.ndarray | float:
@@ -221,10 +226,8 @@ def renyi_to_uniform(x, beta, alpha) -> np.ndarray | float:
         return kl_to_uniform(x, beta)
     x = _check_x(x)
     m = x.shape[-1]
-    lam_a = logsumexp(alpha * beta * x, axis=-1)
-    lam_1 = logsumexp(beta * x, axis=-1)
-    out = np.log(m) + (lam_a - alpha * lam_1) / (alpha - 1.0)
-    return float(out) if np.ndim(out) == 0 else out
+    return _scalar(np.log(m) + (_lse(x, alpha * beta) - alpha * _lse(x, beta))
+                   / (alpha - 1.0))
 
 
 def renyi_half_via_participation(x, beta) -> np.ndarray | float:
@@ -237,8 +240,7 @@ def renyi_half_via_participation(x, beta) -> np.ndarray | float:
     beta = _check_beta(beta)
     x = _check_x(x)
     m = x.shape[-1]
-    out = np.log(m) + np.log(participation_ratio(x, beta / 2.0))
-    return float(out) if np.ndim(out) == 0 else out
+    return _scalar(np.log(m) + np.log(participation_ratio(x, beta / 2.0)))
 
 
 def shannon_entropy(state: GibbsState) -> np.ndarray | float:
@@ -249,8 +251,8 @@ def shannon_entropy(state: GibbsState) -> np.ndarray | float:
     Value in [0, log m].
     """
     w = np.asarray(state.weights, dtype=np.float64)
-    out = -np.sum(xlogy(w, w), axis=-1)
-    return float(out) if np.ndim(out) == 0 else out
+    log_w = np.log(w, out=np.zeros_like(w), where=w > 0.0)
+    return _scalar(-np.sum(w * log_w, axis=-1))
 
 
 # -- observables -------------------------------------------------------------
@@ -259,9 +261,45 @@ def shannon_entropy(state: GibbsState) -> np.ndarray | float:
 # and quadrature drivers.  Kept as data (kind + parameters) rather than
 # closures so observables can be spelled in configs and CSV rows.
 
-_KINDS = ("gibbs_average", "free_energy", "soft_max", "participation_ratio",
-          "kl_to_uniform", "renyi_to_uniform", "renyi_half", "shannon_entropy",
-          "expected_max", "replica_gibbs", "rem_pressure")
+def _tilted_mean_value(obs, x, beta):
+    _check_beta(beta)
+    return _scalar(_tilted_mean(_check_x(x), beta))
+
+
+def _rem_pressure_value(obs, x, beta):
+    # Pressure of one disorder sample: Lambda(beta) / N with N = log2(m);
+    # only defined for power-of-two label sets.
+    x = _check_x(x)
+    n_spins = int(round(np.log2(x.shape[-1])))
+    if 2 ** n_spins != x.shape[-1]:
+        raise ValueError(
+            f"invalid-size: rem_pressure needs 2^N coordinates, "
+            f"got {x.shape[-1]}")
+    return log_partition(x, beta) / n_spins
+
+
+def _replica_gibbs_value(obs, x, beta):
+    raise ValueError(
+        "invalid-input: replica_gibbs needs ensemble geometry; "
+        "evaluate it through the estimation driver")
+
+
+# kind -> value of (observable, x, beta).  The lambdas look the public
+# functions up when called, so a wrapper patched into this module sees them.
+_EVALUATORS = {
+    "gibbs_average": _tilted_mean_value,
+    "free_energy": lambda obs, x, beta: free_energy(x, beta),
+    "soft_max": lambda obs, x, beta: soft_max(x, beta, obs.subset),
+    "participation_ratio": lambda obs, x, beta: participation_ratio(x, beta),
+    "kl_to_uniform": lambda obs, x, beta: kl_to_uniform(x, beta),
+    "renyi_to_uniform": lambda obs, x, beta: renyi_to_uniform(x, beta, obs.alpha),
+    "renyi_half": lambda obs, x, beta: renyi_half_via_participation(x, beta),
+    "shannon_entropy": lambda obs, x, beta: shannon_entropy(gibbs_measure(x, beta)),
+    "expected_max": lambda obs, x, beta: _scalar(np.max(_check_x(x), axis=-1)),
+    "replica_gibbs": _replica_gibbs_value,
+    "rem_pressure": _rem_pressure_value,
+}
+_KINDS = tuple(_EVALUATORS)
 
 
 @dataclass(frozen=True)
@@ -292,45 +330,7 @@ class Observable:
 
     def evaluate(self, x, beta):
         """Value on a realization batch of shape (..., m); drops the last axis."""
-        kind = self.kind
-        if kind == "soft_max":
-            return soft_max(x, beta, self.subset)
-        if kind == "gibbs_average":
-            _check_beta(beta)
-            x = _check_x(x)
-            out = _tilted_mean(x, beta)
-            return float(out) if np.ndim(out) == 0 else out
-        if kind == "free_energy":
-            return free_energy(x, beta)
-        if kind == "participation_ratio":
-            return participation_ratio(x, beta)
-        if kind == "kl_to_uniform":
-            return kl_to_uniform(x, beta)
-        if kind == "renyi_to_uniform":
-            return renyi_to_uniform(x, beta, self.alpha)
-        if kind == "renyi_half":
-            return renyi_half_via_participation(x, beta)
-        if kind == "shannon_entropy":
-            return shannon_entropy(gibbs_measure(x, beta))
-        if kind == "expected_max":
-            x = _check_x(x)
-            out = np.max(x, axis=-1)
-            return float(out) if np.ndim(out) == 0 else out
-        if kind == "rem_pressure":
-            # Pressure of one disorder sample: Lambda(beta) / N with
-            # N = log2(m); only defined for power-of-two label sets.
-            x = _check_x(x)
-            n_spins = int(round(np.log2(x.shape[-1])))
-            if 2 ** n_spins != x.shape[-1]:
-                raise ValueError(
-                    f"invalid-size: rem_pressure needs 2^N coordinates, "
-                    f"got {x.shape[-1]}")
-            return log_partition(x, beta) / n_spins
-        if kind == "replica_gibbs":
-            raise ValueError(
-                "invalid-input: replica_gibbs needs ensemble geometry; "
-                "evaluate it through the estimation driver")
-        raise AssertionError(kind)
+        return _EVALUATORS[self.kind](self, x, beta)
 
     @property
     def name(self) -> str:

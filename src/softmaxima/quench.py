@@ -178,14 +178,6 @@ def _check_n(n):
 
 # -- estimation ----------------------------------------------------------------
 
-def _check_mc_beta(beta):
-    beta = float(beta)
-    if not np.isfinite(beta) or beta < 0:
-        raise ValueError(
-            f"invalid-parameter: beta must be nonnegative and finite, got {beta}")
-    return beta
-
-
 def _replica_values(ens: IndexedEnsemble, x: np.ndarray, beta: float) -> np.ndarray:
     if beta == 0.0:
         return np.zeros(x.shape[0])
@@ -213,12 +205,13 @@ def per_sample_values(ens: IndexedEnsemble, obs: gibbs.Observable, beta,
     different observables) are coupled sample-by-sample: the common random
     numbers that identity checks and finite differences rely on.
     """
-    beta = _check_mc_beta(beta)
+    beta = gibbs._check_beta(beta)
     x = realization_batch(ens, n, seed)
     return evaluate_values(ens, obs, x, beta)
 
 
-def _from_values(values, obs, beta, n, seed) -> QuenchedEstimate:
+def _mean_se(values) -> tuple[float, float]:
+    """Sample mean and its standard error; raises on a non-finite result."""
     values = np.asarray(values, dtype=np.float64)
     # Centered mean: exact when every value is identical (degenerate
     # statistics such as the zero-temperature pressure), and no worse
@@ -227,6 +220,15 @@ def _from_values(values, obs, beta, n, seed) -> QuenchedEstimate:
     centered = values - v0
     mean = v0 + float(np.mean(centered))
     se = float(np.std(centered, ddof=1) / np.sqrt(values.shape[0]))
+    if not (np.isfinite(mean) and np.isfinite(se)):
+        raise ValueError(
+            f"non-finite: sample mean {mean} with standard error {se}; "
+            "a per-sample value overflowed or is undefined at this beta")
+    return mean, se
+
+
+def _from_values(values, obs, beta, n, seed) -> QuenchedEstimate:
+    mean, se = _mean_se(values)
     return QuenchedEstimate(observable=obs, beta=float(beta), mean=mean,
                             std_error=se, n_samples=int(n), seed=int(seed))
 
@@ -340,7 +342,7 @@ def quadrature_oracle(ens: IndexedEnsemble, obs: gibbs.Observable, beta,
     X = F g is integrated on a deterministic grid of nodes_per_dim^|T|
     points.  Only index sets of up to four points are accepted.
     """
-    beta = _check_mc_beta(beta)
+    beta = gibbs._check_beta(beta)
     m = ens.size
     if m > ORACLE_MAX_POINTS:
         raise ValueError(

@@ -21,7 +21,7 @@ import numpy as np
 from . import gibbs
 from .ensemble import IndexedEnsemble, build_iid
 from .quench import (QuenchedEstimate, ThresholdResult, _from_values,
-                     beta_star, mc_estimate, per_sample_values)
+                     _mean_se, beta_star, mc_estimate, per_sample_values)
 
 MAX_SPINS = 16   # 2^16 states is the desk-scale ceiling
 TOL = 1e-12
@@ -58,10 +58,7 @@ def pressure_estimate(model: RemModel, beta, n: int, seed: int) -> QuenchedEstim
 
 def limit_pressure(beta) -> float:
     """Infinite-size pressure: log 2 + beta^2/4 below beta_c, beta sqrt(log 2) above."""
-    beta = float(beta)
-    if not (np.isfinite(beta) and beta >= 0):
-        raise ValueError(
-            f"invalid-parameter: beta must be nonnegative and finite, got {beta}")
+    beta = gibbs._check_beta(beta)
     beta_c = 2.0 * math.sqrt(math.log(2.0))
     if beta < beta_c:
         return math.log(2.0) + beta * beta / 4.0
@@ -94,7 +91,7 @@ def q_lower(model: RemModel, beta, threshold: ThresholdResult, c: float,
 
     The divergence in the slope is estimated at beta_star, once.
     """
-    beta = _check_beta(beta)
+    beta = gibbs._check_beta(beta)
     if not (0.0 < c < 1.0):
         raise ValueError(f"invalid-parameter: c must lie in (0, 1), got {c}")
     if not isinstance(threshold, ThresholdResult) or \
@@ -117,7 +114,7 @@ def q_upper(model: RemModel, beta, beta0, n: int, seed: int) -> float:
 
     Note the divergence is evaluated at beta itself, not at the knee.
     """
-    beta = _check_beta(beta)
+    beta = gibbs._check_beta(beta)
     beta0 = float(beta0)
     if not (np.isfinite(beta0) and beta0 >= 0):
         raise ValueError(
@@ -145,18 +142,10 @@ def q_upper_cap(model: RemModel, beta) -> float:
     (the knee value log 2 + beta_c^2 / 4 telescopes), so it upper-bounds the
     pressure for every N.
     """
-    beta = _check_beta(beta)
+    beta = gibbs._check_beta(beta)
     if beta <= model.beta_c:
         return math.log(2.0) + beta * beta / 4.0
     return beta * math.sqrt(math.log(2.0))
-
-
-def _check_beta(beta):
-    beta = float(beta)
-    if not (np.isfinite(beta) and beta >= 0):
-        raise ValueError(
-            f"invalid-parameter: beta must be nonnegative and finite, got {beta}")
-    return beta
 
 
 @dataclass(frozen=True)
@@ -199,7 +188,7 @@ def pressure_sweep(model: RemModel, beta_grid, n: int, seed: int,
     if any(b2 <= b1 for b1, b2 in zip(grid, grid[1:])):
         raise ValueError("invalid-parameter: beta grid must be strictly increasing")
     for b in grid:
-        _check_beta(b)
+        gibbs._check_beta(b)
 
     ens = model.ensemble
     threshold = beta_star(ens, c, n, seed)
@@ -231,8 +220,7 @@ def pressure_sweep(model: RemModel, beta_grid, n: int, seed: int,
             cum_trap = cum_trap + 0.5 * h * (g_sample[k - 1] + g_sample[k])
             cum_err += step_err[k - 1]
         resid = p_sample[k] - p_sample[0] - cum_trap / model.n_spins
-        resid_mean = float(np.mean(resid))
-        resid_se = float(np.std(resid, ddof=1) / math.sqrt(resid.shape[0]))
+        resid_mean, resid_se = _mean_se(resid)
         tol = cum_err / model.n_spins + 3.0 * resid_se + TOL
 
         p_hat = _from_values(p_sample[k], gibbs.REM_PRESSURE, beta, n, seed)

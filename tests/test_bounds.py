@@ -225,6 +225,14 @@ class TestSoftSuperSudakov:
         with pytest.raises(ValueError, match="invalid-parameter"):
             sm.soft_super_sudakov(iid8, 0.0, 1000, seed=27)
 
+    def test_ball_boundary_matches_ensemble_ball(self):
+        # d^2 = 3.0 exactly and r = sqrt(3): r * r rounds below 3.0, so only a
+        # comparison at distance scale keeps the boundary points in the ball.
+        ens = sm.build_iid(3, 1.5)
+        r = math.sqrt(3.0)
+        rep = sm.soft_super_sudakov(ens, 1.0, 200, seed=28, scale=r)
+        assert rep.extra["union_size"] == len(sm.ball(ens, "0", r)) == 3
+
 
 class TestSandwichSuite:
     def test_equal_energies_attain_cap(self):

@@ -65,6 +65,21 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="bogus_knob"):
             parse_config(["--config", str(p), "--out", str(tmp_path / "x")])
 
+    @pytest.mark.parametrize("field", [
+        {"c": "x"}, {"c": None}, {"output": 5}, {"beta_grid": [1, "a"]},
+        {"beta_grid": 2}, {"observables": "gibbs_average"}, {"plot": "no"},
+        {"seed": True}, {"n_spins": True}])
+    def test_file_field_types(self, tmp_path, monkeypatch, capsys, field):
+        monkeypatch.chdir(tmp_path)
+        p = tmp_path / "run.json"
+        p.write_text(json.dumps({"command": "estimate",
+                                 "ensemble_spec": {"iid": {"n": 4, "variance": 1.0}},
+                                 "n_samples": 100, **field}))
+        assert run_main(["--config", str(p)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: config:") and "\n" not in err.strip()
+        assert next(iter(field)) in err
+
     def test_unsorted_grid_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             parse_config(["estimate", "--ensemble", IID8,
@@ -232,6 +247,23 @@ class TestExitCodes:
         code = run_main(["estimate", "--ensemble", IID2, "--n", "100",
                          "--out", "/nonexistent-dir/deep/x"])
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("obs", [
+        "gibbs_average", "free_energy", "soft_max(0,1)", "participation_ratio",
+        "kl_to_uniform", "renyi(0.5)", "renyi(2)", "renyi_half",
+        "shannon_entropy", "expected_max", "replica_gibbs", "rem_pressure"])
+    def test_extreme_beta_never_writes_nonfinite(self, tmp_path, capsys, obs):
+        out = tmp_path / "x"
+        code = run_main(["estimate", "--ensemble", '{"iid": {"n": 4, "variance": 1.0}}',
+                         "--beta", "1e308", "--n", "100", "--observables", obs,
+                         "--out", str(out)])
+        if code == EXIT_OK:
+            row = next(csv.reader(out.with_suffix(".csv").read_text().splitlines()[2:]))
+            assert all(math.isfinite(float(v)) for v in row[1:])
+        else:
+            assert code == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err.startswith("error: run:") and "\n" not in err.strip()
 
     def test_exit_code_constants_distinct(self):
         assert len({EXIT_OK, EXIT_CONFIG, EXIT_VIOLATION, EXIT_MISMATCH}) == 4

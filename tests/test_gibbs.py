@@ -5,11 +5,16 @@ partition function is a small integer: Z(1) = 3, Z(2) = 5.
 """
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 import softmaxima as sm
+from softmaxima.gibbs import _lse
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -48,6 +53,54 @@ class TestLogPartition:
         grid = np.linspace(0.0, 8.0, 33)
         lam = np.array([sm.log_partition(x, b) for b in grid])
         assert np.diff(lam, 2).min() >= -1e-8
+
+
+class TestLogSumExpPrimitive:
+    """The in-house primitive against scipy's logsumexp as the reference.
+
+    The max-shifted form is accurate relative to beta * max x + log m, not to
+    Lambda itself, so the inputs keep Lambda away from 0.
+    """
+
+    @pytest.mark.parametrize("beta", [0.0, 1e-3, 1.0, 1e2, 1e4, 1.5e5])
+    def test_matches_scipy(self, beta):
+        # Spread of x is about 8, so beta * spread reaches 1e6.
+        x = 5.0 + np.random.default_rng(40).standard_normal((64, 16))
+        np.testing.assert_allclose(_lse(x, beta), logsumexp(beta * x, axis=-1),
+                                   rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 1e6])
+    def test_exact_ties(self, beta):
+        x = np.array([[2.5, 2.5, 2.5, 2.5], [1.0, 3.0, 3.0, -2.0]])
+        np.testing.assert_allclose(_lse(x, beta), logsumexp(beta * x, axis=-1),
+                                   rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.7, 1e6])
+    def test_single_coordinate(self, beta):
+        x = np.array([[-1.25], [0.5], [3.0]])
+        assert np.array_equal(_lse(x, beta), beta * x[:, 0])
+        np.testing.assert_allclose(_lse(x, beta), logsumexp(beta * x, axis=-1),
+                                   rtol=1e-14, atol=0.0)
+
+    def test_log_weights_finite_at_extreme_beta(self):
+        # Shift before scale: beta * (x - max x) <= 0 whatever beta is.
+        x = random_x(7, 41)
+        with np.errstate(over="ignore"):
+            _, log_w = _lse(x, 1e308, log_weights=True)
+            avg = sm.GIBBS_AVERAGE.evaluate(x, 1e308)
+        assert np.all(log_w <= 0.0)
+        assert np.exp(log_w).sum() == 1.0
+        assert avg == x.max()
+
+    def test_import_loads_no_scipy(self):
+        code = ("import importlib, pkgutil, sys, softmaxima\n"
+                "for m in pkgutil.iter_modules(softmaxima.__path__):\n"
+                "    importlib.import_module('softmaxima.' + m.name)\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        src = str(Path(sm.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], cwd=src, check=True,
+                             capture_output=True, text=True)
+        assert out.stdout.strip() == "[]"
 
 
 class TestGibbsMeasure:
