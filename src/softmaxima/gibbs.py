@@ -44,18 +44,28 @@ def _scalar(out):
     return float(out) if np.ndim(out) == 0 else out
 
 
+def _shifted(x, beta):
+    """max x, beta * (x - max x) and log sum_i exp(beta (x_i - max x)).
+
+    Shifts by max x before scaling by beta, so no exponent is positive.  A
+    shifted exponent that overflows is -inf, whose exp is an exact 0, so that
+    overflow is not reported.
+    """
+    x_max = np.max(x, axis=-1, keepdims=True)
+    with np.errstate(over="ignore"):
+        z = x - x_max
+        z *= beta
+    return x_max[..., 0], z, np.log(np.sum(np.exp(z), axis=-1))
+
+
 def _lse(x, beta, log_weights=False):
     """Lambda(beta) = log sum_i exp(beta x_i) over the last axis.
 
-    Shifts by max x before scaling by beta, so no exponent is positive.  With
-    log_weights=True also returns beta * x - Lambda(beta), formed from the
-    shifted exponents, so it is finite for every finite beta.
+    With log_weights=True also returns beta * x - Lambda(beta), formed from
+    the shifted exponents, so it is finite for every finite beta.
     """
-    x_max = np.max(x, axis=-1, keepdims=True)
-    z = x - x_max
-    z *= beta
-    log_s = np.log(np.sum(np.exp(z), axis=-1))
-    log_z = beta * x_max[..., 0] + log_s
+    x_max, z, log_s = _shifted(x, beta)
+    log_z = beta * x_max + log_s
     if not log_weights:
         return log_z
     z -= log_s[..., None]
@@ -128,8 +138,13 @@ def gibbs_average(state: GibbsState, x) -> np.ndarray | float:
 
 
 def _tilted_mean(x, beta):
-    """<X>_beta without materializing a state (batched internal helper)."""
-    _, log_w = _lse(x, beta, log_weights=True)
+    """<X>_beta without materializing a state (batched internal helper).
+
+    Forms only the log-weights: Lambda(beta) itself may overflow at extreme
+    beta while the weights stay exact.
+    """
+    _, log_w, log_s = _shifted(x, beta)
+    log_w -= log_s[..., None]
     return np.sum(np.exp(log_w) * x, axis=-1)
 
 

@@ -265,6 +265,17 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert err.startswith("error: run:") and "\n" not in err.strip()
 
+    def test_free_energy_overflow_is_an_error(self, tmp_path, capsys):
+        # Lambda(1e308) overflows, so the free energy is inf: an error line,
+        # never a silent inf in the CSV.
+        code = run_main(["estimate", "--ensemble", IID2, "--beta", "1e308",
+                         "--n", "100", "--observables", "free_energy",
+                         "--out", str(tmp_path / "x")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: run:") and "\n" not in err.strip()
+        assert not (tmp_path / "x.csv").exists()
+
     def test_exit_code_constants_distinct(self):
         assert len({EXIT_OK, EXIT_CONFIG, EXIT_VIOLATION, EXIT_MISMATCH}) == 4
 

@@ -7,6 +7,7 @@ partition function is a small integer: Z(1) = 3, Z(2) = 5.
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -91,6 +92,16 @@ class TestLogSumExpPrimitive:
         assert np.all(log_w <= 0.0)
         assert np.exp(log_w).sum() == 1.0
         assert avg == x.max()
+
+    def test_extreme_beta_warns_nothing(self):
+        # The shifted exponents overflow to -inf (exp gives an exact 0), and
+        # the tilted mean never forms Lambda(beta), which is out of range here.
+        x = np.array([[0.5, -1.0, 2.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(sm.GIBBS_AVERAGE.evaluate(x, 1e308), [2.0])
+            _, log_w = _lse(np.array([0.5, -2.0]), 1e308, log_weights=True)
+        assert np.array_equal(log_w, [0.0, -np.inf])
 
     def test_import_loads_no_scipy(self):
         code = ("import importlib, pkgutil, sys, softmaxima\n"

@@ -10,11 +10,15 @@ adaptive quadrature at 30-digit working precision:
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import softmaxima as sm
+from softmaxima import quench
 from softmaxima.quench import BATCH_ELEMENT_CAP
 
 TWO_POINT_GIBBS_MEAN = {
@@ -66,6 +70,106 @@ class TestBatches:
     def test_standard_batch_is_unit_normal(self):
         z = sm.standard_normal_batch(4, 50_000, seed=5)
         assert abs(z.mean()) < 0.02 and abs(z.var() - 1.0) < 0.02
+
+
+def reference_sample(seed, i, m):
+    """Sample i by its definition: its own Philox stream at counter i * 2^128."""
+    bitgen = np.random.Philox(counter=i << 128, key=quench._master_key(seed))
+    return np.random.Generator(bitgen).standard_normal(m)
+
+
+def reference_batch(seed, n, m):
+    return np.array([reference_sample(seed, i, m) for i in range(n)]).reshape(n, m)
+
+
+def first_raw_words(seed, i, k):
+    bitgen = np.random.Philox(counter=i << 128, key=quench._master_key(seed))
+    return bitgen.random_raw(k)
+
+
+def first_draw(seed, i):
+    """(first raw Philox word, first normal) of sample i, as Python numbers."""
+    bitgen = np.random.Philox(counter=i << 128, key=quench._master_key(seed))
+    start = bitgen.state
+    raw = int(bitgen.random_raw())
+    bitgen.state = start
+    return raw, np.random.Generator(bitgen).standard_normal()
+
+
+def fast_path_declines(r):
+    """Where the fill's fast-path check declines a raw word (then numpy draws)."""
+    idx = (r & 0xFF).astype(np.intp)
+    return ((r >> 9) & np.uint64((1 << 52) - 1)) >= quench._ZIG_KI[idx]
+
+
+class TestStreamDefinition:
+    """The fill against Generator(Philox(counter=i << 128, key)).standard_normal.
+
+    The widths 1, 3, 4, 5 and 8 cross the 4-word Philox block boundaries;
+    63, 64 and 65 cross the end of the vectorised prefix; 200 and 1024 are
+    mostly drawn by numpy after the prefix.
+    """
+
+    @pytest.mark.parametrize("seed", [0, 2 ** 63, -1])
+    @pytest.mark.parametrize("m", [1, 3, 4, 5, 8, 63, 64, 65, 200, 1024])
+    def test_standard_batch_matches_definition(self, m, seed):
+        n = min(2000, max(16, 16_384 // m))
+        got = sm.standard_normal_batch(m, n, seed)
+        assert np.array_equal(got, reference_batch(seed, n, m))
+
+    @pytest.mark.parametrize("seed", [0, 2 ** 63, -1])
+    def test_comparison_covers_resumed_rows(self, seed):
+        # The 2000 x 8 batches above hold rows whose fast path declines a
+        # draw, so resuming numpy's generator mid-row is compared too.
+        declined = [fast_path_declines(first_raw_words(seed, i, 8)).any()
+                    for i in range(2000)]
+        assert 0 < sum(declined) < 2000
+
+    def test_realization_batches_match_definition(self, iid8, corr3):
+        g8 = reference_batch(5, 2000, 8)
+        g8 *= np.sqrt(iid8.iid_variance)
+        assert np.array_equal(sm.realization_batch(iid8, 2000, 5), g8)
+        g3 = reference_batch(6, 2000, 3)
+        assert np.array_equal(sm.realization_batch(corr3, 2000, 6),
+                              g3 @ corr3.sampling_factor.T)
+
+    @settings(max_examples=25, deadline=None)
+    @given(m=st.integers(1, 130), n=st.integers(2, 300),
+           seed=st.integers(-(2 ** 63), 2 ** 64 - 1))
+    def test_random_shapes_match_definition(self, m, n, seed):
+        assert np.array_equal(sm.standard_normal_batch(m, n, seed),
+                              reference_batch(seed, n, m))
+
+    def test_ziggurat_table_matches_numpy(self):
+        # Re-derive numpy's widths wi from first draws: a first draw the fast
+        # path or a wedge accepts is exactly +-rabs * wi[idx].
+        r, x = zip(*(first_draw(1, i) for i in range(20_000)))
+        r, x = np.array(r, dtype=np.uint64), np.abs(x)
+        idx = (r & 0xFF).astype(np.intp)
+        rabs = ((r >> 9) & np.uint64((1 << 52) - 1)).astype(np.float64)
+        wi = np.empty(256)
+        for k in range(256):
+            at = (idx == k) & (rabs > 0)
+            guesses = np.unique(x[at] / rabs[at])
+            candidates = np.unique(np.concatenate(
+                [guesses, np.nextafter(guesses, 0), np.nextafter(guesses, 1)]))
+            hits = [np.count_nonzero(rabs[at] * w == x[at]) for w in candidates]
+            wi[k] = candidates[int(np.argmax(hits))]
+            assert 2 * max(hits) > np.count_nonzero(at)  # a clear majority
+        assert np.array_equal(wi, quench._ZIG_WI)
+        # Each draw numpy did not return as +-rabs * wi[idx] is declined.
+        exact = rabs * wi[idx] == x
+        assert fast_path_declines(r[~exact]).all()
+        # ki sits below the exact floor(2^52 x_{k-1} / x_k) layer bound.
+        w = [Fraction(float(v)) for v in wi]
+        bound = [math.floor(Fraction(3.6541528853610088) / w[0]), 0]
+        bound += [math.floor(2 ** 52 * w[k - 1] / w[k]) for k in range(2, 256)]
+        assert all(0 <= b - int(k) <= 4096
+                   for b, k in zip(bound, quench._ZIG_KI))
+
+    def test_bool_seed_rejected(self):
+        with pytest.raises(ValueError, match="invalid-parameter"):
+            sm.standard_normal_batch(2, 10, True)
 
 
 class TestMcEstimate:
@@ -264,3 +368,8 @@ class TestWorkerKnob:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError, match="invalid-parameter"):
             sm.set_workers(0)
+
+    def test_rejects_bool(self):
+        with pytest.raises(ValueError, match="invalid-parameter"):
+            sm.set_workers(True)
+        assert sm.get_workers() == 1
