@@ -8,13 +8,12 @@ set.  A Random Energy Model driver applies the same machinery to the
 finite-size pressure and its phase-transition sandwich.
 
 Everything downstream of a seed is deterministic: per-sample randomness is a
-pure function of (seed, sample index), so estimates are bit-identical for any
-worker count.
+pure function of (seed, sample index), so estimates are bit-identical however
+the batch is filled.
 """
 
-from .ensemble import (Geometry, IndexedEnsemble, ball, build_from_covariance,
-                       build_iid, from_spec, geometry, greedy_packing,
-                       load_spec, sample)
+from .ensemble import (IndexedEnsemble, ball, build_from_covariance, build_iid,
+                       from_spec, greedy_packing)
 from .gibbs import (EXPECTED_MAX, FREE_ENERGY, GIBBS_AVERAGE, KL_TO_UNIFORM,
                     PARTICIPATION_RATIO, REM_PRESSURE, RENYI_HALF,
                     REPLICA_GIBBS, SHANNON_ENTROPY, GibbsState, Observable,
@@ -25,44 +24,16 @@ from .gibbs import (EXPECTED_MAX, FREE_ENERGY, GIBBS_AVERAGE, KL_TO_UNIFORM,
                     soft_max, soft_max_observable)
 from .quench import (QuenchedEstimate, ThresholdResult,
                      UnboundedThresholdError, beta_star, clear_cache,
-                     expected_max_estimate, get_workers, mc_estimate,
-                     per_sample_values, quadrature_oracle, realization_batch,
-                     replica_gibbs_estimate, set_workers,
+                     expected_max_estimate, mc_estimate, per_sample_values,
+                     quadrature_oracle, realization_batch,
                      standard_normal_batch)
 from .bounds import (BoundConfig, BoundReport, SandwichDiagnostics,
                      g_lower_iid, g_lower_lowtemp, g_upper,
                      g_upper_entropy_form, max_bounds, phi_lower_iid,
                      phi_upper, sandwich_suite, soft_super_sudakov)
 from .rem import (PressureCurve, PressureRow, RemModel, limit_pressure,
-                  pressure_estimate, pressure_sweep, q_lower, q_upper,
-                  q_upper_cap, q_upper_min, rem_model)
+                  pressure_sweep, q_lower, q_upper, q_upper_cap, q_upper_min,
+                  rem_model)
 from .cli import ExperimentConfig, main, run
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Geometry", "IndexedEnsemble", "ball", "build_from_covariance",
-    "build_iid", "from_spec", "geometry", "greedy_packing", "load_spec",
-    "sample",
-    "EXPECTED_MAX", "FREE_ENERGY", "GIBBS_AVERAGE", "KL_TO_UNIFORM",
-    "PARTICIPATION_RATIO", "REM_PRESSURE", "RENYI_HALF", "REPLICA_GIBBS",
-    "SHANNON_ENTROPY",
-    "GibbsState", "Observable", "free_energy", "gibbs_average",
-    "gibbs_measure", "kl_to_uniform", "log_partition", "parse_observable",
-    "participation_derivative", "participation_ratio",
-    "renyi_half_via_participation", "renyi_observable", "renyi_to_uniform",
-    "shannon_entropy", "soft_max", "soft_max_observable",
-    "QuenchedEstimate", "ThresholdResult", "UnboundedThresholdError",
-    "beta_star", "clear_cache", "expected_max_estimate", "get_workers",
-    "mc_estimate", "per_sample_values", "quadrature_oracle",
-    "realization_batch", "replica_gibbs_estimate", "set_workers",
-    "standard_normal_batch",
-    "BoundConfig", "BoundReport", "SandwichDiagnostics", "g_lower_iid",
-    "g_lower_lowtemp", "g_upper", "g_upper_entropy_form", "max_bounds",
-    "phi_lower_iid", "phi_upper", "sandwich_suite", "soft_super_sudakov",
-    "PressureCurve", "PressureRow", "RemModel", "limit_pressure",
-    "pressure_estimate", "pressure_sweep", "q_lower", "q_upper",
-    "q_upper_cap", "q_upper_min", "rem_model",
-    "ExperimentConfig", "main", "run",
-    "__version__",
-]

@@ -9,7 +9,7 @@ Four commands share one configuration shape:
 
 Exit codes: 0 success, 1 configuration error, 2 a proved bound came back
 `violated`, 3 an oracle comparison failed.  Identical configuration and seed
-produce byte-identical output files regardless of worker thread count.
+produce byte-identical output files.
 """
 
 from __future__ import annotations
@@ -57,11 +57,10 @@ class ExperimentConfig:
     observables: tuple[str, ...] = ("gibbs_average",)
     n_spins: int | None = None
     nodes: int = 128
-    threads: int = 1
 
     def config_hash(self) -> str:
-        """Fingerprint of the semantic fields (worker count and output
-        destination deliberately excluded: they may not change results)."""
+        """Fingerprint of the semantic fields (the output destination is
+        deliberately excluded: it may not change results)."""
         payload = {
             "command": self.command,
             "ensemble_spec": self.ensemble_spec,
@@ -107,7 +106,6 @@ def _build_parser() -> _Parser:
                    help="REM spin count (rem-sweep)")
     p.add_argument("--nodes", type=int,
                    help="quadrature nodes per dimension (oracle-check)")
-    p.add_argument("--threads", type=int, help="worker threads for batch fill")
     return p
 
 
@@ -140,7 +138,7 @@ def parse_config(argv) -> ExperimentConfig:
             raise ConfigError(f"config file is not valid JSON: {exc}") from None
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
-        unknown = set(data) - {f.name for f in _config_fields()}
+        unknown = set(data) - {f.name for f in dataclasses.fields(ExperimentConfig)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
@@ -191,7 +189,6 @@ def parse_config(argv) -> ExperimentConfig:
         observables=observables,
         n_spins=_pick(args.n_spins, data, "n_spins", None),
         nodes=_pick(args.nodes, data, "nodes", 128),
-        threads=_pick(args.threads, data, "threads", 1),
     )
     _validate(cfg)
     return cfg
@@ -210,10 +207,6 @@ def _split_observables(text: str) -> tuple[str, ...]:
         buf.append(ch)
     parts.append("".join(buf).strip())
     return tuple(p for p in parts if p)
-
-
-def _config_fields():
-    return dataclasses.fields(ExperimentConfig)
 
 
 def _pick(flag_value, data, key, default):
@@ -251,8 +244,6 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"n_spins must be an integer, got {cfg.n_spins!r}")
     if cfg.command == "estimate" and not cfg.observables:
         raise ConfigError("estimate needs at least one observable")
-    if type(cfg.threads) is not int or cfg.threads < 1:
-        raise ConfigError(f"threads must be a positive integer, got {cfg.threads}")
 
 
 def _resolve_ensemble(spec) -> IndexedEnsemble:
@@ -426,7 +417,6 @@ def _run_oracle_check(cfg: ExperimentConfig):
 
 def run(config: ExperimentConfig) -> int:
     """Execute one configured command; emit files; return the exit code."""
-    quench.set_workers(config.threads)
     handler = {"estimate": _run_estimate,
                "bounds": _run_bounds,
                "rem-sweep": _run_rem_sweep,

@@ -16,8 +16,6 @@ dense views are available up to ``DENSE_CAP`` coordinates.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -115,12 +113,6 @@ class IndexedEnsemble:
         return self._d2
 
     @property
-    def variances(self) -> np.ndarray:
-        if self.is_iid and self._cov is None:
-            return np.full(self.size, self.iid_variance)
-        return np.diag(self.covariance).copy()
-
-    @property
     def sigma_max(self) -> float:
         """Largest coordinate standard deviation."""
         if self.is_iid:
@@ -165,15 +157,6 @@ class IndexedEnsemble:
     def __repr__(self):
         kind = f"iid var={self.iid_variance}" if self.is_iid else "dense"
         return f"IndexedEnsemble(|T|={self.size}, {kind})"
-
-
-@dataclass(frozen=True)
-class Geometry:
-    """Metric summary of an ensemble: distance matrix and its extremes."""
-    dist: np.ndarray       # d(s, t), shape (m, m)
-    min_sep: float         # a = min over s != t
-    diameter: float        # Delta = max over s != t
-    sigma: float           # max coordinate standard deviation
 
 
 def build_iid(n: int, variance: float, labels: Sequence[str] | None = None) -> IndexedEnsemble:
@@ -252,23 +235,6 @@ def build_from_covariance(labels: Sequence[str], sigma_matrix) -> IndexedEnsembl
                            factor=factor)
 
 
-def geometry(ens: IndexedEnsemble) -> Geometry:
-    """Distance matrix with min separation, diameter, and max sigma."""
-    d2 = ens.squared_distances
-    dist = np.sqrt(np.clip(d2, 0.0, None))
-    dist.setflags(write=False)
-    return Geometry(dist=dist, min_sep=ens.min_separation,
-                    diameter=ens.diameter, sigma=ens.sigma_max)
-
-
-def sample(ens: IndexedEnsemble, rng_stream: np.random.Generator) -> np.ndarray:
-    """One realization x ~ N(0, covariance), deterministic given the stream state."""
-    g = rng_stream.standard_normal(ens.size)
-    if ens.is_iid:
-        return np.sqrt(ens.iid_variance) * g
-    return ens.sampling_factor @ g
-
-
 def greedy_packing(ens: IndexedEnsemble, radius: float) -> list[str]:
     """Maximal radius-separated subset, scanning labels in their given order.
 
@@ -305,6 +271,12 @@ def _ball_mask(ens: IndexedEnsemble, centers, radius: float) -> np.ndarray:
     return np.sqrt(ens.squared_distances[list(centers)]) <= radius
 
 
+def _check_number(what, v):
+    # numpy would read JSON strings and booleans as numbers; a spec may not.
+    if type(v) not in (int, float):
+        raise ValueError(f"invalid-input: {what} must be a number, got {v!r}")
+
+
 def from_spec(spec: dict) -> IndexedEnsemble:
     """Build from a JSON-style dict.
 
@@ -317,16 +289,21 @@ def from_spec(spec: dict) -> IndexedEnsemble:
     if "iid" in spec:
         body = spec["iid"]
         try:
-            return build_iid(int(body["n"]), float(body["variance"]))
+            n, variance = body["n"], body["variance"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"invalid-input: malformed iid spec: {exc}") from None
+        if type(n) is not int:
+            raise ValueError(f"invalid-input: iid n must be an integer, got {n!r}")
+        _check_number("iid variance", variance)
+        return build_iid(n, float(variance))
     if "labels" in spec and "covariance" in spec:
-        return build_from_covariance(spec["labels"], spec["covariance"])
+        rows = spec["covariance"]
+        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+            raise ValueError("invalid-input: covariance must be a list of rows")
+        for i, row in enumerate(rows):
+            for j, v in enumerate(row):
+                _check_number(f"covariance entry [{i}][{j}]", v)
+        return build_from_covariance(spec["labels"], rows)
     raise ValueError(
         "invalid-input: ensemble spec needs either an 'iid' entry or "
         "'labels' plus 'covariance'")
-
-
-def load_spec(path) -> IndexedEnsemble:
-    with open(path, "r", encoding="utf-8") as fh:
-        return from_spec(json.load(fh))

@@ -7,7 +7,7 @@ error.  Three contracts shape everything here:
 * Determinism: sample i is Generator(Philox(counter=i * 2^128, key))
   .standard_normal(m), a pure function of (seed, i), and the reduction over
   samples is numpy's fixed-order pairwise sum, so results are bit-identical
-  for any execution order or worker count.  The fill does not build those
+  whatever the order in which rows are filled.  The fill does not build those
   generators one by one: it computes the Philox blocks of many samples as
   whole-array numpy operations, takes numpy's ziggurat fast path on them,
   and hands a row to numpy's own generator, set to the exact state, at the
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,22 +41,6 @@ DEFAULT_RESOLUTION = 1e-3    # beta_star grid step, in units of 1 / sigma
 ORACLE_MAX_POINTS = 4        # tensor quadrature cap
 ORACLE_MIN_NODES = 32
 BATCH_ELEMENT_CAP = 250_000_000  # refuse batches above this many floats
-
-_workers = 1
-_workers_lock = threading.Lock()
-
-
-def set_workers(k: int) -> None:
-    """Worker threads for batch generation.  Results never depend on this."""
-    global _workers
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
-        raise ValueError(f"invalid-parameter: worker count must be >= 1, got {k}")
-    with _workers_lock:
-        _workers = int(k)
-
-
-def get_workers() -> int:
-    return _workers
 
 
 class UnboundedThresholdError(RuntimeError):
@@ -263,8 +246,8 @@ def _philox_blocks(key, lo, hi, n_blocks):
     return np.stack([c0, c1, c2, c3], axis=-1).reshape(hi - lo, 4 * n_blocks)
 
 
-def _fill_block(out, key, lo, hi):
-    """Rows lo..hi-1 of out, row i being sample i's stream (see above).
+def _fill_block(out, key):
+    """Every row of out, row i being sample i's stream (see above).
 
     numpy's ziggurat fast path (Marsaglia & Tsang 2000) is applied to the
     first _ZIG_PREFIX draws of every row at once.  At a row's first draw
@@ -280,9 +263,10 @@ def _fill_block(out, key, lo, hi):
     bitgen = np.random.Philox(key=key)
     rng = np.random.Generator(bitgen)
     state = bitgen.state
+    n = out.shape[0]
     step = _CHUNK_BLOCKS // n_blocks
-    for start in range(lo, hi, step):
-        stop = min(start + step, hi)
+    for start in range(0, n, step):
+        stop = min(start + step, n)
         raw = _philox_blocks(key, start, stop, n_blocks)
         r = raw[:, :p]
         idx = (r & 0xFF).astype(np.intp)
@@ -310,18 +294,8 @@ def _standard_batch(m: int, n: int, seed: int) -> np.ndarray:
         raise ValueError(
             f"scale: batch of {n} x {m} exceeds {BATCH_ELEMENT_CAP} elements; "
             "reduce n or the index set")
-    key = _master_key(seed)
     out = np.empty((n, m))
-    k = min(_workers, n)
-    if k <= 1:
-        _fill_block(out, key, 0, n)
-    else:
-        bounds = np.linspace(0, n, k + 1, dtype=int)
-        with ThreadPoolExecutor(max_workers=k) as pool:
-            futures = [pool.submit(_fill_block, out, key, bounds[j], bounds[j + 1])
-                       for j in range(k)]
-            for f in futures:
-                f.result()
+    _fill_block(out, _master_key(seed))
     return out
 
 
@@ -380,6 +354,7 @@ def _check_n(n):
 # -- estimation ----------------------------------------------------------------
 
 def _replica_values(ens: IndexedEnsemble, x: np.ndarray, beta: float) -> np.ndarray:
+    """(beta/2) sum_{s,t} d^2(s,t) nu(s) nu(t): mean equal to the tilted mean's."""
     if beta == 0.0:
         return np.zeros(x.shape[0])
     if ens.is_iid:
@@ -439,18 +414,6 @@ def mc_estimate(ens: IndexedEnsemble, obs: gibbs.Observable, beta,
     """Sample mean of obs over n realizations, with standard error."""
     values = per_sample_values(ens, obs, beta, n, seed)
     return _from_values(values, obs, beta, n, seed)
-
-
-def replica_gibbs_estimate(ens: IndexedEnsemble, beta, n: int,
-                           seed: int) -> QuenchedEstimate:
-    """Tilted-mean estimate via the two-replica overlap statistic.
-
-    Per sample: (beta/2) * sum_{s,t} d^2(s,t) nu(s) nu(t), which collapses to
-    beta * sigma^2 * (1 - sum nu^2) for scalar covariances.  Its expectation
-    equals that of the plain tilted mean, so the two estimators cross-check
-    each other.
-    """
-    return mc_estimate(ens, gibbs.REPLICA_GIBBS, beta, n, seed)
 
 
 def expected_max_estimate(ens: IndexedEnsemble, n: int, seed: int) -> QuenchedEstimate:

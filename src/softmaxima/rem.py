@@ -39,7 +39,8 @@ class RemModel:
 
 def rem_model(n_spins: int) -> RemModel:
     """REM with n_spins spins; energies are i.i.d. N(0, n_spins / 2)."""
-    if not isinstance(n_spins, (int, np.integer)) or not (1 <= n_spins <= MAX_SPINS):
+    if (isinstance(n_spins, bool) or not isinstance(n_spins, (int, np.integer))
+            or not (1 <= n_spins <= MAX_SPINS)):
         raise ValueError(
             f"scale: n_spins must be an integer in [1, {MAX_SPINS}], "
             f"got {n_spins}")
@@ -49,11 +50,6 @@ def rem_model(n_spins: int) -> RemModel:
     ens = build_iid(size, n_spins / 2.0, labels=labels)
     return RemModel(n_spins=n_spins, size=size, variance=n_spins / 2.0,
                     beta_c=2.0 * math.sqrt(math.log(2.0)), ensemble=ens)
-
-
-def pressure_estimate(model: RemModel, beta, n: int, seed: int) -> QuenchedEstimate:
-    """Monte Carlo estimate of P_N(beta); exactly log 2 with zero error at beta = 0."""
-    return mc_estimate(model.ensemble, gibbs.REM_PRESSURE, beta, n, seed)
 
 
 def limit_pressure(beta) -> float:

@@ -97,11 +97,49 @@ class TestConfigParsing:
                             "--out", str(tmp_path / "x")])
         assert cfg.ensemble_spec == str(p)
 
+    def test_ensemble_file_runs_like_inline_spec(self, tmp_path):
+        p = tmp_path / "ens.json"
+        p.write_text(IID8)
+        rows = []
+        for tag, spec in (("inline", IID8), ("file", str(p))):
+            out = tmp_path / tag
+            assert run_main(["estimate", "--ensemble", spec, "--beta", "1",
+                             "--n", "500", "--seed", "3",
+                             "--out", str(out)]) == EXIT_OK
+            # Line 0 holds the hash of the spec text, which differs here.
+            rows.append(out.with_suffix(".csv").read_text().splitlines()[1:])
+        assert rows[0] == rows[1]
+
+    def test_missing_ensemble_file(self, tmp_path, capsys):
+        code = run_main(["estimate", "--ensemble", str(tmp_path / "absent.json"),
+                         "--out", str(tmp_path / "x")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: bad ensemble spec:")
+        assert "\n" not in err.strip()
+
+    def test_threads_flag_removed(self, tmp_path, capsys):
+        code = run_main(["estimate", "--ensemble", IID8, "--threads", "2",
+                         "--out", str(tmp_path / "x")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: config:") and "\n" not in err.strip()
+        assert "--threads" in err
+
+    def test_threads_config_key_removed(self, tmp_path, capsys):
+        p = tmp_path / "run.json"
+        p.write_text(json.dumps({"command": "estimate", "ensemble_spec": IID8,
+                                 "threads": 2}))
+        assert run_main(["--config", str(p), "--out", str(tmp_path / "x")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: config:") and "\n" not in err.strip()
+        assert "unknown config keys: ['threads']" in err
+
     def test_config_hash_ignores_output_knobs(self, tmp_path):
         a = parse_config(["estimate", "--ensemble", IID8, "--seed", "5",
                           "--out", str(tmp_path / "a")])
         b = parse_config(["estimate", "--ensemble", IID8, "--seed", "5",
-                          "--out", str(tmp_path / "b"), "--threads", "8"])
+                          "--out", str(tmp_path / "b")])
         c = parse_config(["estimate", "--ensemble", IID8, "--seed", "6",
                           "--out", str(tmp_path / "a")])
         assert a.config_hash() == b.config_hash()
@@ -240,6 +278,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "\n" not in err.strip()
 
+    @pytest.mark.parametrize("spec", [
+        '{"iid": {"n": 8.9, "variance": 1.0}}',
+        '{"iid": {"n": "8", "variance": 1.0}}',
+        '{"iid": {"n": 8, "variance": true}}',
+        '{"labels": ["a", "b"], "covariance": [["1", "0.5"], [0.5, 1]]}',
+        '{"labels": ["a", "b"], "covariance": [[1, 0.5], [0.5, true]]}'])
+    def test_bad_spec_types_are_config_errors(self, tmp_path, capsys, spec):
+        code = run_main(["estimate", "--ensemble", spec, "--out", str(tmp_path / "x")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: bad ensemble spec: invalid-input:")
+        assert "\n" not in err.strip()
+        assert not (tmp_path / "x.csv").exists()
+
     def test_unknown_command(self):
         assert run_main(["transmogrify"]) == EXIT_CONFIG
 
@@ -290,18 +342,6 @@ class TestDeterminism:
                              "--out", str(out)]) == EXIT_OK
             outs.append(out.with_suffix(".csv").read_bytes())
         assert outs[0] == outs[1]
-
-    def test_thread_count_invisible_in_bytes(self, tmp_path):
-        outs = []
-        for threads in ("1", "4", "8"):
-            # Drop cached batches so each run fills with its own worker count.
-            sm.clear_cache()
-            out = tmp_path / f"t{threads}"
-            assert run_main(["bounds", "--ensemble", IID8, "--beta", "1",
-                             "--n", "3000", "--seed", "12",
-                             "--threads", threads, "--out", str(out)]) == EXIT_OK
-            outs.append(out.with_suffix(".csv").read_bytes())
-        assert outs[0] == outs[1] == outs[2]
 
     def test_float_fields_roundtrip_exactly(self, tmp_path):
         out = tmp_path / "rt"

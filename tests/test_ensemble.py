@@ -6,8 +6,10 @@ import math
 import numpy as np
 import pytest
 
+import softmaxima as sm
 from softmaxima import (ball, build_from_covariance, build_iid, from_spec,
-                        geometry, greedy_packing, load_spec, sample)
+                        greedy_packing)
+from softmaxima.cli import _resolve_ensemble
 from softmaxima.ensemble import DENSE_CAP
 from tests.conftest import two_cluster_vectors
 
@@ -15,14 +17,13 @@ from tests.conftest import two_cluster_vectors
 class TestBuildIid:
     def test_identity_covariance(self, iid2):
         assert np.array_equal(iid2.covariance, np.eye(2))
-        g = geometry(iid2)
-        assert g.min_sep == pytest.approx(math.sqrt(2), abs=0)
-        assert g.diameter == pytest.approx(math.sqrt(2), abs=0)
-        assert g.sigma == 1.0
+        assert iid2.min_separation == pytest.approx(math.sqrt(2), abs=0)
+        assert iid2.diameter == pytest.approx(math.sqrt(2), abs=0)
+        assert iid2.sigma_max == 1.0
 
     def test_half_variance_separation(self):
         ens = build_iid(4, 0.5)
-        assert geometry(ens).min_sep ** 2 == pytest.approx(1.0, rel=1e-15)
+        assert ens.min_separation ** 2 == pytest.approx(1.0, rel=1e-15)
 
     def test_too_small_rejected(self):
         with pytest.raises(ValueError, match="invalid-size"):
@@ -37,10 +38,10 @@ class TestBuildIid:
     def test_scalar_geometry_property(self):
         # a = diameter = sqrt(2v), sigma = sqrt(v), for every (n, v).
         for n, v in [(2, 1.0), (5, 0.25), (16, 3.0)]:
-            g = geometry(build_iid(n, v))
-            assert g.min_sep == pytest.approx(math.sqrt(2 * v), rel=1e-15)
-            assert g.diameter == g.min_sep
-            assert g.sigma == pytest.approx(math.sqrt(v), rel=1e-15)
+            ens = build_iid(n, v)
+            assert ens.min_separation == pytest.approx(math.sqrt(2 * v), rel=1e-15)
+            assert ens.diameter == ens.min_separation
+            assert ens.sigma_max == pytest.approx(math.sqrt(v), rel=1e-15)
 
     def test_custom_labels(self):
         ens = build_iid(3, 1.0, labels=["x", "y", "z"])
@@ -57,7 +58,7 @@ class TestBuildIid:
         with pytest.raises(ValueError, match="scale:"):
             _ = big.covariance
         with pytest.raises(ValueError, match="scale:"):
-            geometry(big)
+            np.sqrt(big.squared_distances)
 
 
 class TestBuildFromCovariance:
@@ -67,10 +68,9 @@ class TestBuildFromCovariance:
 
     def test_hand_distance(self):
         ens = build_from_covariance(["a", "b"], [[1.0, 0.5], [0.5, 1.0]])
-        g = geometry(ens)
-        assert g.min_sep == pytest.approx(1.0, rel=1e-15)
-        assert g.diameter == pytest.approx(1.0, rel=1e-15)
-        assert g.sigma == 1.0
+        assert ens.min_separation == pytest.approx(1.0, rel=1e-15)
+        assert ens.diameter == pytest.approx(1.0, rel=1e-15)
+        assert ens.sigma_max == 1.0
 
     def test_asymmetry_rejected_with_pair_named(self):
         bad = [[1.0, 0.5, 0.2], [0.4, 1.0, 0.3], [0.2, 0.3, 1.0]]
@@ -114,18 +114,18 @@ class TestBuildFromCovariance:
 
 class TestGeometry:
     def test_iid_hand_values(self):
-        g = geometry(build_iid(3, 2.0))
-        assert g.min_sep == pytest.approx(2.0, rel=1e-15)
-        assert g.diameter == pytest.approx(2.0, rel=1e-15)
-        assert g.sigma == pytest.approx(math.sqrt(2.0), rel=1e-15)
+        ens = build_iid(3, 2.0)
+        assert ens.min_separation == pytest.approx(2.0, rel=1e-15)
+        assert ens.diameter == pytest.approx(2.0, rel=1e-15)
+        assert ens.sigma_max == pytest.approx(math.sqrt(2.0), rel=1e-15)
 
     def test_zero_diagonal(self, corr3, ar8):
         for ens in (corr3, ar8):
-            assert np.all(np.diag(geometry(ens).dist) == 0.0)
+            assert np.all(np.diag(np.sqrt(ens.squared_distances)) == 0.0)
 
     def test_triangle_inequality(self, corr3, ar8, twocluster12):
         for ens in (corr3, ar8, twocluster12):
-            d = geometry(ens).dist
+            d = np.sqrt(ens.squared_distances)
             m = ens.size
             for i in range(m):
                 for j in range(m):
@@ -133,15 +133,13 @@ class TestGeometry:
                         assert d[i, j] <= d[i, k] + d[k, j] + 1e-9
 
     def test_ordering(self, ar8):
-        g = geometry(ar8)
-        assert 0 < g.min_sep <= g.diameter
-        assert g.sigma > 0
+        assert 0 < ar8.min_separation <= ar8.diameter
+        assert ar8.sigma_max > 0
 
 
 class TestSample:
     def test_empirical_law_iid(self, iid2):
-        rng = np.random.default_rng(0)
-        xs = np.stack([sample(iid2, rng) for _ in range(10 ** 5)])
+        xs = sm.realization_batch(iid2, 10 ** 5, seed=0)
         emp = xs.T @ xs / xs.shape[0]
         assert np.abs(emp - np.eye(2)).max() < 0.02
         assert np.abs(xs.mean(axis=0)).max() < 0.02
@@ -154,8 +152,9 @@ class TestSample:
         assert np.abs(emp - corr3.covariance).max() < 0.03
 
     def test_cloned_streams_agree(self, corr3):
-        a = sample(corr3, np.random.default_rng(7))
-        b = sample(corr3, np.random.default_rng(7))
+        a = sm.realization_batch(corr3, 1000, seed=7)
+        sm.clear_cache()
+        b = sm.realization_batch(corr3, 1000, seed=7)
         assert np.array_equal(a, b)
 
     def test_increment_variance_matches_metric(self, corr3):
@@ -181,7 +180,7 @@ class TestPacking:
 
     def test_pairwise_separated_and_maximal(self, twocluster12, ar8):
         for ens in (twocluster12, ar8):
-            d = geometry(ens).dist
+            d = np.sqrt(ens.squared_distances)
             for radius in (0.5, 1.0, 1.5):
                 chosen = greedy_packing(ens, radius)
                 idx = ens.indices_of(chosen)
@@ -234,7 +233,7 @@ class TestSpecLoading:
     def test_file_roundtrip(self, tmp_path):
         p = tmp_path / "ens.json"
         p.write_text(json.dumps({"iid": {"n": 3, "variance": 2.0}}))
-        assert load_spec(p).size == 3
+        assert _resolve_ensemble(str(p)).size == 3
 
     def test_rejections(self):
         with pytest.raises(ValueError, match="invalid-input"):
@@ -244,12 +243,28 @@ class TestSpecLoading:
         with pytest.raises(ValueError, match=r"'a'.*'b'"):
             from_spec({"labels": ["a", "b"], "covariance": [[1, 1], [1, 1]]})
 
+    @pytest.mark.parametrize("body", [
+        {"n": 8.9, "variance": 1.0}, {"n": 8.0, "variance": 1.0},
+        {"n": "8", "variance": 1.0}, {"n": True, "variance": 1.0},
+        {"n": 8, "variance": True}, {"n": 8, "variance": "1.0"},
+        {"n": 8, "variance": None}])
+    def test_iid_field_types(self, body):
+        with pytest.raises(ValueError, match="invalid-input: iid"):
+            from_spec({"iid": body})
+
+    @pytest.mark.parametrize("cov", [
+        [["1", "0.5"], [0.5, 1]], [[1, 0.5], [0.5, True]],
+        [[1, 0.5], [0.5, None]], [1, 0.5], "[[1, 0.5], [0.5, 1]]"])
+    def test_covariance_entry_types(self, cov):
+        with pytest.raises(ValueError, match="invalid-input: covariance"):
+            from_spec({"labels": ["a", "b"], "covariance": cov})
+
 
 def test_two_cluster_fixture_geometry(twocluster12):
     # The fixture's whole point: packing radius 1 separates the clusters,
     # radius-0.25 balls swallow them whole.
     labels, vecs = two_cluster_vectors()
-    d = geometry(twocluster12).dist
+    d = np.sqrt(twocluster12.squared_distances)
     for i, u in enumerate(vecs):
         for j, w in enumerate(vecs):
             assert d[i, j] == pytest.approx(np.linalg.norm(u - w), abs=1e-12)

@@ -46,15 +46,6 @@ class TestBatches:
         b = sm.realization_batch(iid8, 1000, seed=2)
         assert a is b
 
-    def test_worker_count_invisible(self, corr3):
-        outs = []
-        for threads in (1, 4, 8):
-            sm.clear_cache()
-            sm.set_workers(threads)
-            outs.append(sm.realization_batch(corr3, 30_000, seed=3).tobytes())
-        sm.set_workers(1)
-        assert outs[0] == outs[1] == outs[2]
-
     def test_prefix_stability(self, iid2):
         # per-sample streams: growing n extends the batch, never reshuffles it
         small = sm.realization_batch(iid2, 100, seed=4).copy()
@@ -116,6 +107,15 @@ class TestStreamDefinition:
         n = min(2000, max(16, 16_384 // m))
         got = sm.standard_normal_batch(m, n, seed)
         assert np.array_equal(got, reference_batch(seed, n, m))
+
+    @pytest.mark.parametrize("m, n", [(8, 8200), (64, 1100), (200, 2100)])
+    def test_fill_chunks_match_definition(self, m, n):
+        # Rows past the first chunk of _CHUNK_BLOCKS Philox blocks start a
+        # fill at a nonzero row; each n here crosses at least one chunk.
+        rows_per_chunk = quench._CHUNK_BLOCKS // -(-min(m, quench._ZIG_PREFIX) // 4)
+        assert n > rows_per_chunk
+        got = sm.standard_normal_batch(m, n, 9)
+        assert np.array_equal(got, reference_batch(9, n, m))
 
     @pytest.mark.parametrize("seed", [0, 2 ** 63, -1])
     def test_comparison_covers_resumed_rows(self, seed):
@@ -196,15 +196,6 @@ class TestMcEstimate:
         assert est.std_error == pytest.approx(vals.std(ddof=1) / math.sqrt(5000), rel=1e-12)
         assert est.n_samples == 5000 and est.seed == 9 and est.beta == 1.0
 
-    def test_thread_count_invisible(self, corr3):
-        means = []
-        for threads in (1, 4, 8):
-            sm.clear_cache()
-            sm.set_workers(threads)
-            means.append(sm.mc_estimate(corr3, sm.KL_TO_UNIFORM, 2.0, 30_000, seed=10).mean)
-        sm.set_workers(1)
-        assert means[0] == means[1] == means[2]
-
     def test_seed_matters(self, iid2):
         a = sm.mc_estimate(iid2, sm.GIBBS_AVERAGE, 1.0, 1000, seed=0)
         b = sm.mc_estimate(iid2, sm.GIBBS_AVERAGE, 1.0, 1000, seed=1)
@@ -221,11 +212,11 @@ class TestMcEstimate:
 
 class TestReplicaEstimate:
     def test_zero_at_beta_zero(self, corr3):
-        est = sm.replica_gibbs_estimate(corr3, 0.0, 2000, seed=11)
+        est = sm.mc_estimate(corr3, sm.REPLICA_GIBBS, 0.0, 2000, seed=11)
         assert est.mean == 0.0 and est.std_error == 0.0
 
     def test_agrees_with_direct_in_expectation(self, iid2):
-        r = sm.replica_gibbs_estimate(iid2, 1.0, 100_000, seed=12)
+        r = sm.mc_estimate(iid2, sm.REPLICA_GIBBS, 1.0, 100_000, seed=12)
         g = sm.mc_estimate(iid2, sm.GIBBS_AVERAGE, 1.0, 100_000, seed=12)
         se = math.hypot(r.std_error, g.std_error)
         assert abs(r.mean - g.mean) <= 3 * se
@@ -356,20 +347,3 @@ class TestQuadratureOracle:
         a = sm.quadrature_oracle(corr3, sm.KL_TO_UNIFORM, 2.0, nodes_per_dim=64)
         b = sm.quadrature_oracle(corr3, sm.KL_TO_UNIFORM, 2.0, nodes_per_dim=64)
         assert a == b
-
-
-class TestWorkerKnob:
-    def test_roundtrip(self):
-        sm.set_workers(4)
-        assert sm.get_workers() == 4
-        sm.set_workers(1)
-        assert sm.get_workers() == 1
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError, match="invalid-parameter"):
-            sm.set_workers(0)
-
-    def test_rejects_bool(self):
-        with pytest.raises(ValueError, match="invalid-parameter"):
-            sm.set_workers(True)
-        assert sm.get_workers() == 1

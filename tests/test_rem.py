@@ -33,21 +33,28 @@ class TestRemModel:
             with pytest.raises(ValueError, match="scale"):
                 sm.rem_model(n)
 
+    def test_bool_rejected(self):
+        for n in (True, False):
+            with pytest.raises(ValueError, match="scale"):
+                sm.rem_model(n)
+
 
 class TestPressureEstimate:
     def test_zero_temperature_exact(self):
         for n_spins in (1, 6, 10):
-            est = sm.pressure_estimate(sm.rem_model(n_spins), 0.0, 200, seed=0)
+            est = sm.mc_estimate(sm.rem_model(n_spins).ensemble, sm.REM_PRESSURE,
+                                 0.0, 200, seed=0)
             assert est.mean == LOG2 and est.std_error == 0.0
 
     def test_annealed_bound(self):
         model = sm.rem_model(10)
         for beta in (0.5, 1.0, 2.0, 4.0):
-            est = sm.pressure_estimate(model, beta, 2000, seed=1)
+            est = sm.mc_estimate(model.ensemble, sm.REM_PRESSURE, beta, 2000, seed=1)
             assert est.mean <= LOG2 + beta ** 2 / 4 + 3 * est.std_error
 
     def test_high_temperature_near_quadratic(self):
-        est = sm.pressure_estimate(sm.rem_model(10), 1.0, 2000, seed=2)
+        est = sm.mc_estimate(sm.rem_model(10).ensemble, sm.REM_PRESSURE, 1.0, 2000,
+                             seed=2)
         assert abs(est.mean - (LOG2 + 0.25)) < 0.05
 
 
@@ -102,7 +109,7 @@ class TestQLower:
         ts = sm.beta_star(model.ensemble, 1 / 17, 2000, seed=6)
         for beta in (1.0, 2.5, 4.0):
             low = sm.q_lower(model, beta, ts, 1 / 17, 2000, seed=6)
-            p = sm.pressure_estimate(model, beta, 2000, seed=6)
+            p = sm.mc_estimate(model.ensemble, sm.REM_PRESSURE, beta, 2000, seed=6)
             assert low <= p.mean + 3 * p.std_error
 
     def test_foreign_threshold_rejected(self):
@@ -139,7 +146,7 @@ class TestQUpper:
     def test_min_above_pressure(self):
         model = sm.rem_model(10)
         grid = [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
-        p = sm.pressure_estimate(model, 3.0, 2000, seed=9)
+        p = sm.mc_estimate(model.ensemble, sm.REM_PRESSURE, 3.0, 2000, seed=9)
         up = sm.q_upper_min(model, 3.0, grid, 2000, seed=9)
         assert up >= p.mean - 3 * p.std_error
 
@@ -203,8 +210,10 @@ class TestFiniteSizeTrend:
         # moderate beta; report, do not fail, when noise swamps the gap.
         misses = []
         for beta in (1.0, BETA_C, 3.0):
-            p6 = sm.pressure_estimate(sm.rem_model(6), beta, 1500, seed=14)
-            p12 = sm.pressure_estimate(sm.rem_model(12), beta, 1500, seed=14)
+            p6 = sm.mc_estimate(sm.rem_model(6).ensemble, sm.REM_PRESSURE, beta,
+                                1500, seed=14)
+            p12 = sm.mc_estimate(sm.rem_model(12).ensemble, sm.REM_PRESSURE, beta,
+                                 1500, seed=14)
             lim = sm.limit_pressure(beta)
             gap6 = abs(p6.mean - lim)
             gap12 = abs(p12.mean - lim)
