@@ -24,9 +24,9 @@ import numpy as np
 
 from . import gibbs
 from .ensemble import IndexedEnsemble, _ball_mask, greedy_packing
-from .quench import (QuenchedEstimate, ThresholdResult, _mean_se, beta_star,
-                     expected_max_estimate, mc_estimate, realization_batch,
-                     standard_normal_batch)
+from .quench import (QuenchedEstimate, ThresholdResult, _check_threshold,
+                     _mean_se, expected_max_estimate, mc_estimate,
+                     realization_batch, standard_normal_batch)
 
 SLACK_TOL = 1e-9
 # Seed offset decoupling the auxiliary standard-normal process from the main
@@ -127,17 +127,23 @@ def _est(e: QuenchedEstimate) -> tuple[float, float]:
     return (e.mean, e.std_error)
 
 
+def _divergence_claim(name, ens, beta, n, seed, cfg, obs, div_obs, coef,
+                      direction, flags=(), extra=None) -> BoundReport:
+    """obs against coef * sqrt(E div_obs), both sides on the common batch."""
+    lhs = mc_estimate(ens, obs, beta, n, seed)
+    div = mc_estimate(ens, div_obs, beta, n, seed)
+    rhs, guard = _sqrt_side(coef, div.mean, div.std_error)
+    return _assemble(name, beta, _est(lhs), rhs, direction, cfg,
+                     flags=[*flags, "delta-guard"] if guard else flags,
+                     extra={**(extra or {}), "divergence": _est(div)})
+
+
 def g_upper(ens: IndexedEnsemble, beta, n: int, seed: int,
             cfg: BoundConfig | None = None) -> BoundReport:
     """Tilted mean against sqrt(2 sigma^2 E KL(nu_beta || uniform)), claim <=."""
-    cfg = cfg or BoundConfig()
-    lhs = mc_estimate(ens, gibbs.GIBBS_AVERAGE, beta, n, seed)
-    div = mc_estimate(ens, gibbs.KL_TO_UNIFORM, beta, n, seed)
-    coef = math.sqrt(2.0) * ens.sigma_max
-    rhs, guard = _sqrt_side(coef, div.mean, div.std_error)
-    return _assemble("g_upper", beta, _est(lhs), rhs, "le", cfg,
-                     flags=("delta-guard",) if guard else (),
-                     extra={"divergence": _est(div)})
+    return _divergence_claim("g_upper", ens, beta, n, seed, cfg or BoundConfig(),
+                             gibbs.GIBBS_AVERAGE, gibbs.KL_TO_UNIFORM,
+                             math.sqrt(2.0) * ens.sigma_max, "le")
 
 
 def g_upper_entropy_form(ens: IndexedEnsemble, beta, n: int, seed: int,
@@ -164,23 +170,16 @@ def g_lower_lowtemp(ens: IndexedEnsemble, beta, threshold: ThresholdResult,
                     cfg: BoundConfig | None = None) -> BoundReport:
     """Tilted mean against c a sqrt(E KL), claim >=, valid above beta_star."""
     cfg = cfg or BoundConfig()
-    _check_threshold(threshold, ens)
-    lhs = mc_estimate(ens, gibbs.GIBBS_AVERAGE, beta, n, seed)
-    div = mc_estimate(ens, gibbs.KL_TO_UNIFORM, beta, n, seed)
-    coef = cfg.c * ens.min_separation
-    rhs, guard = _sqrt_side(coef, div.mean, div.std_error)
-    flags = []
-    if beta < threshold.beta_star:
-        flags.append("out-of-regime")
-    if guard:
-        flags.append("delta-guard")
-    return _assemble("g_lower_lowtemp", beta, _est(lhs), rhs, "ge", cfg,
-                     flags=flags,
-                     extra={"beta_star": threshold.beta_star,
-                            "divergence": _est(div)})
+    _check_threshold(threshold, ens, cfg.c)
+    flags = ("out-of-regime",) if beta < threshold.beta_star else ()
+    return _divergence_claim("g_lower_lowtemp", ens, beta, n, seed, cfg,
+                             gibbs.GIBBS_AVERAGE, gibbs.KL_TO_UNIFORM,
+                             cfg.c * ens.min_separation, "ge", flags=flags,
+                             extra={"beta_star": threshold.beta_star})
 
 
-def g_lower_iid(ens: IndexedEnsemble, beta, n: int, seed: int,
+def g_lower_iid(ens: IndexedEnsemble, beta, threshold: ThresholdResult,
+                n: int, seed: int,
                 cfg: BoundConfig | None = None) -> BoundReport:
     """Tilted mean against kappa sigma sqrt(E KL) for scalar covariances.
 
@@ -189,28 +188,22 @@ def g_lower_iid(ens: IndexedEnsemble, beta, n: int, seed: int,
     """
     cfg = cfg or BoundConfig()
     _require_iid(ens, "g_lower_iid")
-    thr = beta_star(ens, cfg.c, n, seed)
-    kappa = cfg.iid_high_temp_constant if beta < thr.beta_star else cfg.c
-    lhs = mc_estimate(ens, gibbs.GIBBS_AVERAGE, beta, n, seed)
-    div = mc_estimate(ens, gibbs.KL_TO_UNIFORM, beta, n, seed)
-    rhs, guard = _sqrt_side(kappa * ens.sigma_max, div.mean, div.std_error)
-    return _assemble("g_lower_iid", beta, _est(lhs), rhs, "ge", cfg,
-                     flags=("delta-guard",) if guard else (),
-                     extra={"kappa": kappa, "beta_star": thr.beta_star,
-                            "divergence": _est(div)})
+    _check_threshold(threshold, ens, cfg.c)
+    kappa = cfg.iid_high_temp_constant if beta < threshold.beta_star else cfg.c
+    return _divergence_claim("g_lower_iid", ens, beta, n, seed, cfg,
+                             gibbs.GIBBS_AVERAGE, gibbs.KL_TO_UNIFORM,
+                             kappa * ens.sigma_max, "ge",
+                             extra={"kappa": kappa,
+                                    "beta_star": threshold.beta_star})
 
 
 def phi_upper(ens: IndexedEnsemble, beta, n: int, seed: int,
               cfg: BoundConfig | None = None) -> BoundReport:
     """Free energy against sqrt(2 sigma^2 E D_half), claim <=."""
-    cfg = cfg or BoundConfig()
-    lhs = mc_estimate(ens, gibbs.FREE_ENERGY, beta, n, seed)
-    div = mc_estimate(ens, gibbs.RENYI_HALF, beta, n, seed)
-    coef = math.sqrt(2.0) * ens.sigma_max
-    rhs, guard = _sqrt_side(coef, div.mean, div.std_error)
-    return _assemble("phi_upper", beta, _est(lhs), rhs, "le", cfg,
-                     flags=("delta-guard",) if guard else (),
-                     extra={"divergence": _est(div)})
+    return _divergence_claim("phi_upper", ens, beta, n, seed,
+                             cfg or BoundConfig(), gibbs.FREE_ENERGY,
+                             gibbs.RENYI_HALF, math.sqrt(2.0) * ens.sigma_max,
+                             "le")
 
 
 def phi_lower_iid(ens: IndexedEnsemble, beta, n: int, seed: int,
@@ -218,12 +211,9 @@ def phi_lower_iid(ens: IndexedEnsemble, beta, n: int, seed: int,
     """Free energy against (c sigma / 2) sqrt(E D_half) for scalar covariances."""
     cfg = cfg or BoundConfig()
     _require_iid(ens, "phi_lower_iid")
-    lhs = mc_estimate(ens, gibbs.FREE_ENERGY, beta, n, seed)
-    div = mc_estimate(ens, gibbs.RENYI_HALF, beta, n, seed)
-    rhs, guard = _sqrt_side(cfg.c * ens.sigma_max / 2.0, div.mean, div.std_error)
-    return _assemble("phi_lower_iid", beta, _est(lhs), rhs, "ge", cfg,
-                     flags=("delta-guard",) if guard else (),
-                     extra={"divergence": _est(div)})
+    return _divergence_claim("phi_lower_iid", ens, beta, n, seed, cfg,
+                             gibbs.FREE_ENERGY, gibbs.RENYI_HALF,
+                             cfg.c * ens.sigma_max / 2.0, "ge")
 
 
 def max_bounds(ens: IndexedEnsemble, n: int, seed: int,
@@ -306,15 +296,6 @@ def _require_iid(ens, name):
         raise ValueError(
             f"regime: {name} needs a scalar covariance (independent "
             "coordinates of equal variance)")
-
-
-def _check_threshold(threshold, ens):
-    if not isinstance(threshold, ThresholdResult):
-        raise ValueError(
-            "invalid-input: threshold must be a ThresholdResult")
-    if threshold.ensemble_key != ens.cache_key:
-        raise ValueError(
-            "invalid-input: threshold was computed on a different ensemble")
 
 
 # -- per-realization sandwiches -------------------------------------------------

@@ -321,7 +321,8 @@ def _run_bounds(cfg: ExperimentConfig):
         reports.append(bounds_mod.g_lower_lowtemp(ens, beta, threshold, n, seed, bcfg))
         reports.append(bounds_mod.phi_upper(ens, beta, n, seed, bcfg))
         if ens.is_iid:
-            reports.append(bounds_mod.g_lower_iid(ens, beta, n, seed, bcfg))
+            reports.append(bounds_mod.g_lower_iid(
+                ens, beta, threshold, n, seed, bcfg))
             reports.append(bounds_mod.phi_lower_iid(ens, beta, n, seed, bcfg))
         if beta > 0:
             reports.append(bounds_mod.soft_super_sudakov(ens, beta, n, seed, bcfg))

@@ -24,6 +24,7 @@ import numpy as np
 SYMMETRY_RTOL = 1e-12    # allowed |S - S.T| relative to max|S|
 EIGENVALUE_RTOL = 1e-10  # eigenvalues below -EIGENVALUE_RTOL*||S|| are rejected
 DENSE_CAP = 4096         # largest side for materializing an m x m matrix
+IID_CAP = 2 ** 16        # most coordinates of an i.i.d. ensemble
 
 
 class IndexedEnsemble:
@@ -166,6 +167,8 @@ def build_iid(n: int, variance: float, labels: Sequence[str] | None = None) -> I
     """
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise ValueError(f"invalid-size: need at least 2 coordinates, got {n}")
+    if n > IID_CAP:
+        raise ValueError(f"scale: {n} coordinates exceed the i.i.d. cap of {IID_CAP}")
     if not np.isfinite(variance) or variance <= 0:
         raise ValueError(f"invalid-parameter: variance must be positive, got {variance}")
     if labels is None:

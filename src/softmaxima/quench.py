@@ -15,7 +15,10 @@ error.  Three contracts shape everything here:
   to the per-sample definition bit for bit.
 * Common random numbers: identical (ensemble, n, seed) always yields the
   identical realization batch, so comparisons across beta or across the two
-  sides of an identity are per-sample comparisons.
+  sides of an identity are per-sample comparisons.  A few recent batches are
+  cached; that cache is the only state kept between calls, and clear_cache()
+  empties it.  Nothing else is memoized: beta_star is computed once by the
+  caller and its ThresholdResult passed to every bound that uses it.
 * Collapsed i.i.d. forms: whenever the covariance is a scalar matrix the
   replica statistic uses beta * sigma^2 * (1 - participation) instead of the
   generic double sum; the two are equal coordinate-for-coordinate there.
@@ -63,14 +66,28 @@ class ThresholdResult:
     """Smallest grid beta where 1 - r(beta) drops to the packing target.
 
     bracket is the final bisection interval (lo excluded, hi included);
-    ensemble_key ties the result to the ensemble it was computed on.
+    ensemble_key and c tie the result to the ensemble and the Sudakov
+    constant it was computed with.
     """
     beta_star: float
     bracket: tuple[float, float]
     target: float
     r_at_star: QuenchedEstimate
     ensemble_key: str
+    c: float
     note: str | None = None
+
+
+def _check_threshold(threshold, ens: IndexedEnsemble, c: float) -> None:
+    """Reject a threshold not computed by beta_star on ens with constant c."""
+    if not isinstance(threshold, ThresholdResult):
+        raise ValueError("invalid-input: threshold must be a ThresholdResult")
+    if threshold.ensemble_key != ens.cache_key:
+        raise ValueError("invalid-input: threshold was computed on a different ensemble")
+    if threshold.c != c:
+        raise ValueError(
+            f"invalid-input: threshold was computed with c = {threshold.c!r}, "
+            f"not c = {c!r}")
 
 
 # -- deterministic sample streams ---------------------------------------------
@@ -319,9 +336,9 @@ def _cached(key, build):
 
 
 def clear_cache() -> None:
+    """Empty the realization-batch cache, the only state kept across calls."""
     with _batch_lock:
         _batch_cache.clear()
-    _threshold_memo.clear()
 
 
 def standard_normal_batch(m: int, n: int, seed: int) -> np.ndarray:
@@ -425,9 +442,6 @@ def expected_max_estimate(ens: IndexedEnsemble, n: int, seed: int) -> QuenchedEs
 
 # -- participation threshold ---------------------------------------------------
 
-_threshold_memo: dict[tuple, ThresholdResult] = {}
-
-
 def beta_star(ens: IndexedEnsemble, c: float, n: int, seed: int,
               resolution: float | None = None) -> ThresholdResult:
     """Smallest grid beta with 1 - r_hat(beta) <= c^2 a^2 / (2 Delta^2).
@@ -436,7 +450,8 @@ def beta_star(ens: IndexedEnsemble, c: float, n: int, seed: int,
     Each per-sample participation curve is nondecreasing in beta, hence so is
     r_hat; bisection on the resolution grid therefore finds the exact smallest
     grid point satisfying the criterion.  The search gives up above
-    1e4 / sigma and raises UnboundedThresholdError with diagnostics.
+    1e4 / sigma and raises UnboundedThresholdError with diagnostics.  The
+    result is not memoized; pass it to the bounds that need it.
     """
     if not (0.0 < c < 1.0):
         raise ValueError(f"invalid-parameter: c must lie in (0, 1), got {c}")
@@ -448,11 +463,6 @@ def beta_star(ens: IndexedEnsemble, c: float, n: int, seed: int,
         raise ValueError(
             f"invalid-parameter: resolution must be positive, got {resolution}")
 
-    memo_key = (ens.cache_key, float(c), int(n), int(seed), float(resolution))
-    hit = _threshold_memo.get(memo_key)
-    if hit is not None:
-        return hit
-
     a = ens.min_separation
     delta = ens.diameter
     target = (c * a) ** 2 / (2.0 * delta ** 2)
@@ -463,11 +473,9 @@ def beta_star(ens: IndexedEnsemble, c: float, n: int, seed: int,
 
     def result(beta_val, bracket, note=None):
         r_est = mc_estimate(ens, gibbs.PARTICIPATION_RATIO, beta_val, n, seed)
-        res = ThresholdResult(beta_star=beta_val, bracket=bracket, target=target,
-                              r_at_star=r_est, ensemble_key=ens.cache_key,
-                              note=note)
-        _threshold_memo[memo_key] = res
-        return res
+        return ThresholdResult(beta_star=beta_val, bracket=bracket, target=target,
+                               r_at_star=r_est, ensemble_key=ens.cache_key,
+                               c=float(c), note=note)
 
     if target >= 1.0 - 1.0 / ens.size:
         return result(0.0, (0.0, 0.0),

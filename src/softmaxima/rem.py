@@ -8,7 +8,9 @@ pressure is sandwiched between a lower curve Q_lower (quadratic, then linear
 with a Sudakov slope) and a family of upper curves Q_upper(.; beta0)
 (quadratic up to beta0, then linear with slope sqrt(E KL / N) evaluated at
 the target beta).  Both are estimated here with the common-random-number
-machinery from `quench`.
+machinery from `quench`.  Each divergence a curve needs is estimated once per
+call and nothing is memoized: the sweep computes its threshold and its
+E KL(beta_star) once and reuses them in every row.
 """
 
 from __future__ import annotations
@@ -20,8 +22,9 @@ import numpy as np
 
 from . import gibbs
 from .ensemble import IndexedEnsemble, build_iid
-from .quench import (QuenchedEstimate, ThresholdResult, _from_values,
-                     _mean_se, beta_star, mc_estimate, per_sample_values)
+from .quench import (QuenchedEstimate, ThresholdResult, _check_threshold,
+                     _from_values, _mean_se, beta_star, mc_estimate,
+                     per_sample_values)
 
 MAX_SPINS = 16   # 2^16 states is the desk-scale ceiling
 TOL = 1e-12
@@ -61,20 +64,18 @@ def limit_pressure(beta) -> float:
     return beta * math.sqrt(math.log(2.0))
 
 
-# KL estimates keyed by (ensemble, beta, n, seed); the upper-curve grid
-# minimization re-reads the same divergence many times.
-_divergence_memo: dict[tuple, float] = {}
+def _kl(model: RemModel, beta: float, n: int, seed: int) -> float:
+    return mc_estimate(model.ensemble, gibbs.KL_TO_UNIFORM, beta, n, seed).mean
 
 
-def _divergence(ens: IndexedEnsemble, beta: float, n: int, seed: int) -> float:
-    key = (ens.cache_key, float(beta), int(n), int(seed))
-    hit = _divergence_memo.get(key)
-    if hit is None:
-        hit = mc_estimate(ens, gibbs.KL_TO_UNIFORM, beta, n, seed).mean
-        if len(_divergence_memo) > 256:
-            _divergence_memo.clear()
-        _divergence_memo[key] = hit
-    return hit
+def _lower_curve(model: RemModel, beta: float, c: float, beta_star: float,
+                 div) -> float:
+    """Q_lower at beta; div = E KL(beta_star) is read only above beta_star."""
+    if beta <= beta_star:
+        return math.log(2.0) + c * c * beta * beta / 8.0
+    slope = c * math.sqrt(max(div, 0.0) / (2.0 * model.n_spins))
+    return (math.log(2.0) + c * c * beta_star * beta_star / 8.0
+            + (beta - beta_star) * slope)
 
 
 def q_lower(model: RemModel, beta, threshold: ThresholdResult, c: float,
@@ -85,21 +86,15 @@ def q_lower(model: RemModel, beta, threshold: ThresholdResult, c: float,
         log 2 + c^2 beta_star^2 / 8
               + c (beta - beta_star) sqrt(E KL(beta_star) / (2N))  above
 
-    The divergence in the slope is estimated at beta_star, once.
+    threshold must come from beta_star on this model's ensemble with this c.
+    The divergence in the slope is estimated at beta_star, once, and only
+    when beta lies above it.
     """
     beta = gibbs._check_beta(beta)
-    if not (0.0 < c < 1.0):
-        raise ValueError(f"invalid-parameter: c must lie in (0, 1), got {c}")
-    if not isinstance(threshold, ThresholdResult) or \
-            threshold.ensemble_key != model.ensemble.cache_key:
-        raise ValueError(
-            "invalid-input: threshold was not computed on this model's ensemble")
+    _check_threshold(threshold, model.ensemble, c)
     bs = threshold.beta_star
-    if beta <= bs:
-        return math.log(2.0) + c * c * beta * beta / 8.0
-    div = _divergence(model.ensemble, bs, n, seed)
-    slope = c * math.sqrt(max(div, 0.0) / (2.0 * model.n_spins))
-    return (math.log(2.0) + c * c * bs * bs / 8.0 + (beta - bs) * slope)
+    div = _kl(model, bs, n, seed) if beta > bs else None
+    return _lower_curve(model, beta, c, bs, div)
 
 
 def q_upper(model: RemModel, beta, beta0, n: int, seed: int) -> float:
@@ -110,16 +105,7 @@ def q_upper(model: RemModel, beta, beta0, n: int, seed: int) -> float:
 
     Note the divergence is evaluated at beta itself, not at the knee.
     """
-    beta = gibbs._check_beta(beta)
-    beta0 = float(beta0)
-    if not (np.isfinite(beta0) and beta0 >= 0):
-        raise ValueError(
-            f"invalid-parameter: beta0 must be nonnegative and finite, got {beta0}")
-    if beta <= beta0:
-        return math.log(2.0) + beta * beta / 4.0
-    div = _divergence(model.ensemble, beta, n, seed)
-    slope = math.sqrt(max(div, 0.0) / model.n_spins)
-    return math.log(2.0) + beta0 * beta0 / 4.0 + (beta - beta0) * slope
+    return _upper_min(model, beta, [beta0], n, seed)
 
 
 def q_upper_min(model: RemModel, beta, beta0_grid, n: int, seed: int) -> float:
@@ -127,8 +113,25 @@ def q_upper_min(model: RemModel, beta, beta0_grid, n: int, seed: int) -> float:
     grid = [float(b) for b in np.atleast_1d(np.asarray(beta0_grid, dtype=float))]
     if len(grid) == 0:
         raise ValueError("invalid-parameter: beta0 grid must be nonempty")
-    grid.append(model.beta_c)
-    return min(q_upper(model, beta, b0, n, seed) for b0 in grid)
+    return _upper_min(model, beta, grid + [model.beta_c], n, seed)
+
+
+def _upper_min(model: RemModel, beta, knees, n: int, seed: int) -> float:
+    """Minimum of the upper curve over the knees.
+
+    The knees share one E KL(beta), estimated only if some knee lies below it.
+    """
+    beta = gibbs._check_beta(beta)
+    knees = [float(b) for b in knees]
+    bad = [b for b in knees if not (np.isfinite(b) and b >= 0)]
+    if bad:
+        raise ValueError(
+            f"invalid-parameter: beta0 must be nonnegative and finite, got {bad[0]}")
+    div = _kl(model, beta, n, seed) if beta > min(knees) else 0.0
+    slope = math.sqrt(max(div, 0.0) / model.n_spins)
+    return min(math.log(2.0) + beta * beta / 4.0 if beta <= b0
+               else math.log(2.0) + b0 * b0 / 4.0 + (beta - b0) * slope
+               for b0 in knees)
 
 
 def q_upper_cap(model: RemModel, beta) -> float:
@@ -188,7 +191,8 @@ def pressure_sweep(model: RemModel, beta_grid, n: int, seed: int,
 
     ens = model.ensemble
     threshold = beta_star(ens, c, n, seed)
-    beta0_grid = grid
+    bs = threshold.beta_star
+    div_star = _kl(model, bs, n, seed) if grid[-1] > bs else None
 
     p_sample = np.stack([per_sample_values(ens, gibbs.REM_PRESSURE, b, n, seed)
                          for b in grid])
@@ -220,8 +224,8 @@ def pressure_sweep(model: RemModel, beta_grid, n: int, seed: int,
         tol = cum_err / model.n_spins + 3.0 * resid_se + TOL
 
         p_hat = _from_values(p_sample[k], gibbs.REM_PRESSURE, beta, n, seed)
-        low = q_lower(model, beta, threshold, c, n, seed)
-        up = q_upper_min(model, beta, beta0_grid, n, seed)
+        low = _lower_curve(model, beta, c, bs, div_star)
+        up = q_upper_min(model, beta, grid, n, seed)
         margin = 3.0 * p_hat.std_error
         verdict = ("holds"
                    if low <= p_hat.mean + margin and p_hat.mean <= up + margin

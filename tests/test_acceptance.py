@@ -153,12 +153,14 @@ def test_06_bound_suites_hold():
     reports = []
 
     iid_suite = (bounds.g_upper, bounds.g_upper_entropy_form, bounds.phi_upper,
-                 bounds.g_lower_iid, bounds.phi_lower_iid)
+                 bounds.phi_lower_iid)
     for m in (8, 16, 64):
         ens = sm.build_iid(m, 1.0)
+        star = quench.beta_star(ens, cfg.c, N_BIG, SEED)
         for beta in (0.1, 0.5, 1.0, 2.0, 4.0, 8.0, 32.0, 200.0):
             for fn in iid_suite:
                 reports.append(fn(ens, beta, N_BIG, SEED, cfg))
+            reports.append(bounds.g_lower_iid(ens, beta, star, N_BIG, SEED, cfg))
 
     ar8 = _ar8()
     threshold = quench.beta_star(ar8, cfg.c, N_BIG, SEED)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import softmaxima as sm
 from softmaxima.bounds import _assemble, _sqrt_side
@@ -127,26 +129,29 @@ class TestGLowerIid:
     @pytest.mark.parametrize("beta", [0.25, 1.0, 4.0])
     def test_holds(self, beta):
         ens = sm.build_iid(16, 1.0)
-        r = sm.g_lower_iid(ens, beta, 20_000, seed=11)
+        ts = sm.beta_star(ens, 1 / 17, 20_000, seed=11)
+        r = sm.g_lower_iid(ens, beta, ts, 20_000, seed=11)
         assert r.verdict == "holds"
         assert r.extra["kappa"] == pytest.approx((1 / 17) / math.sqrt(2))
 
     def test_beta_zero_both_sides_zero(self, iid8):
-        r = sm.g_lower_iid(iid8, 0.0, 2000, seed=12)
+        ts = sm.beta_star(iid8, 1 / 17, 2000, seed=12)
+        r = sm.g_lower_iid(iid8, 0.0, ts, 2000, seed=12)
         assert r.rhs == (0.0, 0.0)
         assert r.verdict == "holds"
 
     def test_constant_switches_above_threshold(self, iid8):
         # kappa jumps from c/sqrt(2) to c once beta clears the threshold
         ts = sm.beta_star(iid8, 1 / 17, 20_000, seed=13)
-        r = sm.g_lower_iid(iid8, 2 * ts.beta_star, 20_000, seed=13)
+        r = sm.g_lower_iid(iid8, 2 * ts.beta_star, ts, 20_000, seed=13)
         assert r.extra["kappa"] == pytest.approx(1 / 17)
         assert r.extra["beta_star"] == ts.beta_star
         assert r.verdict == "holds"
 
     def test_correlated_rejected(self, ar8):
+        ts = sm.beta_star(ar8, 1 / 17, 1000, seed=14)
         with pytest.raises(ValueError, match="regime"):
-            sm.g_lower_iid(ar8, 1.0, 1000, seed=14)
+            sm.g_lower_iid(ar8, 1.0, ts, 1000, seed=14)
 
 
 class TestPhiBounds:
@@ -289,9 +294,32 @@ class TestSeedRobustness:
         for beta in (0.1, 1.0, 8.0):
             assert sm.g_upper(iid8, beta, 10_000, seed=seed).verdict != "violated"
             assert sm.phi_upper(ar8, beta, 10_000, seed=seed).verdict != "violated"
-            assert sm.g_lower_iid(iid8, beta, 10_000, seed=seed).verdict != "violated"
+            assert sm.g_lower_iid(iid8, beta, ts, 10_000,
+                                  seed=seed).verdict != "violated"
         r = sm.g_lower_lowtemp(iid8, 2 * ts.beta_star, ts, 10_000, seed=seed)
         assert r.verdict != "violated"
+
+
+@pytest.mark.parametrize("bound", ["g_lower_lowtemp", "g_lower_iid", "q_lower"])
+def test_threshold_must_match_ensemble_and_c(bound):
+    model = sm.rem_model(3)
+    ens = model.ensemble
+    call = {
+        "g_lower_lowtemp": lambda thr, c: sm.g_lower_lowtemp(
+            ens, 1.0, thr, 400, 40, sm.BoundConfig(c=c)),
+        "g_lower_iid": lambda thr, c: sm.g_lower_iid(
+            ens, 1.0, thr, 400, 40, sm.BoundConfig(c=c)),
+        "q_lower": lambda thr, c: sm.q_lower(model, 1.0, thr, c, 400, 40),
+    }[bound]
+    own = sm.beta_star(ens, 1 / 17, 400, seed=40)
+    foreign = sm.beta_star(sm.build_iid(8, 1.0), 1 / 17, 400, seed=40)
+    call(own, 1 / 17)
+    with pytest.raises(ValueError, match="invalid-input: .*different ensemble"):
+        call(foreign, 1 / 17)
+    with pytest.raises(ValueError, match="invalid-input: .*with c = "):
+        call(own, 1 / 10)
+    with pytest.raises(ValueError, match="invalid-input: .*ThresholdResult"):
+        call(own.beta_star, 1 / 17)
 
 
 class TestBoundConfig:
@@ -303,9 +331,49 @@ class TestBoundConfig:
 
     def test_custom_kappa(self, iid8):
         custom = sm.BoundConfig(iid_high_temp_constant=0.01)
-        r = sm.g_lower_iid(iid8, 0.5, 2000, seed=31, cfg=custom)
+        ts = sm.beta_star(iid8, custom.c, 2000, seed=31)
+        r = sm.g_lower_iid(iid8, 0.5, ts, 2000, seed=31, cfg=custom)
         assert r.extra["kappa"] == 0.01
 
     def test_invalid_c(self):
         with pytest.raises(ValueError, match="invalid-parameter"):
             sm.BoundConfig(c=1.5)
+
+
+_ALL_OBSERVABLES = (
+    "gibbs_average", "free_energy", "soft_max(0,1)", "participation_ratio",
+    "kl_to_uniform", "renyi(0.5)", "renyi(2)", "renyi_half",
+    "shannon_entropy", "expected_max", "replica_gibbs", "rem_pressure")
+
+
+@st.composite
+def _psd_ensembles(draw):
+    """Random PSD covariance A A^T + jitter I, m <= 6, rank of A drawn too."""
+    m = draw(st.integers(2, 6))
+    k = draw(st.integers(1, m))
+    entries = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+    a = np.array(draw(st.lists(entries, min_size=m * k, max_size=m * k)))
+    jitter = draw(st.floats(0.0, 1.0))
+    a = a.reshape(m, k)
+    try:
+        return sm.build_from_covariance([f"t{i}" for i in range(m)],
+                                        a @ a.T + jitter * np.eye(m))
+    except ValueError:
+        assume(False)  # coincident coordinates: not an ensemble
+
+
+class TestProperties:
+    @settings(max_examples=25, deadline=None)
+    @given(ens=_psd_ensembles(),
+           log_beta=st.floats(math.log(1e-3), math.log(1e6)),
+           seed=st.integers(0, 2 ** 32))
+    def test_sandwich_and_no_silent_nan(self, ens, log_beta, seed):
+        beta = math.exp(log_beta)
+        x = sm.realization_batch(ens, 64, seed)
+        assert sm.sandwich_suite(x, beta).ok
+        for text in _ALL_OBSERVABLES:
+            try:
+                est = sm.mc_estimate(ens, sm.parse_observable(text), beta, 64, seed)
+            except ValueError:
+                continue
+            assert math.isfinite(est.mean) and math.isfinite(est.std_error), text

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import softmaxima as sm
+from softmaxima import bounds, cli, quench, rem
 from softmaxima.cli import (EXIT_CONFIG, EXIT_MISMATCH, EXIT_OK,
                             EXIT_VIOLATION, ConfigError, main, parse_config)
 
@@ -219,6 +220,24 @@ class TestBoundsCommand:
         max_lower = next(l for l in rows if l.startswith("max_lower"))
         assert max_lower.endswith("violated")
 
+    def test_one_threshold_per_run(self, tmp_path, monkeypatch):
+        # beta_star is not memoized: the run computes it once and passes it
+        # to every bound that needs it.
+        calls = []
+        real = quench.beta_star
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        for mod in (quench, bounds, rem, cli):
+            if hasattr(mod, "beta_star"):
+                monkeypatch.setattr(mod, "beta_star", counted)
+        code = run_main(["bounds", "--ensemble", IID8, "--beta-grid", "0.5:1.5:0.5",
+                         "--n", "2000", "--seed", "3", "--out", str(tmp_path / "b")])
+        assert code == EXIT_OK
+        assert len(calls) == 1
+
     def test_correlated_skips_iid_rows(self, tmp_path):
         spec = json.dumps({"labels": ["a", "b", "c"],
                            "covariance": [[1.0, 0.5, 0.2], [0.5, 1.2, 0.3],
@@ -291,6 +310,15 @@ class TestExitCodes:
         assert err.startswith("error: config: bad ensemble spec: invalid-input:")
         assert "\n" not in err.strip()
         assert not (tmp_path / "x.csv").exists()
+
+    def test_huge_iid_spec_is_config_error(self, tmp_path, capsys):
+        # Rejected by the size cap before n labels are built.
+        code = run_main(["estimate", "--ensemble",
+                         '{"iid":{"n":1000000000,"variance":1.0}}',
+                         "--out", str(tmp_path / "x")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: config:") and "\n" not in err.strip()
 
     def test_unknown_command(self):
         assert run_main(["transmogrify"]) == EXIT_CONFIG

@@ -50,6 +50,11 @@ class TestBuildIid:
         with pytest.raises(ValueError, match="invalid-size"):
             build_iid(3, 1.0, labels=["x", "y"])
 
+    def test_size_cap(self):
+        assert build_iid(2 ** 16, 1.0).size == 2 ** 16
+        with pytest.raises(ValueError, match="scale:"):
+            build_iid(2 ** 16 + 1, 1.0)
+
     def test_large_implicit_law_has_scalar_accessors(self):
         big = build_iid(2 ** 14, 1.0)
         assert big.sigma_max == 1.0

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import softmaxima as sm
+from softmaxima import quench
 
 LOG2 = math.log(2.0)
 BETA_C = 2.0 * math.sqrt(LOG2)
@@ -202,6 +203,35 @@ class TestPressureSweep:
         assert curve.rows[0].q_lower == LOG2
         assert curve.rows[0].q_upper_cap == LOG2
         assert curve.rows[0].limit == LOG2
+
+
+class TestDivergenceEstimates:
+    """The divergences a curve needs are estimated once per call, not memoized."""
+
+    @pytest.fixture
+    def kl_betas(self, monkeypatch):
+        betas = []
+        real = quench.evaluate_values
+
+        def counted(ens, obs, x, beta):
+            if obs.kind == "kl_to_uniform":
+                betas.append(beta)
+            return real(ens, obs, x, beta)
+
+        monkeypatch.setattr(quench, "evaluate_values", counted)
+        return betas
+
+    def test_upper_min_shares_one_estimate(self, kl_betas):
+        model = sm.rem_model(6)
+        sm.q_upper_min(model, 2.0, [0.0, 0.5, 1.0, 1.5], 400, seed=15)
+        assert kl_betas == [2.0]
+        sm.q_upper_min(model, 0.5, [1.0, 2.0], 400, seed=15)
+        assert kl_betas == [2.0]
+
+    def test_sweep_at_most_one_per_beta_and_threshold(self, kl_betas):
+        grid = np.arange(0.0, 2.01, 0.5)
+        sm.pressure_sweep(sm.rem_model(6), grid, 400, seed=42)
+        assert 0 < len(kl_betas) <= len(grid) + 1
 
 
 class TestFiniteSizeTrend:
