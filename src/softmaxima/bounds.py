@@ -5,9 +5,13 @@ realization batch and renders a verdict: `holds`, `violated`, or
 `inconclusive`.  Verdicts are statistical because both sides carry Monte
 Carlo error: the oriented slack (margin in the claimed direction) is compared
 against the combined standard error, and a claim is only called violated when
-the slack is more than z_threshold standard errors on the wrong side.  Sides
-known exactly (zero standard error) are compared at an absolute tolerance of
-SLACK_TOL instead.
+the slack is more than quench.Z_MARGIN standard errors on the wrong side.
+Sides known exactly (zero standard error) are compared at an absolute
+tolerance of SLACK_TOL instead.
+
+The lower bounds that use the participation threshold read the Sudakov
+constant c from it; phi_lower_iid and max_bounds take c, by default
+quench.SUDAKOV_C.
 
 Right-hand sides of the form k * sqrt(estimate) get delta-method errors
 k * se / (2 sqrt(mean)); when the estimate under the root is within 4 standard
@@ -24,44 +28,15 @@ import numpy as np
 
 from . import gibbs
 from .ensemble import IndexedEnsemble, _ball_mask, greedy_packing
-from .quench import (QuenchedEstimate, ThresholdResult, _check_threshold,
-                     _mean_se, expected_max_estimate, mc_estimate,
-                     realization_batch, standard_normal_batch)
+from .quench import (SUDAKOV_C, Z_MARGIN, QuenchedEstimate, ThresholdResult,
+                     _check_c, _check_threshold, _mean_se,
+                     expected_max_estimate, mc_estimate, realization_batch,
+                     standard_normal_batch)
 
 SLACK_TOL = 1e-9
 # Seed offset decoupling the auxiliary standard-normal process from the main
 # realization batch (they must be independent in the minoration's rhs).
 _AUX_SEED_SALT = 0x9E3779B97F4A7C15
-
-
-@dataclass(frozen=True)
-class BoundConfig:
-    """Constants shared by all bound evaluations.
-
-    c is the Sudakov minoration constant; iid_high_temp_constant is the
-    multiplier used by the i.i.d. lower bound below the participation
-    threshold (the proof chain gives c / sqrt(2) there) and defaults to that
-    value when left unset.
-    """
-    c: float = 1.0 / 17.0
-    z_threshold: float = 3.0
-    iid_high_temp_constant: float | None = None
-
-    def __post_init__(self):
-        if not (0.0 < self.c < 1.0):
-            raise ValueError(
-                f"invalid-parameter: c must lie in (0, 1), got {self.c}")
-        if not (np.isfinite(self.z_threshold) and self.z_threshold > 0):
-            raise ValueError(
-                f"invalid-parameter: z_threshold must be positive, got "
-                f"{self.z_threshold}")
-        if self.iid_high_temp_constant is None:
-            object.__setattr__(self, "iid_high_temp_constant",
-                               self.c / math.sqrt(2.0))
-        elif self.iid_high_temp_constant <= 0:
-            raise ValueError(
-                f"invalid-parameter: iid_high_temp_constant must be positive, "
-                f"got {self.iid_high_temp_constant}")
 
 
 @dataclass(frozen=True)
@@ -84,7 +59,7 @@ class BoundReport:
     extra: dict = field(default_factory=dict)
 
 
-def _assemble(name, beta, lhs, rhs, direction, cfg, flags=(), extra=None):
+def _assemble(name, beta, lhs, rhs, direction, flags=(), extra=None):
     raw = rhs[0] - lhs[0]
     slack = raw if direction == "le" else -raw
     se = math.hypot(lhs[1], rhs[1])
@@ -92,13 +67,13 @@ def _assemble(name, beta, lhs, rhs, direction, cfg, flags=(), extra=None):
         z = slack / se
     else:
         z = math.inf if slack >= -SLACK_TOL else -math.inf
-    # Numerical tolerance for "holds" is z_threshold * se + SLACK_TOL, so a
-    # claim with statistical error holds exactly when z >= -z_threshold and
+    # Numerical tolerance for "holds" is Z_MARGIN * se + SLACK_TOL, so a
+    # claim with statistical error holds exactly when z >= -Z_MARGIN and
     # an exact (se = 0) side gets the absolute 1e-9 allowance.  Zero-scale
     # claims such as 0 <= 0 at beta = 0 must come out as holds.
     if flags:
         verdict = "inconclusive"
-    elif z < -cfg.z_threshold:
+    elif z < -Z_MARGIN:
         verdict = "violated"
     else:
         verdict = "holds"
@@ -127,117 +102,111 @@ def _est(e: QuenchedEstimate) -> tuple[float, float]:
     return (e.mean, e.std_error)
 
 
-def _divergence_claim(name, ens, beta, n, seed, cfg, obs, div_obs, coef,
+def _divergence_claim(name, ens, beta, n, seed, obs, div_obs, coef,
                       direction, flags=(), extra=None) -> BoundReport:
     """obs against coef * sqrt(E div_obs), both sides on the common batch."""
     lhs = mc_estimate(ens, obs, beta, n, seed)
     div = mc_estimate(ens, div_obs, beta, n, seed)
     rhs, guard = _sqrt_side(coef, div.mean, div.std_error)
-    return _assemble(name, beta, _est(lhs), rhs, direction, cfg,
+    return _assemble(name, beta, _est(lhs), rhs, direction,
                      flags=[*flags, "delta-guard"] if guard else flags,
                      extra={**(extra or {}), "divergence": _est(div)})
 
 
-def g_upper(ens: IndexedEnsemble, beta, n: int, seed: int,
-            cfg: BoundConfig | None = None) -> BoundReport:
+def g_upper(ens: IndexedEnsemble, beta, n: int, seed: int) -> BoundReport:
     """Tilted mean against sqrt(2 sigma^2 E KL(nu_beta || uniform)), claim <=."""
-    return _divergence_claim("g_upper", ens, beta, n, seed, cfg or BoundConfig(),
-                             gibbs.GIBBS_AVERAGE, gibbs.KL_TO_UNIFORM,
-                             math.sqrt(2.0) * ens.sigma_max, "le")
+    return _divergence_claim("g_upper", ens, beta, n, seed, gibbs.GIBBS_AVERAGE,
+                             gibbs.KL_TO_UNIFORM, math.sqrt(2.0) * ens.sigma_max,
+                             "le")
 
 
-def g_upper_entropy_form(ens: IndexedEnsemble, beta, n: int, seed: int,
-                         cfg: BoundConfig | None = None) -> BoundReport:
+def g_upper_entropy_form(ens: IndexedEnsemble, beta, n: int,
+                         seed: int) -> BoundReport:
     """Same claim with the divergence written as log m minus quenched entropy.
 
     Identical to g_upper's rhs within 1e-10 under common random numbers; the
     entropy route never touches the log-partition, so the agreement is a live
     cross-check rather than a tautology.
     """
-    cfg = cfg or BoundConfig()
     lhs = mc_estimate(ens, gibbs.GIBBS_AVERAGE, beta, n, seed)
     ent = mc_estimate(ens, gibbs.SHANNON_ENTROPY, beta, n, seed)
     inner = math.log(ens.size) - ent.mean
     coef = math.sqrt(2.0) * ens.sigma_max
     rhs, guard = _sqrt_side(coef, inner, ent.std_error)
-    return _assemble("g_upper_entropy_form", beta, _est(lhs), rhs, "le", cfg,
+    return _assemble("g_upper_entropy_form", beta, _est(lhs), rhs, "le",
                      flags=("delta-guard",) if guard else (),
                      extra={"entropy": _est(ent)})
 
 
 def g_lower_lowtemp(ens: IndexedEnsemble, beta, threshold: ThresholdResult,
-                    n: int, seed: int,
-                    cfg: BoundConfig | None = None) -> BoundReport:
-    """Tilted mean against c a sqrt(E KL), claim >=, valid above beta_star."""
-    cfg = cfg or BoundConfig()
-    _check_threshold(threshold, ens, cfg.c)
+                    n: int, seed: int) -> BoundReport:
+    """Tilted mean against c a sqrt(E KL), claim >=, valid above beta_star.
+
+    c is the constant the threshold was computed with.
+    """
+    _check_threshold(threshold, ens)
     flags = ("out-of-regime",) if beta < threshold.beta_star else ()
-    return _divergence_claim("g_lower_lowtemp", ens, beta, n, seed, cfg,
+    return _divergence_claim("g_lower_lowtemp", ens, beta, n, seed,
                              gibbs.GIBBS_AVERAGE, gibbs.KL_TO_UNIFORM,
-                             cfg.c * ens.min_separation, "ge", flags=flags,
-                             extra={"beta_star": threshold.beta_star})
+                             threshold.c * ens.min_separation, "ge",
+                             flags=flags, extra={"beta_star": threshold.beta_star})
 
 
 def g_lower_iid(ens: IndexedEnsemble, beta, threshold: ThresholdResult,
-                n: int, seed: int,
-                cfg: BoundConfig | None = None) -> BoundReport:
+                n: int, seed: int) -> BoundReport:
     """Tilted mean against kappa sigma sqrt(E KL) for scalar covariances.
 
-    kappa follows the proof: cfg.iid_high_temp_constant below the
-    participation threshold of this ensemble, cfg.c at or above it.
+    kappa follows the proof, with c the threshold's constant: c / sqrt(2)
+    below the participation threshold of this ensemble, c at or above it.
     """
-    cfg = cfg or BoundConfig()
     _require_iid(ens, "g_lower_iid")
-    _check_threshold(threshold, ens, cfg.c)
-    kappa = cfg.iid_high_temp_constant if beta < threshold.beta_star else cfg.c
-    return _divergence_claim("g_lower_iid", ens, beta, n, seed, cfg,
+    _check_threshold(threshold, ens)
+    c = threshold.c
+    kappa = c / math.sqrt(2.0) if beta < threshold.beta_star else c
+    return _divergence_claim("g_lower_iid", ens, beta, n, seed,
                              gibbs.GIBBS_AVERAGE, gibbs.KL_TO_UNIFORM,
                              kappa * ens.sigma_max, "ge",
                              extra={"kappa": kappa,
                                     "beta_star": threshold.beta_star})
 
 
-def phi_upper(ens: IndexedEnsemble, beta, n: int, seed: int,
-              cfg: BoundConfig | None = None) -> BoundReport:
+def phi_upper(ens: IndexedEnsemble, beta, n: int, seed: int) -> BoundReport:
     """Free energy against sqrt(2 sigma^2 E D_half), claim <=."""
-    return _divergence_claim("phi_upper", ens, beta, n, seed,
-                             cfg or BoundConfig(), gibbs.FREE_ENERGY,
+    return _divergence_claim("phi_upper", ens, beta, n, seed, gibbs.FREE_ENERGY,
                              gibbs.RENYI_HALF, math.sqrt(2.0) * ens.sigma_max,
                              "le")
 
 
 def phi_lower_iid(ens: IndexedEnsemble, beta, n: int, seed: int,
-                  cfg: BoundConfig | None = None) -> BoundReport:
+                  c: float = SUDAKOV_C) -> BoundReport:
     """Free energy against (c sigma / 2) sqrt(E D_half) for scalar covariances."""
-    cfg = cfg or BoundConfig()
+    _check_c(c)
     _require_iid(ens, "phi_lower_iid")
-    return _divergence_claim("phi_lower_iid", ens, beta, n, seed, cfg,
+    return _divergence_claim("phi_lower_iid", ens, beta, n, seed,
                              gibbs.FREE_ENERGY, gibbs.RENYI_HALF,
-                             cfg.c * ens.sigma_max / 2.0, "ge")
+                             c * ens.sigma_max / 2.0, "ge")
 
 
 def max_bounds(ens: IndexedEnsemble, n: int, seed: int,
-               cfg: BoundConfig | None = None) -> tuple[BoundReport, BoundReport]:
+               c: float = SUDAKOV_C) -> tuple[BoundReport, BoundReport]:
     """The two zero-temperature baselines around the expected maximum.
 
     Upper: E max <= sqrt(2 sigma^2 log m).  Lower: E max >= c a sqrt(log m).
     Both right-hand sides are closed-form, so their standard error is zero.
     The reports carry beta = inf (these are the beta -> infinity limits).
     """
-    cfg = cfg or BoundConfig()
+    _check_c(c)
     est = expected_max_estimate(ens, n, seed)
     log_m = math.log(ens.size)
     upper = _assemble("max_upper", math.inf, _est(est),
                       (math.sqrt(2.0) * ens.sigma_max * math.sqrt(log_m), 0.0),
-                      "le", cfg)
+                      "le")
     lower = _assemble("max_lower", math.inf, _est(est),
-                      (cfg.c * ens.min_separation * math.sqrt(log_m), 0.0),
-                      "ge", cfg)
+                      (c * ens.min_separation * math.sqrt(log_m), 0.0), "ge")
     return upper, lower
 
 
 def soft_super_sudakov(ens: IndexedEnsemble, beta, n: int, seed: int,
-                       cfg: BoundConfig | None = None,
                        scale: float | None = None) -> BoundReport:
     """Softmax minoration over a packing-and-balls decomposition, claim >=.
 
@@ -254,7 +223,6 @@ def soft_super_sudakov(ens: IndexedEnsemble, beta, n: int, seed: int,
     The report's extra carries the full-set softmax for the set-inclusion
     diagnostic lhs <= E softmax(X over T).
     """
-    cfg = cfg or BoundConfig()
     beta = gibbs._check_beta(beta, positive=True)
     r = ens.sigma_max if scale is None else float(scale)
     if not (np.isfinite(r) and r > 0):
@@ -285,7 +253,7 @@ def soft_super_sudakov(ens: IndexedEnsemble, beta, n: int, seed: int,
 
     rhs = (r * aux_mean + ball_mean, math.hypot(r * aux_se, ball_se))
     full = _mean_se(gibbs.soft_max(x, beta, np.arange(ens.size)))
-    return _assemble("soft_super_sudakov", beta, lhs, rhs, "ge", cfg,
+    return _assemble("soft_super_sudakov", beta, lhs, rhs, "ge",
                      extra={"packing": tuple(packing), "scale": r,
                             "full_softmax": full,
                             "union_size": int(union.size)})

@@ -37,6 +37,7 @@ EXIT_VIOLATION = 2
 EXIT_MISMATCH = 3
 
 COMMANDS = ("estimate", "bounds", "rem-sweep", "oracle-check")
+MAX_GRID_POINTS = 10_000
 
 
 class ConfigError(Exception):
@@ -50,7 +51,7 @@ class ExperimentConfig:
     beta_grid: tuple[float, ...] = (1.0,)
     n_samples: int = 10_000
     seed: int = 0
-    c: float = 1.0 / 17.0
+    c: float = quench.SUDAKOV_C
     output: str = "softmaxima_run"
     format: str = "csv"
     plot: bool = False
@@ -118,10 +119,16 @@ def _parse_grid(text: str) -> tuple[float, ...]:
         start, stop, step = (float(v) for v in parts)
     except ValueError:
         raise ConfigError(f"beta grid has non-numeric parts: {text!r}") from None
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise ConfigError(f"beta grid parts must be finite: {text!r}")
     if step <= 0 or stop < start:
         raise ConfigError(f"beta grid must ascend with positive step: {text!r}")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return tuple(start + step * k for k in range(count))
+    last = (stop - start) / step + 1e-9
+    # "not <" also refuses a span that overflowed to inf.
+    if not last < MAX_GRID_POINTS:
+        raise ConfigError(
+            f"beta grid has more than {MAX_GRID_POINTS} points: {text!r}")
+    return tuple(start + step * k for k in range(int(math.floor(last)) + 1))
 
 
 def parse_config(argv) -> ExperimentConfig:
@@ -182,7 +189,7 @@ def parse_config(argv) -> ExperimentConfig:
         beta_grid=grid,
         n_samples=_pick(args.n, data, "n_samples", 10_000),
         seed=_pick(args.seed, data, "seed", 0),
-        c=_pick(args.c, data, "c", 1.0 / 17.0),
+        c=_pick(args.c, data, "c", quench.SUDAKOV_C),
         output=_pick(args.out, data, "output", "softmaxima_run"),
         format=_pick(args.format, data, "format", "csv"),
         plot=_pick(args.plot, data, "plot", False),
@@ -282,9 +289,13 @@ def _emit(cfg: ExperimentConfig, headers, rows) -> str:
         lines += [",".join(_fmt(v) for v in row) for row in rows]
         payload = "\n".join(lines) + "\n"
     else:
+        # Strict JSON has no infinities: write them as the CSV does.
         doc = {"config_hash": cfg.config_hash(), "seed": cfg.seed,
-               "rows": [dict(zip(headers, row)) for row in rows]}
-        payload = json.dumps(doc, sort_keys=True, indent=1, default=str) + "\n"
+               "rows": [{h: _fmt(v) if isinstance(v, float) and math.isinf(v)
+                         else v for h, v in zip(headers, row)}
+                        for row in rows]}
+        payload = json.dumps(doc, sort_keys=True, indent=1, default=str,
+                             allow_nan=False) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(payload)
     return path
@@ -310,23 +321,21 @@ def _run_estimate(cfg: ExperimentConfig):
 
 def _run_bounds(cfg: ExperimentConfig):
     ens = _resolve_ensemble(cfg.ensemble_spec)
-    bcfg = bounds_mod.BoundConfig(c=cfg.c)
     n, seed = cfg.n_samples, cfg.seed
     threshold = quench.beta_star(ens, cfg.c, n, seed)
 
     reports = []
     for beta in cfg.beta_grid:
-        reports.append(bounds_mod.g_upper(ens, beta, n, seed, bcfg))
-        reports.append(bounds_mod.g_upper_entropy_form(ens, beta, n, seed, bcfg))
-        reports.append(bounds_mod.g_lower_lowtemp(ens, beta, threshold, n, seed, bcfg))
-        reports.append(bounds_mod.phi_upper(ens, beta, n, seed, bcfg))
+        reports.append(bounds_mod.g_upper(ens, beta, n, seed))
+        reports.append(bounds_mod.g_upper_entropy_form(ens, beta, n, seed))
+        reports.append(bounds_mod.g_lower_lowtemp(ens, beta, threshold, n, seed))
+        reports.append(bounds_mod.phi_upper(ens, beta, n, seed))
         if ens.is_iid:
-            reports.append(bounds_mod.g_lower_iid(
-                ens, beta, threshold, n, seed, bcfg))
-            reports.append(bounds_mod.phi_lower_iid(ens, beta, n, seed, bcfg))
+            reports.append(bounds_mod.g_lower_iid(ens, beta, threshold, n, seed))
+            reports.append(bounds_mod.phi_lower_iid(ens, beta, n, seed, cfg.c))
         if beta > 0:
-            reports.append(bounds_mod.soft_super_sudakov(ens, beta, n, seed, bcfg))
-    reports.extend(bounds_mod.max_bounds(ens, n, seed, bcfg))
+            reports.append(bounds_mod.soft_super_sudakov(ens, beta, n, seed))
+    reports.extend(bounds_mod.max_bounds(ens, n, seed, cfg.c))
 
     headers = ["name", "beta", "lhs_mean", "lhs_se", "rhs_mean", "rhs_se",
                "slack", "z", "verdict"]
@@ -388,18 +397,20 @@ def _run_oracle_check(cfg: ExperimentConfig):
     failed = False
     n, seed, nodes = cfg.n_samples, cfg.seed, cfg.nodes
     for ens_name, ens in _check_fixtures():
+        quadrature = {}
         for obs_text in _CHECK_OBSERVABLES:
             obs = gibbs.parse_observable(obs_text)
             for beta in _CHECK_BETAS:
                 est = quench.mc_estimate(ens, obs, beta, n, seed)
                 oracle = quench.quadrature_oracle(ens, obs, beta, nodes)
-                tol = 3.0 * est.std_error
+                quadrature[obs.name, beta] = oracle
+                tol = quench.Z_MARGIN * est.std_error
                 ok = abs(est.mean - oracle) <= tol
                 failed |= not ok
                 rows.append(["mc_vs_quadrature", ens_name, obs.name, beta,
                              est.mean, oracle, tol, "pass" if ok else "fail"])
         for beta in _CHECK_BETAS:
-            direct = quench.quadrature_oracle(ens, gibbs.GIBBS_AVERAGE, beta, nodes)
+            direct = quadrature[gibbs.GIBBS_AVERAGE.name, beta]
             replica = quench.quadrature_oracle(ens, gibbs.REPLICA_GIBBS, beta, nodes)
             ok = abs(direct - replica) <= _REPLICA_ORACLE_TOL
             failed |= not ok
@@ -408,7 +419,7 @@ def _run_oracle_check(cfg: ExperimentConfig):
                          "pass" if ok else "fail"])
         est = quench.expected_max_estimate(ens, n, seed)
         oracle = quench.quadrature_oracle(ens, gibbs.EXPECTED_MAX, 0.0, nodes)
-        tol = 3.0 * est.std_error + _MAX_ORACLE_ALLOWANCE
+        tol = quench.Z_MARGIN * est.std_error + _MAX_ORACLE_ALLOWANCE
         ok = abs(est.mean - oracle) <= tol
         failed |= not ok
         rows.append(["mc_vs_quadrature", ens_name, "expected_max", math.inf,

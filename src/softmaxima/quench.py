@@ -25,6 +25,9 @@ error.  Three contracts shape everything here:
 
 A tensor-product Gauss-Hermite oracle provides independent high-precision
 expectations for index sets of up to four points.
+
+SUDAKOV_C, the default Sudakov constant c, and Z_MARGIN, the standard errors
+that every statistical verdict and tolerance allows, are defined here once.
 """
 
 from __future__ import annotations
@@ -43,7 +46,10 @@ BETA_MAX_FACTOR = 1e4        # bracket search abandons above 1e4 / sigma
 DEFAULT_RESOLUTION = 1e-3    # beta_star grid step, in units of 1 / sigma
 ORACLE_MAX_POINTS = 4        # tensor quadrature cap
 ORACLE_MIN_NODES = 32
+ORACLE_MAX_NODES = 1 << 24   # tensor grid cap, nodes_per_dim^|T|
 BATCH_ELEMENT_CAP = 250_000_000  # refuse batches above this many floats
+SUDAKOV_C = 1.0 / 17.0       # default Sudakov minoration constant c
+Z_MARGIN = 3.0               # standard errors allowed to every statistical check
 
 
 class UnboundedThresholdError(RuntimeError):
@@ -66,8 +72,9 @@ class ThresholdResult:
     """Smallest grid beta where 1 - r(beta) drops to the packing target.
 
     bracket is the final bisection interval (lo excluded, hi included);
-    ensemble_key and c tie the result to the ensemble and the Sudakov
-    constant it was computed with.
+    ensemble_key ties the result to its ensemble.  c is the Sudakov constant
+    in the target, and every bound that takes the threshold reads its
+    constant from here.
     """
     beta_star: float
     bracket: tuple[float, float]
@@ -78,16 +85,17 @@ class ThresholdResult:
     note: str | None = None
 
 
-def _check_threshold(threshold, ens: IndexedEnsemble, c: float) -> None:
-    """Reject a threshold not computed by beta_star on ens with constant c."""
+def _check_c(c) -> None:
+    if not (0.0 < c < 1.0):
+        raise ValueError(f"invalid-parameter: c must lie in (0, 1), got {c}")
+
+
+def _check_threshold(threshold, ens: IndexedEnsemble) -> None:
+    """Reject a threshold not computed by beta_star on ens."""
     if not isinstance(threshold, ThresholdResult):
         raise ValueError("invalid-input: threshold must be a ThresholdResult")
     if threshold.ensemble_key != ens.cache_key:
         raise ValueError("invalid-input: threshold was computed on a different ensemble")
-    if threshold.c != c:
-        raise ValueError(
-            f"invalid-input: threshold was computed with c = {threshold.c!r}, "
-            f"not c = {c!r}")
 
 
 # -- deterministic sample streams ---------------------------------------------
@@ -453,8 +461,7 @@ def beta_star(ens: IndexedEnsemble, c: float, n: int, seed: int,
     1e4 / sigma and raises UnboundedThresholdError with diagnostics.  The
     result is not memoized; pass it to the bounds that need it.
     """
-    if not (0.0 < c < 1.0):
-        raise ValueError(f"invalid-parameter: c must lie in (0, 1), got {c}")
+    _check_c(c)
     _check_n(n)
     sigma = ens.sigma_max
     if resolution is None:
@@ -512,7 +519,8 @@ def quadrature_oracle(ens: IndexedEnsemble, obs: gibbs.Observable, beta,
 
     Shares no randomness with the Monte Carlo path: the expectation over
     X = F g is integrated on a deterministic grid of nodes_per_dim^|T|
-    points.  Only index sets of up to four points are accepted.
+    points.  Only index sets of up to four points and grids of at most
+    ORACLE_MAX_NODES points are accepted.
     """
     beta = gibbs._check_beta(beta)
     m = ens.size
@@ -525,11 +533,22 @@ def quadrature_oracle(ens: IndexedEnsemble, obs: gibbs.Observable, beta,
             f"invalid-parameter: nodes_per_dim must be an integer >= "
             f"{ORACLE_MIN_NODES}, got {nodes_per_dim}")
 
-    z, w = hermgauss(int(nodes_per_dim))
-    points = np.sqrt(2.0) * z          # E f(G) = pi^{-1/2} sum_k w_k f(sqrt(2) z_k)
-    factor = ens.sampling_factor
     k = int(nodes_per_dim)
     total = k ** m
+    if total > ORACLE_MAX_NODES:
+        # Checked before hermgauss, which builds a k x k matrix.
+        raise ValueError(
+            f"oracle-scale: {k}^{m} quadrature nodes exceed {ORACLE_MAX_NODES}; "
+            "lower nodes_per_dim")
+
+    z, w = hermgauss(k)
+    # Past about 370 nodes the extreme weights underflow to 0 or nan.
+    if not np.all(np.isfinite(z) & (w > 0) & np.isfinite(w)):
+        raise ValueError(
+            f"oracle-scale: the {k}-node Gauss-Hermite rule underflows; "
+            "lower nodes_per_dim")
+    points = np.sqrt(2.0) * z          # E f(G) = pi^{-1/2} sum_k w_k f(sqrt(2) z_k)
+    factor = ens.sampling_factor
     chunk = min(total, 1 << 18)
     radix = k ** np.arange(m - 1, -1, -1, dtype=np.int64)
 

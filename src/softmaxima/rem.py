@@ -10,7 +10,9 @@ with a Sudakov slope) and a family of upper curves Q_upper(.; beta0)
 the target beta).  Both are estimated here with the common-random-number
 machinery from `quench`.  Each divergence a curve needs is estimated once per
 call and nothing is memoized: the sweep computes its threshold and its
-E KL(beta_star) once and reuses them in every row.
+E KL(beta_star) once and reuses them in every row.  The lower curve takes its
+Sudakov constant from the threshold, and the sweep's verdicts and integral
+tolerance allow quench.Z_MARGIN standard errors.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ import numpy as np
 
 from . import gibbs
 from .ensemble import IndexedEnsemble, build_iid
-from .quench import (QuenchedEstimate, ThresholdResult, _check_threshold,
-                     _from_values, _mean_se, beta_star, mc_estimate,
-                     per_sample_values)
+from .quench import (SUDAKOV_C, Z_MARGIN, QuenchedEstimate, ThresholdResult,
+                     _check_threshold, _from_values, _mean_se, beta_star,
+                     mc_estimate, per_sample_values)
 
 MAX_SPINS = 16   # 2^16 states is the desk-scale ceiling
 TOL = 1e-12
@@ -78,7 +80,7 @@ def _lower_curve(model: RemModel, beta: float, c: float, beta_star: float,
             + (beta - beta_star) * slope)
 
 
-def q_lower(model: RemModel, beta, threshold: ThresholdResult, c: float,
+def q_lower(model: RemModel, beta, threshold: ThresholdResult,
             n: int, seed: int) -> float:
     """Lower pressure curve: quadratic up to the threshold, then linear.
 
@@ -86,15 +88,15 @@ def q_lower(model: RemModel, beta, threshold: ThresholdResult, c: float,
         log 2 + c^2 beta_star^2 / 8
               + c (beta - beta_star) sqrt(E KL(beta_star) / (2N))  above
 
-    threshold must come from beta_star on this model's ensemble with this c.
-    The divergence in the slope is estimated at beta_star, once, and only
-    when beta lies above it.
+    threshold must come from beta_star on this model's ensemble; c is the
+    constant it was computed with.  The divergence in the slope is estimated
+    at beta_star, once, and only when beta lies above it.
     """
     beta = gibbs._check_beta(beta)
-    _check_threshold(threshold, model.ensemble, c)
+    _check_threshold(threshold, model.ensemble)
     bs = threshold.beta_star
     div = _kl(model, bs, n, seed) if beta > bs else None
-    return _lower_curve(model, beta, c, bs, div)
+    return _lower_curve(model, beta, threshold.c, bs, div)
 
 
 def q_upper(model: RemModel, beta, beta0, n: int, seed: int) -> float:
@@ -165,18 +167,17 @@ class PressureRow:
 class PressureCurve:
     """Pressure sweep rows plus the threshold they were sandwiched with."""
     n_spins: int
-    c: float
     threshold: ThresholdResult
     rows: tuple[PressureRow, ...]
 
 
 def pressure_sweep(model: RemModel, beta_grid, n: int, seed: int,
-                   c: float = 1.0 / 17.0) -> PressureCurve:
+                   c: float = SUDAKOV_C) -> PressureCurve:
     """One sandwich row per grid beta, under common random numbers.
 
     Each row compares the pressure estimate against the lower curve (at the
     ensemble's own participation threshold) and the grid-minimized upper
-    curve, at a 3-standard-error margin.  The sweep also integrates the
+    curve, allowing Z_MARGIN standard errors.  The sweep also integrates the
     estimated tilted mean with the trapezoid rule and checks it against the
     pressure differences sample-by-sample: the fundamental-theorem identity
     P_N(beta) - P_N(beta_0) = (1/N) integral of g_N, up to curvature error.
@@ -221,12 +222,12 @@ def pressure_sweep(model: RemModel, beta_grid, n: int, seed: int,
             cum_err += step_err[k - 1]
         resid = p_sample[k] - p_sample[0] - cum_trap / model.n_spins
         resid_mean, resid_se = _mean_se(resid)
-        tol = cum_err / model.n_spins + 3.0 * resid_se + TOL
+        tol = cum_err / model.n_spins + Z_MARGIN * resid_se + TOL
 
         p_hat = _from_values(p_sample[k], gibbs.REM_PRESSURE, beta, n, seed)
-        low = _lower_curve(model, beta, c, bs, div_star)
+        low = _lower_curve(model, beta, threshold.c, bs, div_star)
         up = q_upper_min(model, beta, grid, n, seed)
-        margin = 3.0 * p_hat.std_error
+        margin = Z_MARGIN * p_hat.std_error
         verdict = ("holds"
                    if low <= p_hat.mean + margin and p_hat.mean <= up + margin
                    else "violated")
@@ -235,5 +236,5 @@ def pressure_sweep(model: RemModel, beta_grid, n: int, seed: int,
             q_upper_cap=q_upper_cap(model, beta), limit=limit_pressure(beta),
             sandwich_verdict=verdict, integral_residual=resid_mean,
             integral_tolerance=tol, integral_ok=abs(resid_mean) <= tol))
-    return PressureCurve(n_spins=model.n_spins, c=float(c),
-                         threshold=threshold, rows=tuple(rows))
+    return PressureCurve(n_spins=model.n_spins, threshold=threshold,
+                         rows=tuple(rows))

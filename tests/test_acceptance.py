@@ -148,31 +148,30 @@ def test_05_participation_monotone_and_derivative():
 
 def test_06_bound_suites_hold():
     t0 = time.perf_counter()
-    cfg = bounds.BoundConfig()
-    assert cfg.z_threshold == 3.0
+    assert quench.Z_MARGIN == 3.0
     reports = []
 
     iid_suite = (bounds.g_upper, bounds.g_upper_entropy_form, bounds.phi_upper,
                  bounds.phi_lower_iid)
     for m in (8, 16, 64):
         ens = sm.build_iid(m, 1.0)
-        star = quench.beta_star(ens, cfg.c, N_BIG, SEED)
+        star = quench.beta_star(ens, quench.SUDAKOV_C, N_BIG, SEED)
         for beta in (0.1, 0.5, 1.0, 2.0, 4.0, 8.0, 32.0, 200.0):
             for fn in iid_suite:
-                reports.append(fn(ens, beta, N_BIG, SEED, cfg))
-            reports.append(bounds.g_lower_iid(ens, beta, star, N_BIG, SEED, cfg))
+                reports.append(fn(ens, beta, N_BIG, SEED))
+            reports.append(bounds.g_lower_iid(ens, beta, star, N_BIG, SEED))
 
     ar8 = _ar8()
-    threshold = quench.beta_star(ar8, cfg.c, N_BIG, SEED)
+    threshold = quench.beta_star(ar8, quench.SUDAKOV_C, N_BIG, SEED)
     for mult in (1.0, 2.0, 8.0):
         reports.append(bounds.g_lower_lowtemp(
-            ar8, mult * threshold.beta_star, threshold, N_BIG, SEED, cfg))
+            ar8, mult * threshold.beta_star, threshold, N_BIG, SEED))
 
     tc = _two_cluster12()
     for beta in (0.5, 2.0):
-        reports.append(bounds.soft_super_sudakov(tc, beta, N_BIG, SEED, cfg,
+        reports.append(bounds.soft_super_sudakov(tc, beta, N_BIG, SEED,
                                                  scale=0.25))
-    reports.append(bounds.soft_super_sudakov(tc, 1.0, N_BIG, SEED, cfg))
+    reports.append(bounds.soft_super_sudakov(tc, 1.0, N_BIG, SEED))
 
     violated = [r for r in reports if r.verdict == "violated"]
     assert violated == []

@@ -11,45 +11,36 @@ import softmaxima as sm
 from softmaxima.bounds import _assemble, _sqrt_side
 
 
-def cfg():
-    return sm.BoundConfig()
-
-
 class TestVerdictEngine:
     def test_clear_hold(self):
-        r = _assemble("t", 1.0, (1.0, 0.1), (2.0, 0.1), "le", cfg())
+        r = _assemble("t", 1.0, (1.0, 0.1), (2.0, 0.1), "le")
         assert r.verdict == "holds" and r.slack == 1.0 and r.z > 3
 
     def test_clear_violation(self):
-        r = _assemble("t", 1.0, (2.0, 0.01), (1.0, 0.01), "le", cfg())
+        r = _assemble("t", 1.0, (2.0, 0.01), (1.0, 0.01), "le")
         assert r.verdict == "violated" and r.z < -3
 
     def test_noise_band_holds(self):
         # tiny negative slack, well inside one se: not a refutation
-        r = _assemble("t", 1.0, (1.001, 0.1), (1.0, 0.1), "le", cfg())
+        r = _assemble("t", 1.0, (1.001, 0.1), (1.0, 0.1), "le")
         assert r.verdict == "holds"
 
     def test_direction_ge(self):
-        r = _assemble("t", 1.0, (2.0, 0.01), (1.0, 0.01), "ge", cfg())
+        r = _assemble("t", 1.0, (2.0, 0.01), (1.0, 0.01), "ge")
         assert r.verdict == "holds" and r.slack == 1.0
 
     def test_exact_zero_sides(self):
-        r = _assemble("t", 0.0, (0.0, 0.0), (0.0, 0.0), "le", cfg())
+        r = _assemble("t", 0.0, (0.0, 0.0), (0.0, 0.0), "le")
         assert r.verdict == "holds" and r.z == math.inf
 
     def test_exact_negative(self):
-        r = _assemble("t", 0.0, (1.0, 0.0), (0.0, 0.0), "le", cfg())
+        r = _assemble("t", 0.0, (1.0, 0.0), (0.0, 0.0), "le")
         assert r.verdict == "violated" and r.z == -math.inf
 
     def test_flags_force_inconclusive(self):
-        r = _assemble("t", 1.0, (1.0, 0.1), (2.0, 0.1), "le", cfg(),
+        r = _assemble("t", 1.0, (1.0, 0.1), (2.0, 0.1), "le",
                       flags=("out-of-regime",))
         assert r.verdict == "inconclusive"
-
-    def test_z_threshold_configurable(self):
-        wide = sm.BoundConfig(z_threshold=10.0)
-        r = _assemble("t", 1.0, (1.5, 0.1), (1.0, 0.1), "le", wide)
-        assert r.verdict == "holds"   # z = -5, inside the widened band
 
     def test_sqrt_side_delta_method(self):
         (val, se), guard = _sqrt_side(2.0, 4.0, 0.1)
@@ -305,39 +296,36 @@ def test_threshold_must_match_ensemble_and_c(bound):
     model = sm.rem_model(3)
     ens = model.ensemble
     call = {
-        "g_lower_lowtemp": lambda thr, c: sm.g_lower_lowtemp(
-            ens, 1.0, thr, 400, 40, sm.BoundConfig(c=c)),
-        "g_lower_iid": lambda thr, c: sm.g_lower_iid(
-            ens, 1.0, thr, 400, 40, sm.BoundConfig(c=c)),
-        "q_lower": lambda thr, c: sm.q_lower(model, 1.0, thr, c, 400, 40),
+        "g_lower_lowtemp": lambda thr: sm.g_lower_lowtemp(ens, 1.0, thr, 400, 40),
+        "g_lower_iid": lambda thr: sm.g_lower_iid(ens, 1.0, thr, 400, 40),
+        "q_lower": lambda thr: sm.q_lower(model, 1.0, thr, 400, 40),
     }[bound]
     own = sm.beta_star(ens, 1 / 17, 400, seed=40)
     foreign = sm.beta_star(sm.build_iid(8, 1.0), 1 / 17, 400, seed=40)
-    call(own, 1 / 17)
+    call(own)
     with pytest.raises(ValueError, match="invalid-input: .*different ensemble"):
-        call(foreign, 1 / 17)
-    with pytest.raises(ValueError, match="invalid-input: .*with c = "):
-        call(own, 1 / 10)
+        call(foreign)
     with pytest.raises(ValueError, match="invalid-input: .*ThresholdResult"):
-        call(own.beta_star, 1 / 17)
+        call(own.beta_star)
+    # c is read from the threshold, so a threshold computed with c = 1/10
+    # puts 1/10 into the bound.
+    tenth = sm.beta_star(ens, 1 / 10, 400, seed=40)
+    assert 1.0 < tenth.beta_star
+    got = call(tenth)
+    if bound == "g_lower_lowtemp":
+        div = got.extra["divergence"][0]
+        assert got.rhs[0] == (1 / 10) * ens.min_separation * math.sqrt(div)
+    elif bound == "g_lower_iid":
+        assert got.extra["kappa"] == (1 / 10) / math.sqrt(2.0)
+    else:
+        assert got == math.log(2.0) + (1 / 10) ** 2 / 8.0
 
 
-class TestBoundConfig:
-    def test_defaults(self):
-        c = sm.BoundConfig()
-        assert c.c == pytest.approx(1 / 17)
-        assert c.z_threshold == 3.0
-        assert c.iid_high_temp_constant == pytest.approx((1 / 17) / math.sqrt(2))
-
-    def test_custom_kappa(self, iid8):
-        custom = sm.BoundConfig(iid_high_temp_constant=0.01)
-        ts = sm.beta_star(iid8, custom.c, 2000, seed=31)
-        r = sm.g_lower_iid(iid8, 0.5, ts, 2000, seed=31, cfg=custom)
-        assert r.extra["kappa"] == 0.01
-
-    def test_invalid_c(self):
-        with pytest.raises(ValueError, match="invalid-parameter"):
-            sm.BoundConfig(c=1.5)
+def test_invalid_c(iid8):
+    with pytest.raises(ValueError, match="invalid-parameter: c must lie"):
+        sm.phi_lower_iid(iid8, 1.0, 1000, seed=31, c=1.5)
+    with pytest.raises(ValueError, match="invalid-parameter: c must lie"):
+        sm.max_bounds(iid8, 1000, seed=31, c=1.5)
 
 
 _ALL_OBSERVABLES = (
@@ -377,3 +365,21 @@ class TestProperties:
             except ValueError:
                 continue
             assert math.isfinite(est.mean) and math.isfinite(est.std_error), text
+
+    @settings(max_examples=25, deadline=None)
+    @given(ens=_psd_ensembles(),
+           log_beta=st.floats(math.log(1e-3), math.log(1e6)),
+           seed=st.integers(0, 2 ** 32))
+    def test_divergence_identities(self, ens, log_beta, seed):
+        # Per sample: KL from the log-partition against log m minus the
+        # entropy of the weights, and Renyi-1/2 via the participation ratio
+        # against the generic formula.
+        beta = math.exp(log_beta)
+        x = sm.realization_batch(ens, 64, seed)
+        tol = 1e-12 * np.maximum(1.0, beta * np.max(np.abs(x), axis=-1))
+        entropy = sm.shannon_entropy(sm.gibbs_measure(x, beta))
+        kl_gap = sm.kl_to_uniform(x, beta) - (math.log(ens.size) - entropy)
+        renyi_gap = (sm.renyi_half_via_participation(x, beta)
+                     - sm.renyi_to_uniform(x, beta, 0.5))
+        assert np.all(np.abs(kl_gap) <= tol)
+        assert np.all(np.abs(renyi_gap) <= tol)

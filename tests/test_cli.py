@@ -238,6 +238,21 @@ class TestBoundsCommand:
         assert code == EXIT_OK
         assert len(calls) == 1
 
+    def test_json_is_strict(self, tmp_path):
+        # The max_* rows carry beta = inf, which strict JSON cannot hold.
+        out = tmp_path / "bj"
+        code = run_main(["bounds", "--ensemble", IID2, "--beta", "1",
+                         "--n", "400", "--seed", "3", "--format", "json",
+                         "--out", str(out)])
+        assert code == EXIT_OK
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+        doc = json.loads(out.with_suffix(".json").read_text(),
+                         parse_constant=reject)
+        rows = {r["name"]: r for r in doc["rows"]}
+        assert rows["max_upper"]["beta"] == rows["max_lower"]["beta"] == "inf"
+
     def test_correlated_skips_iid_rows(self, tmp_path):
         spec = json.dumps({"labels": ["a", "b", "c"],
                            "covariance": [[1.0, 0.5, 0.2], [0.5, 1.2, 0.3],
@@ -319,6 +334,23 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error: config:") and "\n" not in err.strip()
+
+    @pytest.mark.parametrize("grid", ["0:inf:1", "nan:1:1", "0:1:nan", "0:1e12:1e-6"])
+    def test_bad_grid_is_config_error(self, tmp_path, capsys, grid):
+        code = run_main(["estimate", "--ensemble", IID2, "--beta-grid", grid,
+                         "--n", "100", "--out", str(tmp_path / "x")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: config:") and "\n" not in err.strip()
+
+    def test_oracle_grid_cap_is_run_error(self, tmp_path, capsys):
+        # 300^3 nodes for the three-point fixture exceed the 2^24 cap.
+        code = run_main(["oracle-check", "--n", "200", "--nodes", "300",
+                         "--out", str(tmp_path / "x")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: run: oracle-scale:")
+        assert "\n" not in err.strip()
 
     def test_unknown_command(self):
         assert run_main(["transmogrify"]) == EXIT_CONFIG

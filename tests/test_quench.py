@@ -337,6 +337,22 @@ class TestQuadratureOracle:
         with pytest.raises(ValueError, match="oracle-scale"):
             sm.quadrature_oracle(sm.build_iid(5, 1.0), sm.GIBBS_AVERAGE, 1.0)
 
+    def test_node_ceiling(self, iid2, monkeypatch):
+        # 4097^2 nodes exceed 2^24; refused before hermgauss builds anything.
+        def unreachable(k):
+            raise AssertionError("hermgauss called")
+        monkeypatch.setattr(quench, "hermgauss", unreachable)
+        with pytest.raises(ValueError, match="oracle-scale"):
+            sm.quadrature_oracle(iid2, sm.GIBBS_AVERAGE, 1.0, nodes_per_dim=4097)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # from hermgauss
+    @pytest.mark.parametrize("nodes", [371, 400])
+    def test_rule_underflow(self, iid2, nodes):
+        # Within the grid cap, but hermgauss gives zero or nan weights there,
+        # which would make the oracle return 0.0 or nan.
+        with pytest.raises(ValueError, match="oracle-scale"):
+            sm.quadrature_oracle(iid2, sm.GIBBS_AVERAGE, 1.0, nodes_per_dim=nodes)
+
     def test_node_floor(self, iid2):
         with pytest.raises(ValueError, match="invalid-parameter"):
             sm.quadrature_oracle(iid2, sm.GIBBS_AVERAGE, 1.0, nodes_per_dim=16)

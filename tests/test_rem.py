@@ -86,14 +86,14 @@ class TestQLower:
     def test_zero(self):
         model = sm.rem_model(6)
         ts = sm.beta_star(model.ensemble, 1 / 17, 400, seed=3)
-        assert sm.q_lower(model, 0.0, ts, 1 / 17, 400, seed=3) == LOG2
+        assert sm.q_lower(model, 0.0, ts, 400, seed=3) == LOG2
 
     def test_quadratic_below_threshold(self):
         model = sm.rem_model(6)
         ts = sm.beta_star(model.ensemble, 1 / 17, 400, seed=4)
         c = 1 / 17
         beta = min(1.0, 0.5 * ts.beta_star)
-        got = sm.q_lower(model, beta, ts, c, 400, seed=4)
+        got = sm.q_lower(model, beta, ts, 400, seed=4)
         assert got == pytest.approx(LOG2 + c ** 2 * beta ** 2 / 8, rel=1e-12)
 
     def test_continuous_at_threshold(self):
@@ -101,15 +101,15 @@ class TestQLower:
         # tiny c keeps beta* finite but the criterion strict
         c = 1 / 17
         ts = sm.beta_star(model.ensemble, c, 400, seed=5)
-        left = sm.q_lower(model, ts.beta_star, ts, c, 400, seed=5)
-        right = sm.q_lower(model, ts.beta_star + 1e-12, ts, c, 400, seed=5)
+        left = sm.q_lower(model, ts.beta_star, ts, 400, seed=5)
+        right = sm.q_lower(model, ts.beta_star + 1e-12, ts, 400, seed=5)
         assert abs(left - right) <= 1e-10
 
     def test_below_pressure(self):
         model = sm.rem_model(10)
         ts = sm.beta_star(model.ensemble, 1 / 17, 2000, seed=6)
         for beta in (1.0, 2.5, 4.0):
-            low = sm.q_lower(model, beta, ts, 1 / 17, 2000, seed=6)
+            low = sm.q_lower(model, beta, ts, 2000, seed=6)
             p = sm.mc_estimate(model.ensemble, sm.REM_PRESSURE, beta, 2000, seed=6)
             assert low <= p.mean + 3 * p.std_error
 
@@ -117,7 +117,7 @@ class TestQLower:
         model = sm.rem_model(6)
         other = sm.beta_star(sm.build_iid(8, 1.0), 1 / 17, 400, seed=7)
         with pytest.raises(ValueError, match="invalid-input"):
-            sm.q_lower(model, 1.0, other, 1 / 17, 400, seed=7)
+            sm.q_lower(model, 1.0, other, 400, seed=7)
 
 
 class TestQUpper:
