@@ -60,20 +60,11 @@ class ExperimentConfig:
     nodes: int = 128
 
     def config_hash(self) -> str:
-        """Fingerprint of the semantic fields (the output destination is
-        deliberately excluded: it may not change results)."""
-        payload = {
-            "command": self.command,
-            "ensemble_spec": self.ensemble_spec,
-            "beta_grid": list(self.beta_grid),
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "c": self.c,
-            "format": self.format,
-            "observables": list(self.observables),
-            "n_spins": self.n_spins,
-            "nodes": self.nodes,
-        }
+        """Fingerprint of the semantic fields.  The output destination and
+        the SVG switch are deliberately excluded: they may not change
+        results."""
+        payload = dataclasses.asdict(self)
+        del payload["output"], payload["plot"]
         text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(text.encode()).hexdigest()[:12]
 
@@ -154,49 +145,41 @@ def parse_config(argv) -> ExperimentConfig:
         raise ConfigError(
             f"command must be one of {list(COMMANDS)}, got {command!r}")
 
+    # Only values a flag or the file supplies are passed; the rest take the
+    # ExperimentConfig defaults.
+    values = {key: v for key, v in data.items() if key != "command"}
     if args.beta is not None and args.beta_grid is not None:
         raise ConfigError("give either --beta or --beta-grid, not both")
     if args.beta is not None:
-        grid = (float(args.beta),)
+        values["beta_grid"] = (float(args.beta),)
     elif args.beta_grid is not None:
-        grid = _parse_grid(args.beta_grid)
+        values["beta_grid"] = _parse_grid(args.beta_grid)
     elif "beta_grid" in data:
         raw = data["beta_grid"]
         if isinstance(raw, str):
-            grid = _parse_grid(raw)
+            values["beta_grid"] = _parse_grid(raw)
         elif isinstance(raw, list) and all(type(b) in (int, float) for b in raw):
-            grid = tuple(float(b) for b in raw)
+            values["beta_grid"] = tuple(float(b) for b in raw)
         else:
             raise ConfigError(
                 f"beta_grid must be a grid string or a list of numbers, got {raw!r}")
-    else:
-        grid = (1.0,)
 
     if args.observables is not None:
-        observables = _split_observables(args.observables)
-    else:
-        observables = data.get("observables", ["gibbs_average"])
+        values["observables"] = _split_observables(args.observables)
+    elif "observables" in data:
+        observables = data["observables"]
         if not (isinstance(observables, list)
                 and all(isinstance(o, str) for o in observables)):
             raise ConfigError(
                 f"observables must be a list of names, got {observables!r}")
-        observables = tuple(observables)
+        values["observables"] = tuple(observables)
 
-    cfg = ExperimentConfig(
-        command=command,
-        ensemble_spec=(args.ensemble if args.ensemble is not None
-                       else data.get("ensemble_spec")),
-        beta_grid=grid,
-        n_samples=_pick(args.n, data, "n_samples", 10_000),
-        seed=_pick(args.seed, data, "seed", 0),
-        c=_pick(args.c, data, "c", quench.SUDAKOV_C),
-        output=_pick(args.out, data, "output", "softmaxima_run"),
-        format=_pick(args.format, data, "format", "csv"),
-        plot=_pick(args.plot, data, "plot", False),
-        observables=observables,
-        n_spins=_pick(args.n_spins, data, "n_spins", None),
-        nodes=_pick(args.nodes, data, "nodes", 128),
-    )
+    flags = {"ensemble_spec": args.ensemble, "n_samples": args.n,
+             "seed": args.seed, "c": args.c, "output": args.out,
+             "format": args.format, "plot": args.plot,
+             "n_spins": args.n_spins, "nodes": args.nodes}
+    values.update((key, v) for key, v in flags.items() if v is not None)
+    cfg = ExperimentConfig(command=command, **values)
     _validate(cfg)
     return cfg
 
@@ -214,12 +197,6 @@ def _split_observables(text: str) -> tuple[str, ...]:
         buf.append(ch)
     parts.append("".join(buf).strip())
     return tuple(p for p in parts if p)
-
-
-def _pick(flag_value, data, key, default):
-    if flag_value is not None:
-        return flag_value
-    return data.get(key, default)
 
 
 def _validate(cfg: ExperimentConfig) -> None:
@@ -249,6 +226,8 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("rem-sweep needs n_spins")
     if cfg.n_spins is not None and type(cfg.n_spins) is not int:
         raise ConfigError(f"n_spins must be an integer, got {cfg.n_spins!r}")
+    if type(cfg.nodes) is not int:
+        raise ConfigError(f"nodes must be an integer, got {cfg.nodes!r}")
     if cfg.command == "estimate" and not cfg.observables:
         raise ConfigError("estimate needs at least one observable")
 
@@ -396,7 +375,10 @@ def _run_oracle_check(cfg: ExperimentConfig):
     rows = []
     failed = False
     n, seed, nodes = cfg.n_samples, cfg.seed, cfg.nodes
-    for ens_name, ens in _check_fixtures():
+    fixtures = _check_fixtures()
+    # Refuse a grid the largest fixture cannot take before any estimate.
+    quench._oracle_rule(max(ens.size for _, ens in fixtures), nodes)
+    for ens_name, ens in fixtures:
         quadrature = {}
         for obs_text in _CHECK_OBSERVABLES:
             obs = gibbs.parse_observable(obs_text)

@@ -186,6 +186,8 @@ def _check_subset(subset, m):
     if idx.min() < 0 or idx.max() >= m:
         raise ValueError(
             f"invalid-input: subset index out of range for {m} coordinates")
+    if np.unique(idx).size != idx.size:
+        raise ValueError("invalid-input: subset repeats a coordinate")
     return idx
 
 

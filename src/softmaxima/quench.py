@@ -42,7 +42,7 @@ from numpy.polynomial.hermite import hermgauss
 from . import gibbs
 from .ensemble import IndexedEnsemble
 
-BETA_MAX_FACTOR = 1e4        # bracket search abandons above 1e4 / sigma
+BETA_MAX_FACTOR = 1e4        # beta_star searches beta in (0, 1e4 / sigma]
 DEFAULT_RESOLUTION = 1e-3    # beta_star grid step, in units of 1 / sigma
 ORACLE_MAX_POINTS = 4        # tensor quadrature cap
 ORACLE_MIN_NODES = 32
@@ -71,10 +71,12 @@ class QuenchedEstimate:
 class ThresholdResult:
     """Smallest grid beta where 1 - r(beta) drops to the packing target.
 
-    bracket is the final bisection interval (lo excluded, hi included);
-    ensemble_key ties the result to its ensemble.  c is the Sudakov constant
-    in the target, and every bound that takes the threshold reads its
-    constant from here.
+    beta_star is always positive: the target is below 1/2 and 1 - r(0) =
+    1 - 1/|T| is not.  bracket is the final bisection interval, one grid step
+    wide (lo excluded, hi = beta_star included); r_at_star is the estimate
+    of r at beta_star.  ensemble_key ties the result to its ensemble.  c is
+    the Sudakov constant in the target, and every bound that takes the
+    threshold reads its constant from here.
     """
     beta_star: float
     bracket: tuple[float, float]
@@ -82,7 +84,6 @@ class ThresholdResult:
     r_at_star: QuenchedEstimate
     ensemble_key: str
     c: float
-    note: str | None = None
 
 
 def _check_c(c) -> None:
@@ -456,10 +457,13 @@ def beta_star(ens: IndexedEnsemble, c: float, n: int, seed: int,
 
     r_hat is the estimated mean participation ratio on the common batch.
     Each per-sample participation curve is nondecreasing in beta, hence so is
-    r_hat; bisection on the resolution grid therefore finds the exact smallest
-    grid point satisfying the criterion.  The search gives up above
-    1e4 / sigma and raises UnboundedThresholdError with diagnostics.  The
-    result is not memoized; pass it to the bounds that need it.
+    r_hat; one bisection over the grid indices 0..K, K = floor(beta_max /
+    resolution) with beta_max = 1e4 / sigma, therefore finds the exact
+    smallest grid point satisfying the criterion.  Index 0 never satisfies
+    it (1 - r(0) = 1 - 1/|T| >= 1/2 > target), so it is not probed.  When no
+    grid point up to beta_max does, UnboundedThresholdError is raised with
+    diagnostics.  The result is not memoized; pass it to the bounds that
+    need it.
     """
     _check_c(c)
     _check_n(n)
@@ -475,43 +479,63 @@ def beta_star(ens: IndexedEnsemble, c: float, n: int, seed: int,
     target = (c * a) ** 2 / (2.0 * delta ** 2)
     x = realization_batch(ens, n, seed)
 
-    def r_hat(beta):
-        return float(np.mean(gibbs.participation_ratio(x, beta)))
-
-    def result(beta_val, bracket, note=None):
-        r_est = mc_estimate(ens, gibbs.PARTICIPATION_RATIO, beta_val, n, seed)
-        return ThresholdResult(beta_star=beta_val, bracket=bracket, target=target,
-                               r_at_star=r_est, ensemble_key=ens.cache_key,
-                               c=float(c), note=note)
-
-    if target >= 1.0 - 1.0 / ens.size:
-        return result(0.0, (0.0, 0.0),
-                      note="criterion already holds at beta = 0: "
-                           f"target {target:.6g} >= 1 - 1/|T|")
-
     beta_max = BETA_MAX_FACTOR / sigma
-    hi = max(1, int(np.ceil(1.0 / (sigma * resolution))))
-    while 1.0 - r_hat(hi * resolution) > target:
-        hi *= 2
-        if hi * resolution > beta_max:
-            raise UnboundedThresholdError(
-                "unbounded-threshold: 1 - r_hat(beta) stayed above the target "
-                f"{target:.6g} for all beta <= {beta_max:.6g} "
-                f"(last probe beta = {hi * resolution / 2:.6g}, "
-                f"1 - r_hat = {1.0 - r_hat(hi * resolution / 2):.6g}, "
-                f"|T| = {ens.size}, sigma = {sigma:.6g}); nearly coincident "
-                "coordinates keep the participation ratio away from its target")
-    lo = 0
+    k_max = int(np.floor(beta_max / resolution))
+    # Index lo fails the criterion; hi = k_max + 1 stands for "not met".
+    lo, hi = 0, k_max + 1
+    lo_gap = None
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if 1.0 - r_hat(mid * resolution) <= target:
+        gap = 1.0 - float(np.mean(gibbs.participation_ratio(x, mid * resolution)))
+        if gap <= target:
             hi = mid
         else:
-            lo = mid
-    return result(hi * resolution, (lo * resolution, hi * resolution))
+            lo, lo_gap = mid, gap
+    if hi > k_max:
+        probe = ("no grid point probed" if lo_gap is None else
+                 f"last probe beta = {lo * resolution:.6g}, 1 - r_hat = {lo_gap:.6g}")
+        raise UnboundedThresholdError(
+            "unbounded-threshold: 1 - r_hat(beta) stayed above the target "
+            f"{target:.6g} for all beta <= {beta_max:.6g} "
+            f"({probe}, |T| = {ens.size}, sigma = {sigma:.6g}); nearly coincident "
+            "coordinates keep the participation ratio away from its target")
+    beta = hi * resolution
+    return ThresholdResult(
+        beta_star=beta, bracket=(lo * resolution, beta), target=target,
+        r_at_star=mc_estimate(ens, gibbs.PARTICIPATION_RATIO, beta, n, seed),
+        ensemble_key=ens.cache_key, c=float(c))
 
 
 # -- independent quadrature oracle ----------------------------------------------
+
+def _oracle_rule(m: int, nodes_per_dim) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Hermite nodes and weights for an m-point tensor oracle.
+
+    Every grid and rule check of quadrature_oracle lives here, so a caller
+    can refuse a grid before any other work.
+    """
+    if m > ORACLE_MAX_POINTS:
+        raise ValueError(
+            f"oracle-scale: tensor quadrature supports at most "
+            f"{ORACLE_MAX_POINTS} coordinates, got {m}")
+    if not isinstance(nodes_per_dim, (int, np.integer)) or nodes_per_dim < ORACLE_MIN_NODES:
+        raise ValueError(
+            f"invalid-parameter: nodes_per_dim must be an integer >= "
+            f"{ORACLE_MIN_NODES}, got {nodes_per_dim}")
+    k = int(nodes_per_dim)
+    if k ** m > ORACLE_MAX_NODES:
+        # Checked before hermgauss, which builds a k x k matrix.
+        raise ValueError(
+            f"oracle-scale: {k}^{m} quadrature nodes exceed {ORACLE_MAX_NODES}; "
+            "lower nodes_per_dim")
+    z, w = hermgauss(k)
+    # Past about 370 nodes the extreme weights underflow to 0 or nan.
+    if not np.all(np.isfinite(z) & (w > 0) & np.isfinite(w)):
+        raise ValueError(
+            f"oracle-scale: the {k}-node Gauss-Hermite rule underflows; "
+            "lower nodes_per_dim")
+    return z, w
+
 
 def quadrature_oracle(ens: IndexedEnsemble, obs: gibbs.Observable, beta,
                       nodes_per_dim: int = 64) -> float:
@@ -524,29 +548,9 @@ def quadrature_oracle(ens: IndexedEnsemble, obs: gibbs.Observable, beta,
     """
     beta = gibbs._check_beta(beta)
     m = ens.size
-    if m > ORACLE_MAX_POINTS:
-        raise ValueError(
-            f"oracle-scale: tensor quadrature supports at most "
-            f"{ORACLE_MAX_POINTS} coordinates, got {m}")
-    if not isinstance(nodes_per_dim, (int, np.integer)) or nodes_per_dim < ORACLE_MIN_NODES:
-        raise ValueError(
-            f"invalid-parameter: nodes_per_dim must be an integer >= "
-            f"{ORACLE_MIN_NODES}, got {nodes_per_dim}")
-
-    k = int(nodes_per_dim)
+    z, w = _oracle_rule(m, nodes_per_dim)
+    k = z.size
     total = k ** m
-    if total > ORACLE_MAX_NODES:
-        # Checked before hermgauss, which builds a k x k matrix.
-        raise ValueError(
-            f"oracle-scale: {k}^{m} quadrature nodes exceed {ORACLE_MAX_NODES}; "
-            "lower nodes_per_dim")
-
-    z, w = hermgauss(k)
-    # Past about 370 nodes the extreme weights underflow to 0 or nan.
-    if not np.all(np.isfinite(z) & (w > 0) & np.isfinite(w)):
-        raise ValueError(
-            f"oracle-scale: the {k}-node Gauss-Hermite rule underflows; "
-            "lower nodes_per_dim")
     points = np.sqrt(2.0) * z          # E f(G) = pi^{-1/2} sum_k w_k f(sqrt(2) z_k)
     factor = ens.sampling_factor
     chunk = min(total, 1 << 18)

@@ -383,3 +383,24 @@ class TestProperties:
                      - sm.renyi_to_uniform(x, beta, 0.5))
         assert np.all(np.abs(kl_gap) <= tol)
         assert np.all(np.abs(renyi_gap) <= tol)
+
+    @settings(max_examples=25, deadline=None)
+    @given(ens=_psd_ensembles(), seed=st.integers(0, 2 ** 32))
+    def test_beta_star_matches_grid_scan(self, ens, seed):
+        # A resolution that leaves K <= 2000 grid points, so that every one
+        # can be scanned.
+        resolution = sm.quench.BETA_MAX_FACTOR / ens.sigma_max / 2000
+        k_max = math.floor(sm.quench.BETA_MAX_FACTOR / ens.sigma_max / resolution)
+        assert k_max <= 2000
+        x = sm.realization_batch(ens, 64, seed)
+        target = (sm.quench.SUDAKOV_C * ens.min_separation / ens.diameter) ** 2 / 2.0
+        first = next((k for k in range(1, k_max + 1)
+                      if 1.0 - float(np.mean(sm.participation_ratio(x, k * resolution)))
+                      <= target), None)
+        if first is None:
+            with pytest.raises(sm.UnboundedThresholdError):
+                sm.beta_star(ens, sm.quench.SUDAKOV_C, 64, seed, resolution=resolution)
+        else:
+            ts = sm.beta_star(ens, sm.quench.SUDAKOV_C, 64, seed, resolution=resolution)
+            assert ts.beta_star == first * resolution
+            assert ts.bracket == ((first - 1) * resolution, first * resolution)

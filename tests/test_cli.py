@@ -69,7 +69,7 @@ class TestConfigParsing:
     @pytest.mark.parametrize("field", [
         {"c": "x"}, {"c": None}, {"output": 5}, {"beta_grid": [1, "a"]},
         {"beta_grid": 2}, {"observables": "gibbs_average"}, {"plot": "no"},
-        {"seed": True}, {"n_spins": True}])
+        {"seed": True}, {"n_spins": True}, {"nodes": True}, {"nodes": "128"}])
     def test_file_field_types(self, tmp_path, monkeypatch, capsys, field):
         monkeypatch.chdir(tmp_path)
         p = tmp_path / "run.json"
@@ -178,6 +178,16 @@ class TestEstimateCommand:
                          "--n", "400", "--seed", "1",
                          "--observables", "soft_max", "--out", str(tmp_path / "x")])
         assert code == EXIT_CONFIG
+
+    def test_repeated_soft_max_index_is_error(self, tmp_path, capsys):
+        code = run_main(["estimate", "--ensemble", '{"iid": {"n": 3, "variance": 1.0}}',
+                         "--n", "1000", "--seed", "0",
+                         "--observables", "soft_max(0),soft_max(0,0)",
+                         "--out", str(tmp_path / "x")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "\n" not in err.strip()
+        assert not (tmp_path / "x.csv").exists()
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "est"
@@ -351,6 +361,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: run: oracle-scale:")
         assert "\n" not in err.strip()
+
+    def test_oracle_grid_refused_before_any_estimate(self, tmp_path, capsys,
+                                                     monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("estimated before the grid was checked")
+
+        monkeypatch.setattr(quench, "mc_estimate", fail)
+        code = run_main(["oracle-check", "--n", "200", "--nodes", "300",
+                         "--out", str(tmp_path / "x")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: run: oracle-scale:")
 
     def test_unknown_command(self):
         assert run_main(["transmogrify"]) == EXIT_CONFIG

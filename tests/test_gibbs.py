@@ -215,6 +215,11 @@ class TestSoftMax:
         with pytest.raises(ValueError, match="invalid-parameter"):
             sm.soft_max(X_HAND, 0.0)
 
+    def test_repeated_index_rejected(self):
+        # A repeated coordinate would count its Gibbs weight twice.
+        with pytest.raises(ValueError, match="invalid-input"):
+            sm.soft_max(X_HAND, 1.0, [0, 0])
+
 
 class TestParticipationRatio:
     def test_uniform_floor_at_beta_zero(self):

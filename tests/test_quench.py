@@ -295,7 +295,7 @@ class TestBetaStar:
         # trigger and the search always does real work.
         ts = sm.beta_star(sm.build_iid(2, 1.0), 0.99, 100, seed=20)
         assert ts.target < 0.5
-        assert ts.beta_star > 0.0 and ts.note is None
+        assert ts.beta_star > 0.0
 
     def test_memoized(self, iid8):
         a = sm.beta_star(iid8, 1 / 17, 5000, seed=21)
@@ -310,6 +310,44 @@ class TestBetaStar:
         ens = sm.build_from_covariance(["a", "b"], [[1.0, 1.0 - eps], [1.0 - eps, 1.0]])
         with pytest.raises(sm.UnboundedThresholdError, match="unbounded-threshold"):
             sm.beta_star(ens, 1 / 17, 500, seed=22)
+
+    def test_no_grid_point_below_beta_max(self, iid2):
+        # A resolution above 1e4 / sigma leaves no grid point to probe.
+        with pytest.raises(sm.UnboundedThresholdError,
+                           match=r"for all beta <= 10000 \(no grid point probed, "
+                                 r"\|T\| = 2, sigma = 1\)"):
+            sm.beta_star(iid2, 1 / 17, 100, seed=0, resolution=2e4)
+
+    def test_searches_up_to_beta_max(self):
+        # a = 0.06: the criterion first holds near beta = 8.8e3, above the
+        # 8192 / sigma where a doubling search from 1 / sigma stops.
+        rho = 0.9982
+        ens = sm.build_from_covariance(["a", "b"], [[1.0, rho], [rho, 1.0]])
+        ts = sm.beta_star(ens, 1 / 17, 2000, seed=3)
+        assert 8192.0 < ts.beta_star <= 1e4
+        lo, hi = ts.bracket
+        assert hi == ts.beta_star
+        assert hi - lo <= 1e-3 / ens.sigma_max + 1e-9
+        r_lo = sm.mc_estimate(ens, sm.PARTICIPATION_RATIO, lo, 2000, seed=3)
+        assert 1.0 - r_lo.mean > ts.target
+        assert 1.0 - ts.r_at_star.mean <= ts.target
+
+    def test_probe_count(self, iid8, monkeypatch):
+        # One bisection over grid indices 0..K, K = 1e4 / resolution, plus
+        # the r_at_star estimate.
+        calls = []
+        real = sm.gibbs.participation_ratio
+
+        def counted(x, beta):
+            calls.append(beta)
+            return real(x, beta)
+
+        monkeypatch.setattr(sm.gibbs, "participation_ratio", counted)
+        sm.beta_star(iid8, 1 / 17, 5000, seed=23)
+        k = math.floor(quench.BETA_MAX_FACTOR / quench.DEFAULT_RESOLUTION)
+        bound = math.ceil(math.log2(k + 1)) + 1
+        assert bound == 25
+        assert 0 < len(calls) <= bound
 
     def test_bad_c_rejected(self, iid2):
         for c in (0.0, 1.0, -0.2, 1.7):
