@@ -7,7 +7,9 @@ Given a vector x in R^m and inverse temperature beta >= 0, the Gibbs measure
 interpolates between the uniform measure (beta = 0) and the point mass at the
 argmax (beta -> infinity).  Everything here is a deterministic function of
 (x, beta) routed through one max-shifted log-sum-exp primitive, so nothing
-overflows even when beta * max|x| reaches 1e6.
+overflows even when beta * max|x| reaches 1e6.  Its sum of exponentials
+skips the shifted exponents below -746, whose exp is an exact 0, when those
+are most of them; the sum is the same bit for bit.
 
 beta = 0 is a first-class value (the uniform measure), not an error; only the
 softmax itself, which carries a 1/beta factor, requires beta > 0.
@@ -25,6 +27,9 @@ import numpy as np
 # Switch renyi_to_uniform to its alpha -> 1 limit (the KL divergence) inside
 # this window; the generic formula is 0/0 there.
 RENYI_KL_WINDOW = 1e-8
+# exp(z) is an exact 0 for every double z below about -745.13, so no exp is
+# taken of an exponent below this floor.
+_EXP_FLOOR = -746.0
 
 
 def _check_beta(beta, positive=False):
@@ -45,7 +50,7 @@ def _scalar(out):
 
 
 def _shifted(x, beta):
-    """max x, beta * (x - max x) and log sum_i exp(beta (x_i - max x)).
+    """max x and the shifted exponents beta * (x - max x).
 
     Shifts by max x before scaling by beta, so no exponent is positive.  A
     shifted exponent that overflows is -inf, whose exp is an exact 0, so that
@@ -55,7 +60,27 @@ def _shifted(x, beta):
     with np.errstate(over="ignore"):
         z = x - x_max
         z *= beta
-    return x_max[..., 0], z, np.log(np.sum(np.exp(z), axis=-1))
+    return x_max[..., 0], z
+
+
+def _sum_exp(z, overwrite=False):
+    """np.sum(np.exp(z), axis=-1) of a contiguous z, bit for bit.
+
+    When most entries lie below _EXP_FLOOR (judged on about 1024 spread
+    through z), exp is taken of the others only and scattered into a zeroed
+    array, which the sum then reduces in the same pairwise order.
+    overwrite=True lets it use z as that array.
+    """
+    sample = z.reshape(-1)[::max(1, z.size // 1024)]
+    if 2 * np.count_nonzero(sample >= _EXP_FLOOR) > sample.size:
+        return np.sum(np.exp(z, out=z if overwrite else None), axis=-1)
+    live = z >= _EXP_FLOOR
+    vals = z[live]
+    np.exp(vals, out=vals)
+    e = z if overwrite else np.empty_like(z)
+    e.fill(0.0)
+    e[live] = vals
+    return np.sum(e, axis=-1)
 
 
 def _lse(x, beta, log_weights=False):
@@ -64,7 +89,8 @@ def _lse(x, beta, log_weights=False):
     With log_weights=True also returns beta * x - Lambda(beta), formed from
     the shifted exponents, so it is finite for every finite beta.
     """
-    x_max, z, log_s = _shifted(x, beta)
+    x_max, z = _shifted(x, beta)
+    log_s = np.log(_sum_exp(z, overwrite=not log_weights))
     log_z = beta * x_max + log_s
     if not log_weights:
         return log_z
@@ -143,8 +169,8 @@ def _tilted_mean(x, beta):
     Forms only the log-weights: Lambda(beta) itself may overflow at extreme
     beta while the weights stay exact.
     """
-    _, log_w, log_s = _shifted(x, beta)
-    log_w -= log_s[..., None]
+    _, log_w = _shifted(x, beta)
+    log_w -= np.log(_sum_exp(log_w))[..., None]
     return np.sum(np.exp(log_w) * x, axis=-1)
 
 

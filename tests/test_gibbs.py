@@ -15,7 +15,7 @@ import pytest
 from scipy.special import logsumexp
 
 import softmaxima as sm
-from softmaxima.gibbs import _lse
+from softmaxima.gibbs import _EXP_FLOOR, _lse, _sum_exp
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -103,6 +103,12 @@ class TestLogSumExpPrimitive:
             _, log_w = _lse(np.array([0.5, -2.0]), 1e308, log_weights=True)
         assert np.array_equal(log_w, [0.0, -np.inf])
 
+    def test_exp_floor_gives_exact_zeros(self):
+        # Below about -745.13 exp rounds to 0, so skipping the exponents
+        # under the floor drops only exact zeros.
+        z = np.linspace(-800.0, _EXP_FLOOR, 100_001)
+        assert not np.any(np.exp(np.nextafter(z, -np.inf)))
+
     def test_import_loads_no_scipy(self):
         code = ("import importlib, pkgutil, sys, softmaxima\n"
                 "for m in pkgutil.iter_modules(softmaxima.__path__):\n"
@@ -112,6 +118,65 @@ class TestLogSumExpPrimitive:
         out = subprocess.run([sys.executable, "-c", code], cwd=src, check=True,
                              capture_output=True, text=True)
         assert out.stdout.strip() == "[]"
+
+
+def _edge_exponents(rng, shape, live_share):
+    """Exponents with about live_share of them at or above the floor.
+
+    With more than one column every row holds 0, as a shifted row does, -inf
+    (an overflowed shift), the floor and its two neighbours.
+    """
+    z = np.where(rng.random(shape) < live_share,
+                 rng.uniform(_EXP_FLOOR, 0.0, shape),
+                 rng.uniform(-3000.0, _EXP_FLOOR, shape))
+    if shape[1] > 3:
+        z[:, 0] = 0.0
+        z[::2, 1] = -np.inf
+        z[1::2, 1] = np.nextafter(_EXP_FLOOR, -np.inf)
+        z[::3, 2] = _EXP_FLOOR
+        z[1::3, 3] = np.nextafter(_EXP_FLOOR, 0.0)
+    return z
+
+
+class TestSumExp:
+    """_sum_exp is np.sum(np.exp(z), axis=-1) bit for bit, by either path."""
+
+    @pytest.mark.parametrize("live_share", [0.0, 0.05, 0.5, 1.0])
+    @pytest.mark.parametrize("shape", [(300, 64), (50, 1), (7, 1000)])
+    def test_equals_dense_sum(self, live_share, shape):
+        z = _edge_exponents(np.random.default_rng(shape[1]), shape, live_share)
+        expected = np.sum(np.exp(z), axis=-1)
+        z_in = z.copy()
+        assert np.array_equal(_sum_exp(z), expected)
+        assert np.array_equal(z, z_in)  # left as it was
+        assert np.array_equal(_sum_exp(z.copy(), overwrite=True), expected)
+
+    @pytest.mark.parametrize("live", [0, 1, 17, 31, 33, 63, 64])
+    def test_both_sides_of_the_switch(self, live):
+        # The first `live` of 64 columns are live.  All 1024 entries are
+        # sampled: up to 32 live columns take the sparse path, 33 or more the
+        # dense one.
+        z = np.full((16, 64), np.nextafter(_EXP_FLOOR, -np.inf))
+        z[:, :live] = np.linspace(0.0, _EXP_FLOOR, live)
+        expected = np.sum(np.exp(z), axis=-1)
+        assert np.array_equal(_sum_exp(z), expected)
+        assert np.array_equal(_sum_exp(z.copy(), overwrite=True), expected)
+
+    @pytest.mark.parametrize("beta", [1.0, 300.0, 1276.0, 5000.0])
+    def test_participation_ratio_unchanged(self, beta):
+        # Against the two log-sum-exps with a dense exp, as participation_ratio
+        # formed them before the sparse path: 100%, 56%, 5% and 2% of the
+        # exponents at beta are live on this batch.
+        x = sm.realization_batch(sm.build_iid(64, 1.0), 20_000, 7)
+
+        def dense_lse(b):
+            x_max = np.max(x, axis=-1, keepdims=True)
+            z = x - x_max
+            z *= b
+            return b * x_max[:, 0] + np.log(np.sum(np.exp(z), axis=-1))
+
+        expected = np.exp(dense_lse(2.0 * beta) - 2.0 * dense_lse(beta))
+        assert np.array_equal(sm.participation_ratio(x, beta), expected)
 
 
 class TestGibbsMeasure:

@@ -354,6 +354,118 @@ class TestBetaStar:
             with pytest.raises(ValueError, match="invalid-parameter"):
                 sm.beta_star(iid2, c, 100, seed=0)
 
+    def test_overflowing_grid_rejected_before_sampling(self, iid2, monkeypatch):
+        # (1e4 / sigma) / 1e-320 overflows to inf grid points.
+        def unreachable(*args):
+            raise AssertionError("batch drawn")
+
+        monkeypatch.setattr(quench, "realization_batch", unreachable)
+        with pytest.raises(ValueError, match="invalid-parameter: resolution"):
+            sm.beta_star(iid2, 1 / 17, 100, 0, resolution=1e-320)
+
+    def test_few_probes_on_iid64(self, monkeypatch):
+        # Bisection takes 24 probes here; the interpolating search 7.
+        calls = []
+        real = sm.gibbs.participation_ratio
+
+        def counted(x, beta):
+            calls.append(beta)
+            return real(x, beta)
+
+        monkeypatch.setattr(sm.gibbs, "participation_ratio", counted)
+        ts = sm.beta_star(sm.build_iid(64, 1.0), 1 / 17, 20_000, seed=7)
+        assert len(calls) <= 10
+        assert ts.beta_star == 1276.276  # the grid point bisection returns
+
+    def test_exact_zero_gap_probes(self, monkeypatch):
+        # A dense |T| = 4 set whose first two probes (K = 2000) see
+        # 1 - r_hat == 0 exactly, where log(1 - r_hat) is undefined: the
+        # search must not take the secant through them.
+        cov = [[6.24, -2.28, 0.55, -2.78], [-2.28, 2.8, -1.54, -1.49],
+               [0.55, -1.54, 4.59, 1.09], [-2.78, -1.49, 1.09, 4.86]]
+        ens = sm.build_from_covariance(["a", "b", "c", "d"], cov)
+        resolution = quench.BETA_MAX_FACTOR / ens.sigma_max / 2000
+        gaps = []
+        real = sm.gibbs.participation_ratio
+
+        def recorded(x, beta):
+            values = real(x, beta)
+            gaps.append(1.0 - float(np.mean(values)))
+            return values
+
+        monkeypatch.setattr(sm.gibbs, "participation_ratio", recorded)
+        ts = sm.beta_star(ens, quench.SUDAKOV_C, 64, 0, resolution=resolution)
+        assert gaps[:2] == [0.0, 0.0]
+        x = sm.realization_batch(ens, 64, 0)
+        first = next(k for k in range(1, 2001)
+                     if 1.0 - float(np.mean(real(x, k * resolution))) <= ts.target)
+        assert ts.beta_star == first * resolution
+        assert ts.bracket == ((first - 1) * resolution, first * resolution)
+
+
+# Adversarial participation curves, as functions of the grid index k on the
+# default grid of iid2 (step 1e-3, K = 1e7), and each one's first k where
+# 1 - r <= the target 1/578, or None.
+_K = 10_000_000
+_TARGET = (1 / 17) ** 2 / 2
+_CURVES = {
+    "step": (lambda k: np.where(k < 3_141_593, 0.5, 1.0), 3_141_593),
+    "plateau": (lambda k: np.where(k < 1000, 0.5, np.where(
+        k < 9_000_001, 1.0 - 2 * _TARGET, 1.0 - _TARGET / 2)), 9_000_001),
+    "cliff_at_1": (lambda k: np.full(np.shape(k), 1.0 - _TARGET / 2), 1),
+    "cliff_at_K": (lambda k: np.where(k < _K, 0.5, 1.0 - _TARGET / 2), _K),
+    # Just above the target, then 1 - r = 2^-53: a secant across the cliff
+    # moves a little at a time, and only the ITP window keeps it to 25 probes.
+    "cliff_to_ulp": (lambda k: np.where(k < 7_654_321, 1.0 - 1.0001 * _TARGET,
+                                        1.0 - 2.0 ** -53), 7_654_321),
+    "never": (lambda k: np.full(np.shape(k), 0.5), None),
+    # 1 - r = 1e3 / k; at k = 578 000 it rounds just above the target.
+    "power_law": (lambda k: 1.0 - np.minimum(0.5, 1e3 / np.maximum(k, 1)), 578_001),
+}
+
+
+def _scan(r_of_k):
+    """First k in 1..K with 1 - r(k) <= target, by a scan of the whole grid."""
+    for start in range(1, _K + 1, 1 << 20):
+        ks = np.arange(start, min(start + (1 << 20), _K + 1))
+        hit = np.flatnonzero(1.0 - r_of_k(ks) <= _TARGET)
+        if hit.size:
+            return int(ks[hit[0]])
+    return None
+
+
+class TestBetaStarSearch:
+    """The search against brute force on adversarial curves.
+
+    participation_ratio is replaced by the curve, on a batch of two samples,
+    whose mean is then the curve value exactly.
+    """
+
+    @pytest.mark.parametrize("name", list(_CURVES))
+    def test_matches_scan_within_probe_bound(self, name, monkeypatch):
+        r_of_k, first = _CURVES[name]
+        assert _scan(r_of_k) == first
+        calls = []
+
+        def curve(x, beta):
+            k = round(beta / quench.DEFAULT_RESOLUTION)
+            calls.append(k)
+            return np.full(x.shape[0], float(r_of_k(k)))
+
+        monkeypatch.setattr(sm.gibbs, "participation_ratio", curve)
+        ens = sm.build_iid(2, 1.0)
+        res = quench.DEFAULT_RESOLUTION
+        bound = math.ceil(math.log2(_K + 1)) + 1
+        if first is None:
+            with pytest.raises(sm.UnboundedThresholdError):
+                sm.beta_star(ens, 1 / 17, 2, seed=0)
+        else:
+            ts = sm.beta_star(ens, 1 / 17, 2, seed=0)
+            assert ts.beta_star == first * res
+            assert ts.bracket == ((first - 1) * res, first * res)
+            assert ts.r_at_star.mean == float(r_of_k(first))
+        assert 0 < len(calls) <= bound == 25
+
 
 class TestQuadratureOracle:
     def test_zero_temperature_values(self, iid2):
