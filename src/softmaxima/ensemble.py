@@ -300,13 +300,16 @@ def from_spec(spec: dict) -> IndexedEnsemble:
         _check_number("iid variance", variance)
         return build_iid(n, float(variance))
     if "labels" in spec and "covariance" in spec:
+        labels = spec["labels"]
+        if not isinstance(labels, list) or not all(type(l) is str for l in labels):
+            raise ValueError("invalid-input: labels must be a list of strings")
         rows = spec["covariance"]
         if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
             raise ValueError("invalid-input: covariance must be a list of rows")
         for i, row in enumerate(rows):
             for j, v in enumerate(row):
                 _check_number(f"covariance entry [{i}][{j}]", v)
-        return build_from_covariance(spec["labels"], rows)
+        return build_from_covariance(labels, rows)
     raise ValueError(
         "invalid-input: ensemble spec needs either an 'iid' entry or "
         "'labels' plus 'covariance'")

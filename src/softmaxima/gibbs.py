@@ -7,9 +7,9 @@ Given a vector x in R^m and inverse temperature beta >= 0, the Gibbs measure
 interpolates between the uniform measure (beta = 0) and the point mass at the
 argmax (beta -> infinity).  Everything here is a deterministic function of
 (x, beta) routed through one max-shifted log-sum-exp primitive, so nothing
-overflows even when beta * max|x| reaches 1e6.  Its sum of exponentials
-skips the shifted exponents below -746, whose exp is an exact 0, when those
-are most of them; the sum is the same bit for bit.
+overflows even when beta * max|x| reaches 1e6.  Every exp of log-weights
+skips the exponents below -746, whose exp is an exact 0, when those are most
+of them; the result is the same bit for bit.
 
 beta = 0 is a first-class value (the uniform measure), not an error; only the
 softmax itself, which carries a 1/beta factor, requires beta > 0.
@@ -63,24 +63,23 @@ def _shifted(x, beta):
     return x_max[..., 0], z
 
 
-def _sum_exp(z, overwrite=False):
-    """np.sum(np.exp(z), axis=-1) of a contiguous z, bit for bit.
+def _exp(z, out=None):
+    """np.exp(z, out=out) of a contiguous z, bit for bit.
 
     When most entries lie below _EXP_FLOOR (judged on about 1024 spread
     through z), exp is taken of the others only and scattered into a zeroed
-    array, which the sum then reduces in the same pairwise order.
-    overwrite=True lets it use z as that array.
+    array.  out may be z itself.
     """
     sample = z.reshape(-1)[::max(1, z.size // 1024)]
     if 2 * np.count_nonzero(sample >= _EXP_FLOOR) > sample.size:
-        return np.sum(np.exp(z, out=z if overwrite else None), axis=-1)
+        return np.exp(z, out=out)
     live = z >= _EXP_FLOOR
     vals = z[live]
     np.exp(vals, out=vals)
-    e = z if overwrite else np.empty_like(z)
+    e = np.empty_like(z) if out is None else out
     e.fill(0.0)
     e[live] = vals
-    return np.sum(e, axis=-1)
+    return e
 
 
 def _lse(x, beta, log_weights=False):
@@ -90,7 +89,7 @@ def _lse(x, beta, log_weights=False):
     the shifted exponents, so it is finite for every finite beta.
     """
     x_max, z = _shifted(x, beta)
-    log_s = np.log(_sum_exp(z, overwrite=not log_weights))
+    log_s = np.log(np.sum(_exp(z, out=None if log_weights else z), axis=-1))
     log_z = beta * x_max + log_s
     if not log_weights:
         return log_z
@@ -145,7 +144,7 @@ def gibbs_measure(x, beta) -> GibbsState:
                           weights=np.full(x.shape, 1.0 / m),
                           log_z=_scalar(np.full(x.shape[:-1], np.log(m))))
     log_z, log_w = _lse(x, beta, log_weights=True)
-    return GibbsState(beta=beta, log_weights=log_w, weights=np.exp(log_w),
+    return GibbsState(beta=beta, log_weights=log_w, weights=_exp(log_w),
                       log_z=_scalar(log_z))
 
 
@@ -170,8 +169,8 @@ def _tilted_mean(x, beta):
     beta while the weights stay exact.
     """
     _, log_w = _shifted(x, beta)
-    log_w -= np.log(_sum_exp(log_w))[..., None]
-    return np.sum(np.exp(log_w) * x, axis=-1)
+    log_w -= np.log(np.sum(_exp(log_w), axis=-1))[..., None]
+    return np.sum(_exp(log_w) * x, axis=-1)
 
 
 def free_energy(x, beta) -> np.ndarray | float:

@@ -8,11 +8,11 @@ pressure is sandwiched between a lower curve Q_lower (quadratic, then linear
 with a Sudakov slope) and a family of upper curves Q_upper(.; beta0)
 (quadratic up to beta0, then linear with slope sqrt(E KL / N) evaluated at
 the target beta).  Both are estimated here with the common-random-number
-machinery from `quench`.  Each divergence a curve needs is estimated once per
-call and nothing is memoized: the sweep computes its threshold and its
-E KL(beta_star) once and reuses them in every row.  The lower curve takes its
-Sudakov constant from the threshold, and the sweep's verdicts and integral
-tolerance allow quench.Z_MARGIN standard errors.
+machinery from `quench`.  Nothing is memoized: the sweep forms each row's
+pressure and E KL(beta) from one log-partition and one tilted-mean pass per
+grid beta, and estimates its threshold and E KL(beta_star) once.  The lower
+curve takes its Sudakov constant from the threshold, and the sweep's verdicts
+and integral tolerance allow quench.Z_MARGIN standard errors.
 """
 
 from __future__ import annotations
@@ -26,10 +26,11 @@ from . import gibbs
 from .ensemble import IndexedEnsemble, build_iid
 from .quench import (SUDAKOV_C, Z_MARGIN, QuenchedEstimate, ThresholdResult,
                      _check_threshold, _from_values, _mean_se, beta_star,
-                     mc_estimate, per_sample_values)
+                     mc_estimate, realization_batch)
 
 MAX_SPINS = 16   # 2^16 states is the desk-scale ceiling
 TOL = 1e-12
+BETA_C = 2.0 * math.sqrt(math.log(2.0))  # critical beta of the limit pressure
 
 
 @dataclass(frozen=True)
@@ -54,14 +55,13 @@ def rem_model(n_spins: int) -> RemModel:
     labels = [format(i, f"0{n_spins}b") for i in range(size)]
     ens = build_iid(size, n_spins / 2.0, labels=labels)
     return RemModel(n_spins=n_spins, size=size, variance=n_spins / 2.0,
-                    beta_c=2.0 * math.sqrt(math.log(2.0)), ensemble=ens)
+                    beta_c=BETA_C, ensemble=ens)
 
 
 def limit_pressure(beta) -> float:
     """Infinite-size pressure: log 2 + beta^2/4 below beta_c, beta sqrt(log 2) above."""
     beta = gibbs._check_beta(beta)
-    beta_c = 2.0 * math.sqrt(math.log(2.0))
-    if beta < beta_c:
+    if beta < BETA_C:
         return math.log(2.0) + beta * beta / 4.0
     return beta * math.sqrt(math.log(2.0))
 
@@ -107,7 +107,7 @@ def q_upper(model: RemModel, beta, beta0, n: int, seed: int) -> float:
 
     Note the divergence is evaluated at beta itself, not at the knee.
     """
-    return _upper_min(model, beta, [beta0], n, seed)
+    return _upper_min(model, beta, [beta0], lambda: _kl(model, beta, n, seed))
 
 
 def q_upper_min(model: RemModel, beta, beta0_grid, n: int, seed: int) -> float:
@@ -115,13 +115,14 @@ def q_upper_min(model: RemModel, beta, beta0_grid, n: int, seed: int) -> float:
     grid = [float(b) for b in np.atleast_1d(np.asarray(beta0_grid, dtype=float))]
     if len(grid) == 0:
         raise ValueError("invalid-parameter: beta0 grid must be nonempty")
-    return _upper_min(model, beta, grid + [model.beta_c], n, seed)
+    return _upper_min(model, beta, grid + [model.beta_c],
+                      lambda: _kl(model, beta, n, seed))
 
 
-def _upper_min(model: RemModel, beta, knees, n: int, seed: int) -> float:
-    """Minimum of the upper curve over the knees.
+def _upper_min(model: RemModel, beta, knees, kl) -> float:
+    """Minimum of the upper curve over the knees, which share one E KL(beta).
 
-    The knees share one E KL(beta), estimated only if some knee lies below it.
+    kl() returns it, and is called only if some knee lies below beta.
     """
     beta = gibbs._check_beta(beta)
     knees = [float(b) for b in knees]
@@ -129,7 +130,7 @@ def _upper_min(model: RemModel, beta, knees, n: int, seed: int) -> float:
     if bad:
         raise ValueError(
             f"invalid-parameter: beta0 must be nonnegative and finite, got {bad[0]}")
-    div = _kl(model, beta, n, seed) if beta > min(knees) else 0.0
+    div = kl() if beta > min(knees) else 0.0
     slope = math.sqrt(max(div, 0.0) / model.n_spins)
     return min(math.log(2.0) + beta * beta / 4.0 if beta <= b0
                else math.log(2.0) + b0 * b0 / 4.0 + (beta - b0) * slope
@@ -139,14 +140,11 @@ def _upper_min(model: RemModel, beta, knees, n: int, seed: int) -> float:
 def q_upper_cap(model: RemModel, beta) -> float:
     """Upper curve with knee beta_c under the divergence cap E KL <= N log 2.
 
-    Equals log 2 + beta^2 / 4 below beta_c and exactly beta sqrt(log 2) above
-    (the knee value log 2 + beta_c^2 / 4 telescopes), so it upper-bounds the
-    pressure for every N.
+    Equals log 2 + beta^2 / 4 below beta_c and beta sqrt(log 2) above (the
+    knee value telescopes), so it upper-bounds the pressure for every N.  It
+    is the limit pressure, whose two closed forms agree to the bit at beta_c.
     """
-    beta = gibbs._check_beta(beta)
-    if beta <= model.beta_c:
-        return math.log(2.0) + beta * beta / 4.0
-    return beta * math.sqrt(math.log(2.0))
+    return limit_pressure(beta)
 
 
 @dataclass(frozen=True)
@@ -195,10 +193,10 @@ def pressure_sweep(model: RemModel, beta_grid, n: int, seed: int,
     bs = threshold.beta_star
     div_star = _kl(model, bs, n, seed) if grid[-1] > bs else None
 
-    p_sample = np.stack([per_sample_values(ens, gibbs.REM_PRESSURE, b, n, seed)
-                         for b in grid])
-    g_sample = np.stack([per_sample_values(ens, gibbs.GIBBS_AVERAGE, b, n, seed)
-                         for b in grid])
+    x = realization_batch(ens, n, seed)
+    lam = np.stack([gibbs.log_partition(x, b) for b in grid])
+    g_sample = np.stack([gibbs.GIBBS_AVERAGE.evaluate(x, b) for b in grid])
+    p_sample = lam / model.n_spins
     g_mean = g_sample.mean(axis=1)
 
     # Trapezoid curvature allowance per step, from second differences of the
@@ -226,7 +224,8 @@ def pressure_sweep(model: RemModel, beta_grid, n: int, seed: int,
 
         p_hat = _from_values(p_sample[k], gibbs.REM_PRESSURE, beta, n, seed)
         low = _lower_curve(model, beta, threshold.c, bs, div_star)
-        up = q_upper_min(model, beta, grid, n, seed)
+        kl = np.log(model.size) + beta * g_sample[k] - lam[k]  # KL(beta) per sample
+        up = _upper_min(model, beta, grid + [model.beta_c], lambda: _mean_se(kl)[0])
         margin = Z_MARGIN * p_hat.std_error
         verdict = ("holds"
                    if low <= p_hat.mean + margin and p_hat.mean <= up + margin

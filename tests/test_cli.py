@@ -1,8 +1,10 @@
 """Config ingestion, all four commands, exit codes, emission determinism."""
 
+import ast
 import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -327,7 +329,10 @@ class TestExitCodes:
         '{"iid": {"n": "8", "variance": 1.0}}',
         '{"iid": {"n": 8, "variance": true}}',
         '{"labels": ["a", "b"], "covariance": [["1", "0.5"], [0.5, 1]]}',
-        '{"labels": ["a", "b"], "covariance": [[1, 0.5], [0.5, true]]}'])
+        '{"labels": ["a", "b"], "covariance": [[1, 0.5], [0.5, true]]}',
+        '{"labels": 5, "covariance": [[1.0, 0.0], [0.0, 1.0]]}',
+        '{"labels": "ab", "covariance": [[1.0, 0.0], [0.0, 1.0]]}',
+        '{"labels": [["a"], "b"], "covariance": [[1.0, 0.0], [0.0, 1.0]]}'])
     def test_bad_spec_types_are_config_errors(self, tmp_path, capsys, spec):
         code = run_main(["estimate", "--ensemble", spec, "--out", str(tmp_path / "x")])
         assert code == EXIT_CONFIG
@@ -411,6 +416,51 @@ class TestExitCodes:
 
     def test_exit_code_constants_distinct(self):
         assert len({EXIT_OK, EXIT_CONFIG, EXIT_VIOLATION, EXIT_MISMATCH}) == 4
+
+
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _bench_definitions():
+    """WORKLOADS, RTOL, ATOL and VERDICT_COLUMNS of perfbench/run.py, read
+    from its source as literals (the benchmark module is not imported)."""
+    tree = ast.parse((BENCH / "run.py").read_text(encoding="utf-8"))
+    wanted = {"WORKLOADS", "RTOL", "ATOL", "VERDICT_COLUMNS"}
+    return {t.id: ast.literal_eval(node.value) for node in tree.body
+            if isinstance(node, ast.Assign)
+            for t in node.targets if isinstance(t, ast.Name) and t.id in wanted}
+
+
+class TestBenchmarkReference:
+    """Values agree with the benchmark's reference CSVs, as the benchmark
+    checks them: verdicts exactly, numbers to RTOL relative plus ATOL."""
+
+    @pytest.mark.parametrize("workload, seed", [("rem-sweep-n10", 42),
+                                                ("bounds-iid64", 7)])
+    def test_matches_reference(self, tmp_path, workload, seed):
+        bench = _bench_definitions()
+        rtol, atol = bench["RTOL"], bench["ATOL"]
+        out = tmp_path / "x"
+        assert run_main([*bench["WORKLOADS"][workload], "--seed", str(seed),
+                         "--out", str(out)]) == EXIT_OK
+        got = out.with_suffix(".csv").read_text().splitlines()
+        want = (BENCH / "reference" / workload / f"{seed}.csv").read_text().splitlines()
+        assert got[:2] == want[:2]  # config hash line and header
+        assert len(got) == len(want)
+        header = want[1].split(",")
+        for row, ref in zip(csv.reader(got[2:]), csv.reader(want[2:])):
+            for col, a, r in zip(header, row, ref):
+                try:
+                    a_num, r_num = float(a), float(r)
+                except ValueError:
+                    a_num = r_num = None
+                if col in bench["VERDICT_COLUMNS"] or r_num is None:
+                    assert a == r, (col, row, ref)
+                elif math.isinf(r_num) or math.isinf(a_num):
+                    assert a_num == r_num, (col, row, ref)
+                else:
+                    assert abs(a_num - r_num) <= (
+                        rtol * max(abs(a_num), abs(r_num)) + atol), (col, row, ref)
 
 
 class TestDeterminism:

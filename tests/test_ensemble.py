@@ -264,6 +264,13 @@ class TestSpecLoading:
         with pytest.raises(ValueError, match="invalid-input: covariance"):
             from_spec({"labels": ["a", "b"], "covariance": cov})
 
+    @pytest.mark.parametrize("labels", [
+        5, "ab", [["a"], "b"], ["a", 1], ["a", None], ["a", True],
+        {"a": 0, "b": 1}, None])
+    def test_label_types(self, labels):
+        with pytest.raises(ValueError, match="invalid-input: labels"):
+            from_spec({"labels": labels, "covariance": [[1.0, 0.0], [0.0, 1.0]]})
+
 
 def test_two_cluster_fixture_geometry(twocluster12):
     # The fixture's whole point: packing radius 1 separates the clusters,

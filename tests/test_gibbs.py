@@ -15,7 +15,7 @@ import pytest
 from scipy.special import logsumexp
 
 import softmaxima as sm
-from softmaxima.gibbs import _EXP_FLOOR, _lse, _sum_exp
+from softmaxima.gibbs import _EXP_FLOOR, _exp, _lse
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -139,7 +139,7 @@ def _edge_exponents(rng, shape, live_share):
 
 
 class TestSumExp:
-    """_sum_exp is np.sum(np.exp(z), axis=-1) bit for bit, by either path."""
+    """_exp is np.exp bit for bit by either path, and so is the sum over it."""
 
     @pytest.mark.parametrize("live_share", [0.0, 0.05, 0.5, 1.0])
     @pytest.mark.parametrize("shape", [(300, 64), (50, 1), (7, 1000)])
@@ -147,9 +147,18 @@ class TestSumExp:
         z = _edge_exponents(np.random.default_rng(shape[1]), shape, live_share)
         expected = np.sum(np.exp(z), axis=-1)
         z_in = z.copy()
-        assert np.array_equal(_sum_exp(z), expected)
+        assert np.array_equal(np.sum(_exp(z), axis=-1), expected)
         assert np.array_equal(z, z_in)  # left as it was
-        assert np.array_equal(_sum_exp(z.copy(), overwrite=True), expected)
+        z_out = z.copy()
+        assert np.array_equal(np.sum(_exp(z_out, out=z_out), axis=-1), expected)
+        # The array itself, new, in place, or into another array.
+        assert np.array_equal(_exp(z), np.exp(z))
+        z_out = z.copy()
+        assert _exp(z_out, out=z_out) is z_out
+        assert np.array_equal(z_out, np.exp(z))
+        other = np.full_like(z, np.nan)
+        assert _exp(z, out=other) is other
+        assert np.array_equal(other, np.exp(z))
 
     @pytest.mark.parametrize("live", [0, 1, 17, 31, 33, 63, 64])
     def test_both_sides_of_the_switch(self, live):
@@ -159,8 +168,10 @@ class TestSumExp:
         z = np.full((16, 64), np.nextafter(_EXP_FLOOR, -np.inf))
         z[:, :live] = np.linspace(0.0, _EXP_FLOOR, live)
         expected = np.sum(np.exp(z), axis=-1)
-        assert np.array_equal(_sum_exp(z), expected)
-        assert np.array_equal(_sum_exp(z.copy(), overwrite=True), expected)
+        assert np.array_equal(np.sum(_exp(z), axis=-1), expected)
+        z_out = z.copy()
+        assert np.array_equal(np.sum(_exp(z_out, out=z_out), axis=-1), expected)
+        assert np.array_equal(_exp(z), np.exp(z))
 
     @pytest.mark.parametrize("beta", [1.0, 300.0, 1276.0, 5000.0])
     def test_participation_ratio_unchanged(self, beta):
@@ -177,6 +188,19 @@ class TestSumExp:
 
         expected = np.exp(dense_lse(2.0 * beta) - 2.0 * dense_lse(beta))
         assert np.array_equal(sm.participation_ratio(x, beta), expected)
+
+    @pytest.mark.parametrize("beta", [1.0, 300.0, 1276.0, 5000.0])
+    def test_tilted_mean_and_weights_unchanged(self, beta):
+        # Against dense exps of the log-weights, as _tilted_mean and
+        # gibbs_measure formed them before the sparse path.
+        x = sm.realization_batch(sm.build_iid(64, 1.0), 20_000, 7)
+        z = x - np.max(x, axis=-1, keepdims=True)
+        z *= beta
+        z -= np.log(np.sum(np.exp(z), axis=-1))[:, None]
+        weights = np.exp(z)
+        assert np.array_equal(sm.gibbs_measure(x, beta).weights, weights)
+        assert np.array_equal(sm.GIBBS_AVERAGE.evaluate(x, beta),
+                              np.sum(weights * x, axis=-1))
 
 
 class TestGibbsMeasure:

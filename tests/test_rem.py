@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import softmaxima as sm
-from softmaxima import quench
+from softmaxima import gibbs, quench, rem
 
 LOG2 = math.log(2.0)
 BETA_C = 2.0 * math.sqrt(LOG2)
@@ -139,10 +139,13 @@ class TestQUpper:
         assert sm.q_upper_cap(model, 1.0) == pytest.approx(LOG2 + 0.25, rel=1e-12)
 
     def test_cap_matches_limit(self):
+        # The cap's knee value telescopes, and its two closed forms give the
+        # same double at beta_c, where the branches meet.
+        assert rem.BETA_C == BETA_C == sm.rem_model(8).beta_c
+        assert LOG2 + rem.BETA_C ** 2 / 4.0 == rem.BETA_C * math.sqrt(LOG2)
         model = sm.rem_model(8)
-        for beta in (0.0, 1.0, BETA_C, 3.0, 4.5):
-            assert sm.q_upper_cap(model, beta) == pytest.approx(
-                sm.limit_pressure(beta), rel=1e-12)
+        for beta in np.append(np.linspace(0.0, 8.0, 8001), rem.BETA_C):
+            assert sm.q_upper_cap(model, beta) == sm.limit_pressure(beta)
 
     def test_min_above_pressure(self):
         model = sm.rem_model(10)
@@ -229,9 +232,65 @@ class TestDivergenceEstimates:
         assert kl_betas == [2.0]
 
     def test_sweep_at_most_one_per_beta_and_threshold(self, kl_betas):
+        # The rows read E KL(beta) off the sweep's own passes; only the lower
+        # curve's E KL(beta_star) is estimated, and only past beta_star.
         grid = np.arange(0.0, 2.01, 0.5)
-        sm.pressure_sweep(sm.rem_model(6), grid, 400, seed=42)
-        assert 0 < len(kl_betas) <= len(grid) + 1
+        curve = sm.pressure_sweep(sm.rem_model(6), grid, 400, seed=42)
+        assert grid[-1] <= curve.threshold.beta_star
+        assert kl_betas == []
+        curve = sm.pressure_sweep(sm.rem_model(4), GRID_ACROSS, 400, seed=45)
+        assert GRID_ACROSS[-1] > curve.threshold.beta_star
+        assert kl_betas == [curve.threshold.beta_star]
+
+
+# 0:1500:100 runs past beta_star of the N = 4 model at n = 400.
+GRID_ACROSS = [100.0 * k for k in range(16)]
+SWEEP_CASES = [(6, [0.0, 0.5, 1.0, 1.5, 2.0], 400, 42),  # below beta_star
+               (4, GRID_ACROSS, 400, 45)]                # across beta_star
+
+
+class TestSweepPasses:
+    """The sweep shares one pass per beta, and equals the public estimates."""
+
+    @pytest.mark.parametrize("n_spins, grid, n, seed", SWEEP_CASES)
+    def test_rows_equal_public_estimates(self, n_spins, grid, n, seed):
+        model = sm.rem_model(n_spins)
+        curve = sm.pressure_sweep(model, grid, n, seed)
+        assert [r.beta for r in curve.rows] == grid
+        for row in curve.rows:
+            assert row.q_upper_min == sm.q_upper_min(model, row.beta, grid, n, seed)
+            p = sm.mc_estimate(model.ensemble, sm.REM_PRESSURE, row.beta, n, seed)
+            assert row.p_hat.mean == p.mean
+            assert row.p_hat.std_error == p.std_error
+
+    @pytest.mark.parametrize("n_spins, grid, n, seed", SWEEP_CASES)
+    def test_one_pass_of_each_per_beta(self, monkeypatch, n_spins, grid, n, seed):
+        lam_calls, mean_calls = [], []
+        real_lam, real_mean = gibbs.log_partition, gibbs._tilted_mean
+
+        def lam(x, beta):
+            lam_calls.append((beta, np.shape(x)))
+            return real_lam(x, beta)
+
+        def mean(x, beta):
+            mean_calls.append((beta, np.shape(x)))
+            return real_mean(x, beta)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("the sweep called a public upper curve")
+
+        monkeypatch.setattr(gibbs, "log_partition", lam)
+        monkeypatch.setattr(gibbs, "_tilted_mean", mean)
+        monkeypatch.setattr(rem, "q_upper_min", fail)
+        monkeypatch.setattr(rem, "q_upper", fail)
+        model = sm.rem_model(n_spins)
+        curve = sm.pressure_sweep(model, grid, n, seed)
+        batch = (n, model.size)
+        assert lam_calls == [(b, batch) for b in grid]
+        # One more tilted mean, at beta_star, for the lower curve's E KL.
+        bs = curve.threshold.beta_star
+        star = [bs] if grid[-1] > bs else []
+        assert sorted(mean_calls) == sorted((b, batch) for b in grid + star)
 
 
 class TestFiniteSizeTrend:
