@@ -6,10 +6,10 @@ Given a vector x in R^m and inverse temperature beta >= 0, the Gibbs measure
 
 interpolates between the uniform measure (beta = 0) and the point mass at the
 argmax (beta -> infinity).  Everything here is a deterministic function of
-(x, beta) routed through one max-shifted log-sum-exp primitive, so nothing
-overflows even when beta * max|x| reaches 1e6.  Every exp of log-weights
-skips the exponents below -746, whose exp is an exact 0, when those are most
-of them; the result is the same bit for bit.
+(x, beta) routed through one max-shifted primitive, taken once per beta a
+kernel needs, so nothing overflows even when beta * max|x| reaches 1e6.
+Every exp of log-weights skips the exponents below -746, whose exp is an
+exact 0, when those are most of them; the result is the same bit for bit.
 
 beta = 0 is a first-class value (the uniform measure), not an error; only the
 softmax itself, which carries a 1/beta factor, requires beta > 0.
@@ -163,14 +163,14 @@ def gibbs_average(state: GibbsState, x) -> np.ndarray | float:
 
 
 def _tilted_mean(x, beta):
-    """<X>_beta without materializing a state (batched internal helper).
+    """(Lambda(beta), <X>_beta) from one shifted pass (batched internal helper).
 
-    Forms only the log-weights: Lambda(beta) itself may overflow at extreme
-    beta while the weights stay exact.
+    Exponentiates the log-weights and multiplies by x in place.  Lambda may
+    overflow to inf at extreme beta, silently, while <X>_beta stays exact.
     """
-    _, log_w = _shifted(x, beta)
-    log_w -= np.log(np.sum(_exp(log_w), axis=-1))[..., None]
-    return np.sum(_exp(log_w) * x, axis=-1)
+    with np.errstate(over="ignore"):
+        log_z, w = _lse(x, beta, log_weights=True)
+    return log_z, np.sum(np.multiply(_exp(w, out=w), x, out=w), axis=-1)
 
 
 def free_energy(x, beta) -> np.ndarray | float:
@@ -217,14 +217,19 @@ def _check_subset(subset, m):
 
 
 def participation_ratio(x, beta) -> np.ndarray | float:
-    """sum_i nu_beta(i)^2 = exp(Lambda(2 beta) - 2 Lambda(beta)).
+    """sum_i nu_beta(i)^2 as sum e^2 / (sum e)^2 over one shifted exp e.
 
     The inverse of the effective number of coordinates carrying Gibbs mass;
-    ranges over [1/m, 1] and is nondecreasing in beta.
+    ranges over [1/m, 1] and is nondecreasing in beta.  It equals
+    exp(Lambda(2 beta) - 2 Lambda(beta)), as the tests check, but that form
+    cancels, and 2 beta overflows near the largest double.
     """
     beta = _check_beta(beta)
     x = _check_x(x)
-    return _scalar(np.exp(_lse(x, 2.0 * beta) - 2.0 * _lse(x, beta)))
+    _, e = _shifted(x, beta)
+    s = np.sum(_exp(e, out=e), axis=-1)
+    e *= e
+    return _scalar(np.sum(e, axis=-1) / (s * s))
 
 
 def participation_derivative(x, beta) -> np.ndarray | float:
@@ -236,7 +241,7 @@ def participation_derivative(x, beta) -> np.ndarray | float:
     beta = _check_beta(beta)
     x = _check_x(x)
     pr = participation_ratio(x, beta)
-    return _scalar(2.0 * pr * (_tilted_mean(x, 2.0 * beta) - _tilted_mean(x, beta)))
+    return _scalar(2.0 * pr * (_tilted_mean(x, 2.0 * beta)[1] - _tilted_mean(x, beta)[1]))
 
 
 def kl_to_uniform(x, beta) -> np.ndarray | float:
@@ -248,8 +253,8 @@ def kl_to_uniform(x, beta) -> np.ndarray | float:
     """
     beta = _check_beta(beta)
     x = _check_x(x)
-    m = x.shape[-1]
-    return _scalar(np.log(m) + beta * _tilted_mean(x, beta) - _lse(x, beta))
+    log_z, mean = _tilted_mean(x, beta)
+    return _scalar(np.log(x.shape[-1]) + beta * mean - log_z)
 
 
 def renyi_to_uniform(x, beta, alpha) -> np.ndarray | float:
@@ -276,7 +281,7 @@ def renyi_half_via_participation(x, beta) -> np.ndarray | float:
     """D_{1/2}(nu_beta || uniform) computed as log m + log pr(x, beta / 2).
 
     Algebraically identical to renyi_to_uniform(x, beta, 0.5); the routes
-    share only the log-partition primitive, so their agreement is a real
+    share only the max shift (_shifted), so their agreement is a real
     consistency check.
     """
     beta = _check_beta(beta)
@@ -303,11 +308,6 @@ def shannon_entropy(state: GibbsState) -> np.ndarray | float:
 # and quadrature drivers.  Kept as data (kind + parameters) rather than
 # closures so observables can be spelled in configs and CSV rows.
 
-def _tilted_mean_value(obs, x, beta):
-    _check_beta(beta)
-    return _scalar(_tilted_mean(_check_x(x), beta))
-
-
 def _rem_pressure_value(obs, x, beta):
     # Pressure of one disorder sample: Lambda(beta) / N with N = log2(m);
     # only defined for power-of-two label sets.
@@ -329,7 +329,8 @@ def _replica_gibbs_value(obs, x, beta):
 # kind -> value of (observable, x, beta).  The lambdas look the public
 # functions up when called, so a wrapper patched into this module sees them.
 _EVALUATORS = {
-    "gibbs_average": _tilted_mean_value,
+    "gibbs_average": lambda obs, x, beta: _scalar(
+        _tilted_mean(beta=_check_beta(beta), x=_check_x(x))[1]),
     "free_energy": lambda obs, x, beta: free_energy(x, beta),
     "soft_max": lambda obs, x, beta: soft_max(x, beta, obs.subset),
     "participation_ratio": lambda obs, x, beta: participation_ratio(x, beta),

@@ -9,9 +9,9 @@ with a Sudakov slope) and a family of upper curves Q_upper(.; beta0)
 (quadratic up to beta0, then linear with slope sqrt(E KL / N) evaluated at
 the target beta).  Both are estimated here with the common-random-number
 machinery from `quench`.  Nothing is memoized: the sweep forms each row's
-pressure and E KL(beta) from one log-partition and one tilted-mean pass per
-grid beta, and estimates its threshold and E KL(beta_star) once.  The lower
-curve takes its Sudakov constant from the threshold, and the sweep's verdicts
+pressure and E KL(beta) from one (Lambda, tilted mean) pass per grid beta,
+and estimates its threshold and E KL(beta_star) once.  The lower curve
+takes its Sudakov constant from the threshold, and the sweep's verdicts
 and integral tolerance allow quench.Z_MARGIN standard errors.
 """
 
@@ -194,8 +194,7 @@ def pressure_sweep(model: RemModel, beta_grid, n: int, seed: int,
     div_star = _kl(model, bs, n, seed) if grid[-1] > bs else None
 
     x = realization_batch(ens, n, seed)
-    lam = np.stack([gibbs.log_partition(x, b) for b in grid])
-    g_sample = np.stack([gibbs.GIBBS_AVERAGE.evaluate(x, b) for b in grid])
+    lam, g_sample = map(np.stack, zip(*(gibbs._tilted_mean(x, b) for b in grid)))
     p_sample = lam / model.n_spins
     g_mean = g_sample.mean(axis=1)
 

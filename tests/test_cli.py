@@ -403,6 +403,20 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert err.startswith("error: run:") and "\n" not in err.strip()
 
+    def test_extreme_beta_participation_rows(self, tmp_path):
+        # The participation ratio never forms 2 beta = inf, so these rows
+        # take their point-mass limits instead of a non-finite error.
+        out = tmp_path / "x"
+        code = run_main(["estimate", "--ensemble", '{"iid":{"n":4,"variance":1.0}}',
+                         "--beta", "1e308", "--observables",
+                         "participation_ratio,renyi_half,replica_gibbs",
+                         "--out", str(out)])
+        assert code == EXIT_OK
+        rows = list(csv.reader(out.with_suffix(".csv").read_text().splitlines()[2:]))
+        assert {r[0]: float(r[2]) for r in rows} == {
+            "participation_ratio": 1.0, "renyi_half": math.log(4.0),
+            "replica_gibbs": 0.0}
+
     def test_free_energy_overflow_is_an_error(self, tmp_path, capsys):
         # Lambda(1e308) overflows, so the free energy is inf: an error line,
         # never a silent inf in the CSV.
@@ -436,7 +450,8 @@ class TestBenchmarkReference:
     checks them: verdicts exactly, numbers to RTOL relative plus ATOL."""
 
     @pytest.mark.parametrize("workload, seed", [("rem-sweep-n10", 42),
-                                                ("bounds-iid64", 7)])
+                                                ("bounds-iid64", 7),
+                                                ("estimate-iid8", 7)])
     def test_matches_reference(self, tmp_path, workload, seed):
         bench = _bench_definitions()
         rtol, atol = bench["RTOL"], bench["ATOL"]

@@ -15,6 +15,7 @@ import pytest
 from scipy.special import logsumexp
 
 import softmaxima as sm
+from softmaxima import gibbs, quench
 from softmaxima.gibbs import _EXP_FLOOR, _exp, _lse
 
 LN2 = math.log(2.0)
@@ -95,13 +96,26 @@ class TestLogSumExpPrimitive:
 
     def test_extreme_beta_warns_nothing(self):
         # The shifted exponents overflow to -inf (exp gives an exact 0), and
-        # the tilted mean never forms Lambda(beta), which is out of range here.
+        # the tilted mean's Lambda(beta), out of range here, overflows silently.
         x = np.array([[0.5, -1.0, 2.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert np.array_equal(sm.GIBBS_AVERAGE.evaluate(x, 1e308), [2.0])
             _, log_w = _lse(np.array([0.5, -2.0]), 1e308, log_weights=True)
         assert np.array_equal(log_w, [0.0, -np.inf])
+
+    def test_extreme_beta_participation(self):
+        # One shifted exp at beta: 2 beta, which overflows here, is never
+        # formed, so the ratio is the point mass's 1 and no warning fires.
+        x = np.array([[0.5, -1.0, 2.0]])
+        ens = sm.build_iid(3, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(sm.participation_ratio(x, 1e308), [1.0])
+            assert np.array_equal(sm.renyi_half_via_participation(x, 1e308),
+                                  [np.log(3.0)])
+            replica = quench.evaluate_values(ens, sm.REPLICA_GIBBS, x, 1e308)
+        assert np.all(np.isfinite(replica))
 
     def test_exp_floor_gives_exact_zeros(self):
         # Below about -745.13 exp rounds to 0, so skipping the exponents
@@ -118,6 +132,26 @@ class TestLogSumExpPrimitive:
         out = subprocess.run([sys.executable, "-c", code], cwd=src, check=True,
                              capture_output=True, text=True)
         assert out.stdout.strip() == "[]"
+
+
+class TestShiftedPasses:
+    """One max-shifted pass per beta that a kernel needs."""
+
+    @pytest.mark.parametrize("kernel, passes", [
+        (sm.kl_to_uniform, 1), (sm.participation_ratio, 1),
+        (sm.renyi_half_via_participation, 1), (sm.GIBBS_AVERAGE.evaluate, 1),
+        (sm.participation_derivative, 3)])
+    def test_passes_per_call(self, monkeypatch, kernel, passes):
+        calls = []
+        real = gibbs._shifted
+
+        def shifted(x, beta):
+            calls.append(beta)
+            return real(x, beta)
+
+        monkeypatch.setattr(gibbs, "_shifted", shifted)
+        kernel(random_x(6, 30), 1.5)
+        assert len(calls) == passes
 
 
 def _edge_exponents(rng, shape, live_share):
@@ -175,18 +209,13 @@ class TestSumExp:
 
     @pytest.mark.parametrize("beta", [1.0, 300.0, 1276.0, 5000.0])
     def test_participation_ratio_unchanged(self, beta):
-        # Against the two log-sum-exps with a dense exp, as participation_ratio
-        # formed them before the sparse path: 100%, 56%, 5% and 2% of the
-        # exponents at beta are live on this batch.
+        # Against sum e^2 / (sum e)^2 over a dense exp of the shifted
+        # exponents: 100%, 56%, 5% and 2% of them are live on this batch.
         x = sm.realization_batch(sm.build_iid(64, 1.0), 20_000, 7)
-
-        def dense_lse(b):
-            x_max = np.max(x, axis=-1, keepdims=True)
-            z = x - x_max
-            z *= b
-            return b * x_max[:, 0] + np.log(np.sum(np.exp(z), axis=-1))
-
-        expected = np.exp(dense_lse(2.0 * beta) - 2.0 * dense_lse(beta))
+        z = x - np.max(x, axis=-1, keepdims=True)
+        z *= beta
+        e = np.exp(z)
+        expected = np.sum(e * e, axis=-1) / np.sum(e, axis=-1) ** 2
         assert np.array_equal(sm.participation_ratio(x, beta), expected)
 
     @pytest.mark.parametrize("beta", [1.0, 300.0, 1276.0, 5000.0])
@@ -324,6 +353,15 @@ class TestParticipationRatio:
         direct = (sm.gibbs_measure(x, 1e4).weights ** 2).sum()
         assert abs(got - 1.0) < 1e-6
         assert got == pytest.approx(direct, rel=1e-12)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.3, 2.0, 40.0])
+    def test_log_partition_identity(self, beta):
+        # sum nu^2 = exp(Lambda(2 beta) - 2 Lambda(beta)); the subtraction
+        # loses about beta * max x ulps, so the tolerance is loose.
+        x = np.random.default_rng(16).standard_normal((200, 12))
+        want = np.exp(_lse(x, 2.0 * beta) - 2.0 * _lse(x, beta))
+        np.testing.assert_allclose(sm.participation_ratio(x, beta), want,
+                                   rtol=1e-12, atol=0.0)
 
     def test_range(self):
         for seed in range(4):

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import softmaxima as sm
-from softmaxima import quench
+from softmaxima import cli, quench
 from softmaxima.quench import BATCH_ELEMENT_CAP
 
 TWO_POINT_GIBBS_MEAN = {
@@ -210,7 +210,41 @@ class TestMcEstimate:
             sm.mc_estimate(iid2, sm.GIBBS_AVERAGE, -1.0, 100, seed=0)
 
 
+def _replica_case(m, seed, scalar):
+    """A A^T + 0.05 I, or v I, scaled to diameter <= 1, and a beta drawn
+    log-uniform in [0.1, 4].
+
+    Past beta * diameter of about 10 the 128-node oracle itself misses the
+    1e-6 tolerance (1.8e-3 at 10 on two i.i.d. points), so the scaling
+    keeps the cases inside what the quadrature resolves.
+    """
+    rng = np.random.default_rng(seed)
+    if scalar:
+        cov = rng.uniform(0.1, 1.0) * np.eye(m)
+    else:
+        a = rng.standard_normal((m, m))
+        cov = a @ a.T + 0.05 * np.eye(m)
+    v = np.diag(cov)
+    cov = cov * (rng.uniform(0.25, 1.0) / np.max(v[:, None] + v[None, :] - 2.0 * cov))
+    beta = math.exp(rng.uniform(math.log(0.1), math.log(4.0)))
+    return sm.build_from_covariance([str(i) for i in range(m)], cov), beta
+
+
 class TestReplicaEstimate:
+    # A three-point case costs seconds (128^3 nodes), so there are two.
+    @pytest.mark.parametrize("m, seed, scalar",
+                             [(2, s, False) for s in range(10)]
+                             + [(2, s, True) for s in range(4)]
+                             + [(3, 0, False), (3, 2, True)])
+    def test_identity_on_random_psd_ensembles(self, m, seed, scalar):
+        # E replica = E <X> under the oracle, for dense covariances and for
+        # scalar ones, whose replica value reads the participation ratio.
+        ens, beta = _replica_case(m, seed, scalar)
+        assert ens.is_iid == scalar
+        direct = sm.quadrature_oracle(ens, sm.GIBBS_AVERAGE, beta, 128)
+        replica = sm.quadrature_oracle(ens, sm.REPLICA_GIBBS, beta, 128)
+        assert abs(direct - replica) <= cli._REPLICA_ORACLE_TOL
+
     def test_zero_at_beta_zero(self, corr3):
         est = sm.mc_estimate(corr3, sm.REPLICA_GIBBS, 0.0, 2000, seed=11)
         assert est.mean == 0.0 and est.std_error == 0.0
