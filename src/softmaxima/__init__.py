@@ -25,7 +25,7 @@ from .gibbs import (EXPECTED_MAX, FREE_ENERGY, GIBBS_AVERAGE, KL_TO_UNIFORM,
 from .quench import (QuenchedEstimate, ThresholdResult,
                      UnboundedThresholdError, beta_star, clear_cache,
                      expected_max_estimate, mc_estimate, per_sample_values,
-                     quadrature_oracle, realization_batch,
+                     quadrature_oracle, quadrature_oracles, realization_batch,
                      standard_normal_batch)
 from .bounds import (BoundReport, SandwichDiagnostics, g_lower_iid,
                      g_lower_lowtemp, g_upper, g_upper_entropy_form,

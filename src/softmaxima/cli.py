@@ -354,9 +354,16 @@ def _run_rem_sweep(cfg: ExperimentConfig):
     return headers, rows, code, svg_path
 
 
-_CHECK_OBSERVABLES = ("gibbs_average", "free_energy", "participation_ratio",
-                      "kl_to_uniform", "renyi(0.5)")
+_CHECK_OBSERVABLES = tuple(gibbs.parse_observable(text) for text in (
+    "gibbs_average", "free_energy", "participation_ratio", "kl_to_uniform",
+    "renyi(0.5)"))
 _CHECK_BETAS = (0.25, 1.0, 4.0)
+# The quadrature values one fixture needs, all taken in one grid pass: each
+# observable at each beta, the replica statistic at each beta, and the max.
+_CHECK_PAIRS = (
+    tuple((obs, beta) for obs in _CHECK_OBSERVABLES for beta in _CHECK_BETAS)
+    + tuple((gibbs.REPLICA_GIBBS, beta) for beta in _CHECK_BETAS)
+    + ((gibbs.EXPECTED_MAX, 0.0),))
 # Tensor quadrature of the kinked max integrand converges slowly; give that
 # row a fixed allowance on top of the Monte Carlo band.
 _MAX_ORACLE_ALLOWANCE = 5e-3
@@ -379,28 +386,27 @@ def _run_oracle_check(cfg: ExperimentConfig):
     # Refuse a grid the largest fixture cannot take before any estimate.
     quench._oracle_rule(max(ens.size for _, ens in fixtures), nodes)
     for ens_name, ens in fixtures:
-        quadrature = {}
-        for obs_text in _CHECK_OBSERVABLES:
-            obs = gibbs.parse_observable(obs_text)
+        quadrature = dict(zip(_CHECK_PAIRS,
+                              quench.quadrature_oracles(ens, _CHECK_PAIRS, nodes)))
+        for obs in _CHECK_OBSERVABLES:
             for beta in _CHECK_BETAS:
                 est = quench.mc_estimate(ens, obs, beta, n, seed)
-                oracle = quench.quadrature_oracle(ens, obs, beta, nodes)
-                quadrature[obs.name, beta] = oracle
+                oracle = quadrature[obs, beta]
                 tol = quench.Z_MARGIN * est.std_error
                 ok = abs(est.mean - oracle) <= tol
                 failed |= not ok
                 rows.append(["mc_vs_quadrature", ens_name, obs.name, beta,
                              est.mean, oracle, tol, "pass" if ok else "fail"])
         for beta in _CHECK_BETAS:
-            direct = quadrature[gibbs.GIBBS_AVERAGE.name, beta]
-            replica = quench.quadrature_oracle(ens, gibbs.REPLICA_GIBBS, beta, nodes)
+            direct = quadrature[gibbs.GIBBS_AVERAGE, beta]
+            replica = quadrature[gibbs.REPLICA_GIBBS, beta]
             ok = abs(direct - replica) <= _REPLICA_ORACLE_TOL
             failed |= not ok
             rows.append(["replica_identity", ens_name, "gibbs_average", beta,
                          direct, replica, _REPLICA_ORACLE_TOL,
                          "pass" if ok else "fail"])
         est = quench.expected_max_estimate(ens, n, seed)
-        oracle = quench.quadrature_oracle(ens, gibbs.EXPECTED_MAX, 0.0, nodes)
+        oracle = quadrature[gibbs.EXPECTED_MAX, 0.0]
         tol = quench.Z_MARGIN * est.std_error + _MAX_ORACLE_ALLOWANCE
         ok = abs(est.mean - oracle) <= tol
         failed |= not ok

@@ -30,6 +30,12 @@ RENYI_KL_WINDOW = 1e-8
 # exp(z) is an exact 0 for every double z below about -745.13, so no exp is
 # taken of an exponent below this floor.
 _EXP_FLOOR = -746.0
+# Rows up to this wide take their max as np.maximum folded over the columns,
+# wider rows as np.max(axis=-1).  With numpy 2.4 on one thread, np.max on
+# 2e5 x 8 takes 15.9 ms against the fold's 4.8; from 9 columns np.max is
+# vectorised, about twice as fast, and a tie between 0.0 and -0.0 can come
+# out with the other sign than the fold's, so the fold stops at 8.
+_ROW_MAX_FOLD_WIDTH = 8
 
 
 def _check_beta(beta, positive=False):
@@ -49,6 +55,16 @@ def _scalar(out):
     return float(out) if np.ndim(out) == 0 else out
 
 
+def _row_max(x):
+    """np.max(x, axis=-1), bit for bit, by the faster form for the row width."""
+    if x.shape[-1] > _ROW_MAX_FOLD_WIDTH:
+        return np.max(x, axis=-1)
+    out = x[..., 0].copy()
+    for j in range(1, x.shape[-1]):
+        np.maximum(out, x[..., j], out=out)
+    return out[()]
+
+
 def _shifted(x, beta):
     """max x and the shifted exponents beta * (x - max x).
 
@@ -56,11 +72,11 @@ def _shifted(x, beta):
     shifted exponent that overflows is -inf, whose exp is an exact 0, so that
     overflow is not reported.
     """
-    x_max = np.max(x, axis=-1, keepdims=True)
+    x_max = _row_max(x)
     with np.errstate(over="ignore"):
-        z = x - x_max
+        z = x - x_max[..., None]
         z *= beta
-    return x_max[..., 0], z
+    return x_max, z
 
 
 def _exp(z, out=None):
@@ -338,7 +354,7 @@ _EVALUATORS = {
     "renyi_to_uniform": lambda obs, x, beta: renyi_to_uniform(x, beta, obs.alpha),
     "renyi_half": lambda obs, x, beta: renyi_half_via_participation(x, beta),
     "shannon_entropy": lambda obs, x, beta: shannon_entropy(gibbs_measure(x, beta)),
-    "expected_max": lambda obs, x, beta: _scalar(np.max(_check_x(x), axis=-1)),
+    "expected_max": lambda obs, x, beta: _scalar(_row_max(_check_x(x))),
     "replica_gibbs": _replica_gibbs_value,
     "rem_pressure": _rem_pressure_value,
 }

@@ -24,7 +24,10 @@ error.  Three contracts shape everything here:
   generic double sum; the two are equal coordinate-for-coordinate there.
 
 A tensor-product Gauss-Hermite oracle provides independent high-precision
-expectations for index sets of up to four points.
+expectations for index sets of up to four points.  quadrature_oracles takes
+many (observable, beta) pairs in one pass over the grid, and oracle-check
+integrates each fixture with one such call; quadrature_oracle is its
+one-pair case.
 
 SUDAKOV_C, the default Sudakov constant c, and Z_MARGIN, the standard errors
 that every statistical verdict and tolerance allows, are defined here once.
@@ -446,7 +449,7 @@ def mc_estimate(ens: IndexedEnsemble, obs: gibbs.Observable, beta,
 def expected_max_estimate(ens: IndexedEnsemble, n: int, seed: int) -> QuenchedEstimate:
     """Sample mean of max_t X_t (the zero-temperature softmax)."""
     x = realization_batch(ens, n, seed)
-    values = np.max(x, axis=-1)
+    values = gibbs._row_max(x)
     return _from_values(values, gibbs.EXPECTED_MAX, np.inf, n, seed)
 
 
@@ -612,9 +615,22 @@ def quadrature_oracle(ens: IndexedEnsemble, obs: gibbs.Observable, beta,
     Shares no randomness with the Monte Carlo path: the expectation over
     X = F g is integrated on a deterministic grid of nodes_per_dim^|T|
     points.  Only index sets of up to four points and grids of at most
-    ORACLE_MAX_NODES points are accepted.
+    ORACLE_MAX_NODES points are accepted.  The one-pair case of
+    quadrature_oracles, and equal to it bit for bit.
     """
-    beta = gibbs._check_beta(beta)
+    return quadrature_oracles(ens, [(obs, beta)], nodes_per_dim)[0]
+
+
+def quadrature_oracles(ens: IndexedEnsemble, pairs,
+                       nodes_per_dim: int = 64) -> list[float]:
+    """quadrature_oracle(ens, obs, beta, nodes_per_dim) for each (obs, beta).
+
+    One pass over the grid: each chunk of nodes and its realizations are
+    built once and every pair is evaluated on them.  Each pair keeps its own
+    sum over the chunks, in chunk order, so its value does not depend on the
+    other pairs.  Nothing of the grid outlives the call.
+    """
+    pairs = [(obs, gibbs._check_beta(beta)) for obs, beta in pairs]
     m = ens.size
     z, w = _oracle_rule(m, nodes_per_dim)
     k = z.size
@@ -624,13 +640,17 @@ def quadrature_oracle(ens: IndexedEnsemble, obs: gibbs.Observable, beta,
     chunk = min(total, 1 << 18)
     radix = k ** np.arange(m - 1, -1, -1, dtype=np.int64)
 
-    acc = 0.0
+    acc = [0.0] * len(pairs)
     for start in range(0, total, chunk):
         flat = np.arange(start, min(start + chunk, total), dtype=np.int64)
         idx = (flat[:, None] // radix[None, :]) % k
         g = points[idx]
         weight = np.prod(w[idx], axis=1)
+        del flat, idx  # only weight and x stay alive while the pairs run
         x = g @ factor.T
-        vals = evaluate_values(ens, obs, x, beta)
-        acc += float(np.dot(weight, vals))
-    return acc / np.pi ** (m / 2.0)
+        del g
+        x.setflags(write=False)  # shared by every pair
+        for i, (obs, beta) in enumerate(pairs):
+            acc[i] += float(np.dot(weight, evaluate_values(ens, obs, x, beta)))
+    scale = np.pi ** (m / 2.0)
+    return [a / scale for a in acc]

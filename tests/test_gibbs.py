@@ -154,6 +154,46 @@ class TestShiftedPasses:
         assert len(calls) == passes
 
 
+def _same_bits(a, b):
+    return (np.shape(a) == np.shape(b) and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+class TestRowMax:
+    """_row_max is np.max(x, axis=-1) bit for bit, by either form."""
+
+    # numpy vectorises its max from 9 columns on, where a fold can differ
+    # from it on signed zeros.
+    WIDTHS = sorted({1, 2, 3, 8, 9, 16, gibbs._ROW_MAX_FOLD_WIDTH,
+                     gibbs._ROW_MAX_FOLD_WIDTH + 1, 64})
+
+    @pytest.mark.parametrize("m", WIDTHS)
+    @pytest.mark.parametrize("lead", [(), (37,), (5, 7)])
+    def test_equals_np_max(self, m, lead):
+        rng = np.random.default_rng(m)
+        x = rng.standard_normal(lead + (m,))
+        # Ties: a repeated row maximum in every third row.
+        flat = x.reshape(-1, m)
+        flat[::3] = np.round(flat[::3])
+        got = gibbs._row_max(x)
+        assert type(got) is type(np.max(x, axis=-1))
+        assert _same_bits(got, np.max(x, axis=-1))
+
+    @pytest.mark.parametrize("m", WIDTHS)
+    def test_signed_zeros(self, m):
+        # Every mix of 0.0 and -0.0 up to 2^10 rows, a negative row beside
+        # them, and each as one 1-D row.
+        rows = min(1 << m, 1 << 10)
+        bits = (np.arange(rows)[:, None] >> np.arange(m)[None, :]) & 1
+        x = np.where(bits == 1, -0.0, 0.0)
+        x = np.vstack([x, -np.ones(m)])
+        assert _same_bits(gibbs._row_max(x), np.max(x, axis=-1))
+        assert _same_bits(gibbs._row_max(x.reshape(1, -1, m)),
+                          np.max(x.reshape(1, -1, m), axis=-1))
+        for row in x[:64]:
+            assert _same_bits(gibbs._row_max(row), np.max(row))
+
+
 def _edge_exponents(rng, shape, live_share):
     """Exponents with about live_share of them at or above the floor.
 

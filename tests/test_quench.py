@@ -545,3 +545,39 @@ class TestQuadratureOracle:
         a = sm.quadrature_oracle(corr3, sm.KL_TO_UNIFORM, 2.0, nodes_per_dim=64)
         b = sm.quadrature_oracle(corr3, sm.KL_TO_UNIFORM, 2.0, nodes_per_dim=64)
         assert a == b
+
+
+class TestFusedOracle:
+    """quadrature_oracles is one quadrature_oracle call per pair, bit for bit."""
+
+    @pytest.mark.parametrize("name", ["iid2", "corr3"])
+    def test_equals_one_call_per_pair(self, name):
+        # iid2 fits one 2^18-node chunk; corr3 at 128 nodes spans 8.
+        ens = dict(cli._check_fixtures())[name]
+        pairs = cli._CHECK_PAIRS
+        assert len(pairs) == 19
+        fused = sm.quadrature_oracles(ens, pairs, 128)
+        assert fused == [sm.quadrature_oracle(ens, obs, beta, 128)
+                         for obs, beta in pairs]
+        assert all(type(v) is float for v in fused)
+
+    def test_order_and_repeats(self, corr3):
+        pairs = [(sm.KL_TO_UNIFORM, 2.0), (sm.REPLICA_GIBBS, 1.0),
+                 (sm.KL_TO_UNIFORM, 2.0)]
+        a, b, c = sm.quadrature_oracles(corr3, pairs, 64)
+        assert a == c == sm.quadrature_oracle(corr3, sm.KL_TO_UNIFORM, 2.0, 64)
+        assert b == sm.quadrature_oracle(corr3, sm.REPLICA_GIBBS, 1.0, 64)
+        assert sm.quadrature_oracles(corr3, [], 64) == []
+
+    @pytest.mark.parametrize("beta, nodes, code", [
+        (-1.0, 64, "invalid-parameter"), (math.inf, 64, "invalid-parameter"),
+        (1.0, 16, "invalid-parameter"), (1.0, 4097, "oracle-scale"),
+        (1.0, 400, "oracle-scale")])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # from hermgauss
+    def test_refuses_as_one_call(self, iid2, beta, nodes, code):
+        with pytest.raises(ValueError, match=code) as single:
+            sm.quadrature_oracle(iid2, sm.GIBBS_AVERAGE, beta, nodes)
+        pairs = [(sm.FREE_ENERGY, 1.0), (sm.GIBBS_AVERAGE, beta)]
+        with pytest.raises(ValueError, match=code) as fused:
+            sm.quadrature_oracles(iid2, pairs, nodes)
+        assert str(fused.value) == str(single.value)
