@@ -27,10 +27,8 @@ from .quench import (QuenchedEstimate, ThresholdResult,
                      expected_max_estimate, mc_estimate, per_sample_values,
                      quadrature_oracle, quadrature_oracles, realization_batch,
                      standard_normal_batch)
-from .bounds import (BoundReport, SandwichDiagnostics, g_lower_iid,
-                     g_lower_lowtemp, g_upper, g_upper_entropy_form,
-                     max_bounds, phi_lower_iid, phi_upper, sandwich_suite,
-                     soft_super_sudakov)
+from .bounds import (BoundReport, SandwichDiagnostics, divergence_bounds,
+                     max_bounds, sandwich_suite, soft_super_sudakov)
 from .rem import (PressureCurve, PressureRow, RemModel, limit_pressure,
                   pressure_sweep, q_lower, q_upper, q_upper_cap, q_upper_min,
                   rem_model)

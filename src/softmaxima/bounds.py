@@ -9,9 +9,10 @@ the slack is more than quench.Z_MARGIN standard errors on the wrong side.
 Sides known exactly (zero standard error) are compared at an absolute
 tolerance of SLACK_TOL instead.
 
-The lower bounds that use the participation threshold read the Sudakov
-constant c from it; phi_lower_iid and max_bounds take c, by default
-quench.SUDAKOV_C.
+divergence_bounds renders the six claims that rest on a divergence to the
+uniform measure at one beta, from one estimate each of the five quenched
+means they share, and reads the Sudakov constant c from the participation
+threshold; max_bounds takes c, by default quench.SUDAKOV_C.
 
 Right-hand sides of the form k * sqrt(estimate) get delta-method errors
 k * se / (2 sqrt(mean)); when the estimate under the root is within 4 standard
@@ -102,89 +103,67 @@ def _est(e: QuenchedEstimate) -> tuple[float, float]:
     return (e.mean, e.std_error)
 
 
-def _divergence_claim(name, ens, beta, n, seed, obs, div_obs, coef,
-                      direction, flags=(), extra=None) -> BoundReport:
-    """obs against coef * sqrt(E div_obs), both sides on the common batch."""
-    lhs = mc_estimate(ens, obs, beta, n, seed)
-    div = mc_estimate(ens, div_obs, beta, n, seed)
-    rhs, guard = _sqrt_side(coef, div.mean, div.std_error)
-    return _assemble(name, beta, _est(lhs), rhs, direction,
-                     flags=[*flags, "delta-guard"] if guard else flags,
-                     extra={**(extra or {}), "divergence": _est(div)})
+def _root_claim(name, beta, lhs, inner, coef, direction, flags=(),
+                extra=None) -> BoundReport:
+    """lhs against coef * sqrt(inner), both (mean, se) on the common batch."""
+    rhs, guard = _sqrt_side(coef, *inner)
+    return _assemble(name, beta, lhs, rhs, direction,
+                     flags=(*flags, "delta-guard") if guard else flags,
+                     extra=extra)
 
 
-def g_upper(ens: IndexedEnsemble, beta, n: int, seed: int) -> BoundReport:
-    """Tilted mean against sqrt(2 sigma^2 E KL(nu_beta || uniform)), claim <=."""
-    return _divergence_claim("g_upper", ens, beta, n, seed, gibbs.GIBBS_AVERAGE,
-                             gibbs.KL_TO_UNIFORM, math.sqrt(2.0) * ens.sigma_max,
-                             "le")
+def divergence_bounds(ens: IndexedEnsemble, beta, threshold: ThresholdResult,
+                      n: int, seed: int) -> tuple[BoundReport, ...]:
+    """The divergence claims at one beta, from one estimate per observable.
 
+    With sigma = ens.sigma_max, a = ens.min_separation, c = threshold.c and
+    KL, D_half the divergences of nu_beta to uniform:
 
-def g_upper_entropy_form(ens: IndexedEnsemble, beta, n: int,
-                         seed: int) -> BoundReport:
-    """Same claim with the divergence written as log m minus quenched entropy.
+        g_upper               <X>_beta <= sqrt(2) sigma sqrt(E KL)
+        g_upper_entropy_form  the same, with E KL as log m - E H(nu_beta)
+        g_lower_lowtemp       <X>_beta >= c a sqrt(E KL), above beta_star
+        phi_upper             free energy <= sqrt(2) sigma sqrt(E D_half)
+        g_lower_iid           <X>_beta >= kappa sigma sqrt(E KL)
+        phi_lower_iid         free energy >= (c sigma / 2) sqrt(E D_half)
 
-    Identical to g_upper's rhs within 1e-10 under common random numbers; the
-    entropy route never touches the log-partition, so the agreement is a live
-    cross-check rather than a tautology.
-    """
-    lhs = mc_estimate(ens, gibbs.GIBBS_AVERAGE, beta, n, seed)
-    ent = mc_estimate(ens, gibbs.SHANNON_ENTROPY, beta, n, seed)
-    inner = math.log(ens.size) - ent.mean
-    coef = math.sqrt(2.0) * ens.sigma_max
-    rhs, guard = _sqrt_side(coef, inner, ent.std_error)
-    return _assemble("g_upper_entropy_form", beta, _est(lhs), rhs, "le",
-                     flags=("delta-guard",) if guard else (),
-                     extra={"entropy": _est(ent)})
-
-
-def g_lower_lowtemp(ens: IndexedEnsemble, beta, threshold: ThresholdResult,
-                    n: int, seed: int) -> BoundReport:
-    """Tilted mean against c a sqrt(E KL), claim >=, valid above beta_star.
-
-    c is the constant the threshold was computed with.
+    in that order; the last two only for scalar covariances.  kappa is
+    c / sqrt(2) below beta_star and c at or above it.  Below beta_star
+    g_lower_lowtemp is flagged out-of-regime.  The entropy form reads its own
+    entropy estimate, which never touches the log-partition, so its
+    agreement with g_upper (within 1e-10 under common random numbers) is a
+    live cross-check rather than a tautology.
     """
     _check_threshold(threshold, ens)
-    flags = ("out-of-regime",) if beta < threshold.beta_star else ()
-    return _divergence_claim("g_lower_lowtemp", ens, beta, n, seed,
-                             gibbs.GIBBS_AVERAGE, gibbs.KL_TO_UNIFORM,
-                             threshold.c * ens.min_separation, "ge",
-                             flags=flags, extra={"beta_star": threshold.beta_star})
-
-
-def g_lower_iid(ens: IndexedEnsemble, beta, threshold: ThresholdResult,
-                n: int, seed: int) -> BoundReport:
-    """Tilted mean against kappa sigma sqrt(E KL) for scalar covariances.
-
-    kappa follows the proof, with c the threshold's constant: c / sqrt(2)
-    below the participation threshold of this ensemble, c at or above it.
-    """
-    _require_iid(ens, "g_lower_iid")
-    _check_threshold(threshold, ens)
-    c = threshold.c
-    kappa = c / math.sqrt(2.0) if beta < threshold.beta_star else c
-    return _divergence_claim("g_lower_iid", ens, beta, n, seed,
-                             gibbs.GIBBS_AVERAGE, gibbs.KL_TO_UNIFORM,
-                             kappa * ens.sigma_max, "ge",
-                             extra={"kappa": kappa,
-                                    "beta_star": threshold.beta_star})
-
-
-def phi_upper(ens: IndexedEnsemble, beta, n: int, seed: int) -> BoundReport:
-    """Free energy against sqrt(2 sigma^2 E D_half), claim <=."""
-    return _divergence_claim("phi_upper", ens, beta, n, seed, gibbs.FREE_ENERGY,
-                             gibbs.RENYI_HALF, math.sqrt(2.0) * ens.sigma_max,
-                             "le")
-
-
-def phi_lower_iid(ens: IndexedEnsemble, beta, n: int, seed: int,
-                  c: float = SUDAKOV_C) -> BoundReport:
-    """Free energy against (c sigma / 2) sqrt(E D_half) for scalar covariances."""
-    _check_c(c)
-    _require_iid(ens, "phi_lower_iid")
-    return _divergence_claim("phi_lower_iid", ens, beta, n, seed,
-                             gibbs.FREE_ENERGY, gibbs.RENYI_HALF,
-                             c * ens.sigma_max / 2.0, "ge")
+    g, kl, ent, phi, half = (
+        _est(mc_estimate(ens, obs, beta, n, seed))
+        for obs in (gibbs.GIBBS_AVERAGE, gibbs.KL_TO_UNIFORM,
+                    gibbs.SHANNON_ENTROPY, gibbs.FREE_ENERGY, gibbs.RENYI_HALF))
+    c, bs = threshold.c, threshold.beta_star
+    below = beta < bs
+    upper_coef = math.sqrt(2.0) * ens.sigma_max
+    reports = [
+        _root_claim("g_upper", beta, g, kl, upper_coef, "le",
+                    extra={"divergence": kl}),
+        _root_claim("g_upper_entropy_form", beta, g,
+                    (math.log(ens.size) - ent[0], ent[1]), upper_coef, "le",
+                    extra={"entropy": ent}),
+        _root_claim("g_lower_lowtemp", beta, g, kl, c * ens.min_separation,
+                    "ge", flags=("out-of-regime",) if below else (),
+                    extra={"beta_star": bs, "divergence": kl}),
+        _root_claim("phi_upper", beta, phi, half, upper_coef, "le",
+                    extra={"divergence": half}),
+    ]
+    if ens.is_iid:
+        kappa = c / math.sqrt(2.0) if below else c
+        reports += [
+            _root_claim("g_lower_iid", beta, g, kl, kappa * ens.sigma_max, "ge",
+                        extra={"kappa": kappa, "beta_star": bs,
+                               "divergence": kl}),
+            _root_claim("phi_lower_iid", beta, phi, half,
+                        c * ens.sigma_max / 2.0, "ge",
+                        extra={"divergence": half}),
+        ]
+    return tuple(reports)
 
 
 def max_bounds(ens: IndexedEnsemble, n: int, seed: int,
@@ -257,13 +236,6 @@ def soft_super_sudakov(ens: IndexedEnsemble, beta, n: int, seed: int,
                      extra={"packing": tuple(packing), "scale": r,
                             "full_softmax": full,
                             "union_size": int(union.size)})
-
-
-def _require_iid(ens, name):
-    if not ens.is_iid:
-        raise ValueError(
-            f"regime: {name} needs a scalar covariance (independent "
-            "coordinates of equal variance)")
 
 
 # -- per-realization sandwiches -------------------------------------------------

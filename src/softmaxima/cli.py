@@ -305,13 +305,7 @@ def _run_bounds(cfg: ExperimentConfig):
 
     reports = []
     for beta in cfg.beta_grid:
-        reports.append(bounds_mod.g_upper(ens, beta, n, seed))
-        reports.append(bounds_mod.g_upper_entropy_form(ens, beta, n, seed))
-        reports.append(bounds_mod.g_lower_lowtemp(ens, beta, threshold, n, seed))
-        reports.append(bounds_mod.phi_upper(ens, beta, n, seed))
-        if ens.is_iid:
-            reports.append(bounds_mod.g_lower_iid(ens, beta, threshold, n, seed))
-            reports.append(bounds_mod.phi_lower_iid(ens, beta, n, seed, cfg.c))
+        reports.extend(bounds_mod.divergence_bounds(ens, beta, threshold, n, seed))
         if beta > 0:
             reports.append(bounds_mod.soft_super_sudakov(ens, beta, n, seed))
     reports.extend(bounds_mod.max_bounds(ens, n, seed, cfg.c))
@@ -451,3 +445,7 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

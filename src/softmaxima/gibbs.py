@@ -277,8 +277,11 @@ def renyi_to_uniform(x, beta, alpha) -> np.ndarray | float:
     """Renyi divergence D_alpha(nu_beta || uniform) for alpha > 0.
 
     D_alpha = log m + (Lambda(alpha beta) - alpha Lambda(beta)) / (alpha - 1),
-    nondecreasing in alpha.  Within RENYI_KL_WINDOW of alpha = 1 the KL limit
-    is returned instead of the unstable quotient.
+    nondecreasing in alpha.  Both log-partitions are taken on the one shift z
+    = beta (x - max x), as log m + (log s(alpha z) - alpha log s(z)) / (alpha
+    - 1) with s the row sum of exp, so the beta max x terms cancel in the
+    algebra rather than in floating point.  Within RENYI_KL_WINDOW of alpha =
+    1 the KL limit is returned instead of the unstable quotient.
     """
     beta = _check_beta(beta)
     if not np.isfinite(alpha) or alpha <= 0:
@@ -288,9 +291,17 @@ def renyi_to_uniform(x, beta, alpha) -> np.ndarray | float:
     if abs(alpha - 1.0) < RENYI_KL_WINDOW:
         return kl_to_uniform(x, beta)
     x = _check_x(x)
-    m = x.shape[-1]
-    return _scalar(np.log(m) + (_lse(x, alpha * beta) - alpha * _lse(x, beta))
-                   / (alpha - 1.0))
+    x_max, z = _shifted(x, beta)
+    # alpha z first, then z formed again in the same buffer as _shifted forms
+    # it, so only one batch-sized array is alive at a time.
+    with np.errstate(over="ignore"):
+        z *= alpha
+        log_s_alpha = np.log(np.sum(_exp(z, out=z), axis=-1))
+        np.subtract(x, x_max[..., None], out=z)
+        z *= beta
+    log_s = np.log(np.sum(_exp(z, out=z), axis=-1))
+    return _scalar(np.log(x.shape[-1])
+                   + (log_s_alpha - alpha * log_s) / (alpha - 1.0))
 
 
 def renyi_half_via_participation(x, beta) -> np.ndarray | float:

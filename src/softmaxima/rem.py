@@ -12,7 +12,7 @@ machinery from `quench`.  Nothing is memoized: the sweep forms each row's
 pressure and E KL(beta) from one (Lambda, tilted mean) pass per grid beta,
 and estimates its threshold and E KL(beta_star) once.  The lower curve
 takes its Sudakov constant from the threshold, and the sweep's verdicts
-and integral tolerance allow quench.Z_MARGIN standard errors.
+allow quench.Z_MARGIN standard errors.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .quench import (SUDAKOV_C, Z_MARGIN, QuenchedEstimate, ThresholdResult,
                      mc_estimate, realization_batch)
 
 MAX_SPINS = 16   # 2^16 states is the desk-scale ceiling
-TOL = 1e-12
 BETA_C = 2.0 * math.sqrt(math.log(2.0))  # critical beta of the limit pressure
 
 
@@ -156,9 +155,6 @@ class PressureRow:
     q_upper_cap: float
     limit: float
     sandwich_verdict: str         # holds | violated
-    integral_residual: float      # pressure difference minus integrated mean
-    integral_tolerance: float
-    integral_ok: bool
 
 
 @dataclass(frozen=True)
@@ -175,10 +171,7 @@ def pressure_sweep(model: RemModel, beta_grid, n: int, seed: int,
 
     Each row compares the pressure estimate against the lower curve (at the
     ensemble's own participation threshold) and the grid-minimized upper
-    curve, allowing Z_MARGIN standard errors.  The sweep also integrates the
-    estimated tilted mean with the trapezoid rule and checks it against the
-    pressure differences sample-by-sample: the fundamental-theorem identity
-    P_N(beta) - P_N(beta_0) = (1/N) integral of g_N, up to curvature error.
+    curve, allowing Z_MARGIN standard errors.
     """
     grid = [float(b) for b in np.atleast_1d(np.asarray(beta_grid, dtype=float))]
     if len(grid) == 0:
@@ -195,33 +188,11 @@ def pressure_sweep(model: RemModel, beta_grid, n: int, seed: int,
 
     x = realization_batch(ens, n, seed)
     lam, g_sample = map(np.stack, zip(*(gibbs._tilted_mean(x, b) for b in grid)))
-    p_sample = lam / model.n_spins
-    g_mean = g_sample.mean(axis=1)
-
-    # Trapezoid curvature allowance per step, from second differences of the
-    # estimated integrand: per-step error of the trapezoid rule is about
-    # h^3 g'' / 12 and g'' is close to (second difference) / h^2.
-    k_pts = len(grid)
-    step_err = np.zeros(max(k_pts - 1, 0))
-    if k_pts >= 3:
-        second = np.abs(np.diff(g_mean, 2))
-        for j in range(k_pts - 1):
-            near = second[max(min(j - 1, k_pts - 3), 0): min(j + 1, k_pts - 2)]
-            step_err[j] = (grid[j + 1] - grid[j]) * float(near.max()) / 12.0
 
     rows = []
-    cum_trap = np.zeros(p_sample.shape[1])
-    cum_err = 0.0
     for k, beta in enumerate(grid):
-        if k > 0:
-            h = grid[k] - grid[k - 1]
-            cum_trap = cum_trap + 0.5 * h * (g_sample[k - 1] + g_sample[k])
-            cum_err += step_err[k - 1]
-        resid = p_sample[k] - p_sample[0] - cum_trap / model.n_spins
-        resid_mean, resid_se = _mean_se(resid)
-        tol = cum_err / model.n_spins + Z_MARGIN * resid_se + TOL
-
-        p_hat = _from_values(p_sample[k], gibbs.REM_PRESSURE, beta, n, seed)
+        p_hat = _from_values(lam[k] / model.n_spins, gibbs.REM_PRESSURE, beta,
+                             n, seed)
         low = _lower_curve(model, beta, threshold.c, bs, div_star)
         kl = np.log(model.size) + beta * g_sample[k] - lam[k]  # KL(beta) per sample
         up = _upper_min(model, beta, grid + [model.beta_c], lambda: _mean_se(kl)[0])
@@ -232,7 +203,6 @@ def pressure_sweep(model: RemModel, beta_grid, n: int, seed: int,
         rows.append(PressureRow(
             beta=beta, p_hat=p_hat, q_lower=low, q_upper_min=up,
             q_upper_cap=q_upper_cap(model, beta), limit=limit_pressure(beta),
-            sandwich_verdict=verdict, integral_residual=resid_mean,
-            integral_tolerance=tol, integral_ok=abs(resid_mean) <= tol))
+            sandwich_verdict=verdict))
     return PressureCurve(n_spins=model.n_spins, threshold=threshold,
                          rows=tuple(rows))

@@ -153,20 +153,16 @@ def test_06_bound_suites_hold():
     assert quench.Z_MARGIN == 3.0
     reports = []
 
-    iid_suite = (bounds.g_upper, bounds.g_upper_entropy_form, bounds.phi_upper,
-                 bounds.phi_lower_iid)
     for m in (8, 16, 64):
         ens = sm.build_iid(m, 1.0)
         star = quench.beta_star(ens, quench.SUDAKOV_C, N_BIG, SEED)
         for beta in (0.1, 0.5, 1.0, 2.0, 4.0, 8.0, 32.0, 200.0):
-            for fn in iid_suite:
-                reports.append(fn(ens, beta, N_BIG, SEED))
-            reports.append(bounds.g_lower_iid(ens, beta, star, N_BIG, SEED))
+            reports.extend(bounds.divergence_bounds(ens, beta, star, N_BIG, SEED))
 
     ar8 = _ar8()
     threshold = quench.beta_star(ar8, quench.SUDAKOV_C, N_BIG, SEED)
     for mult in (1.0, 2.0, 8.0):
-        reports.append(bounds.g_lower_lowtemp(
+        reports.extend(bounds.divergence_bounds(
             ar8, mult * threshold.beta_star, threshold, N_BIG, SEED))
 
     tc = _two_cluster12()

@@ -54,66 +54,114 @@ class TestVerdictEngine:
         assert val == 0.0 and guard
 
 
+def _claim(ens, beta, n, seed, name, threshold=None):
+    """The named report of divergence_bounds; the threshold defaults to
+    beta_star on the same ensemble, n and seed."""
+    if threshold is None:
+        threshold = sm.beta_star(ens, 1 / 17, n, seed=seed)
+    reports = sm.divergence_bounds(ens, beta, threshold, n, seed)
+    return next(r for r in reports if r.name == name)
+
+
+class TestDivergenceBounds:
+    NAMES = ("g_upper", "g_upper_entropy_form", "g_lower_lowtemp", "phi_upper",
+             "g_lower_iid", "phi_lower_iid")
+
+    def test_row_order_and_iid_only_claims(self, iid8, ar8):
+        for ens, names in ((iid8, self.NAMES), (ar8, self.NAMES[:4])):
+            ts = sm.beta_star(ens, 1 / 17, 1000, seed=14)
+            reports = sm.divergence_bounds(ens, 1.0, ts, 1000, 14)
+            assert tuple(r.name for r in reports) == names
+
+    def test_one_estimate_per_observable(self, iid8, ar8, monkeypatch):
+        # Five quenched means carry the six claims: one mc_estimate each.
+        calls = []
+        real = sm.bounds.mc_estimate
+
+        def counted(ens, obs, beta, n, seed):
+            calls.append(obs.kind)
+            return real(ens, obs, beta, n, seed)
+
+        monkeypatch.setattr(sm.bounds, "mc_estimate", counted)
+        for ens in (iid8, ar8):
+            ts = sm.beta_star(ens, 1 / 17, 1000, seed=14)
+            for beta in (0.0, 1.0):
+                calls.clear()
+                sm.divergence_bounds(ens, beta, ts, 1000, 14)
+                assert len(calls) == 5
+                assert sorted(calls) == sorted(
+                    obs.kind for obs in (sm.GIBBS_AVERAGE, sm.KL_TO_UNIFORM,
+                                         sm.SHANNON_ENTROPY, sm.FREE_ENERGY,
+                                         sm.RENYI_HALF))
+
+
+    def test_phi_lower_iid_reads_c_from_threshold(self, iid8):
+        ts = sm.beta_star(iid8, 1 / 10, 2000, seed=32)
+        r = _claim(iid8, 1.0, 2000, 32, "phi_lower_iid", ts)
+        half = r.extra["divergence"][0]
+        assert r.rhs[0] == (1 / 10) * iid8.sigma_max / 2.0 * math.sqrt(half)
+
+
 class TestGUpper:
     def test_beta_zero(self, iid8):
-        r = sm.g_upper(iid8, 0.0, 5000, seed=0)
+        r = _claim(iid8, 0.0, 5000, 0, "g_upper")
         assert r.rhs == (0.0, 0.0)
         assert abs(r.lhs[0]) <= 3 * r.lhs[1]
         assert r.verdict == "holds"
 
     @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 8.0])
     def test_holds_iid(self, iid8, beta):
-        assert sm.g_upper(iid8, beta, 20_000, seed=1).verdict == "holds"
+        assert _claim(iid8, beta, 20_000, 1, "g_upper").verdict == "holds"
 
     def test_cold_limit_reaches_classical_form(self, iid8):
-        r = sm.g_upper(iid8, 200.0, 20_000, seed=2)
+        r = _claim(iid8, 200.0, 20_000, 2, "g_upper")
         assert r.rhs[0] == pytest.approx(math.sqrt(2 * math.log(8)), abs=0.02)
         assert r.verdict == "holds"
 
     def test_holds_correlated(self, ar8):
-        assert sm.g_upper(ar8, 1.0, 20_000, seed=3).verdict == "holds"
+        assert _claim(ar8, 1.0, 20_000, 3, "g_upper").verdict == "holds"
 
 
 class TestGUpperEntropyForm:
     def test_rhs_identical_to_kl_route(self, iid8, ar8):
         for ens in (iid8, ar8):
-            a = sm.g_upper(ens, 1.0, 10_000, seed=4)
-            b = sm.g_upper_entropy_form(ens, 1.0, 10_000, seed=4)
+            a = _claim(ens, 1.0, 10_000, 4, "g_upper")
+            b = _claim(ens, 1.0, 10_000, 4, "g_upper_entropy_form")
             assert abs(a.rhs[0] - b.rhs[0]) <= 1e-10
             assert a.verdict == b.verdict == "holds"
 
     def test_beta_zero_rhs_zero(self, iid8):
-        r = sm.g_upper_entropy_form(iid8, 0.0, 2000, seed=5)
+        r = _claim(iid8, 0.0, 2000, 5, "g_upper_entropy_form")
         assert r.rhs[0] == 0.0
 
     def test_cold_entropy_empties(self):
         ens = sm.build_iid(16, 1.0)
-        r = sm.g_upper_entropy_form(ens, 200.0, 20_000, seed=6)
+        r = _claim(ens, 200.0, 20_000, 6, "g_upper_entropy_form")
         assert r.rhs[0] == pytest.approx(math.sqrt(2 * math.log(16)), abs=0.01)
 
 
 class TestGLowerLowtemp:
     def test_holds_at_twice_threshold(self, iid8):
         ts = sm.beta_star(iid8, 1 / 17, 20_000, seed=7)
-        r = sm.g_lower_lowtemp(iid8, 2 * ts.beta_star, ts, 20_000, seed=7)
+        r = _claim(iid8, 2 * ts.beta_star, 20_000, 7, "g_lower_lowtemp", ts)
         assert r.verdict == "holds" and not r.flags
 
     def test_below_threshold_flagged(self, iid8):
         ts = sm.beta_star(iid8, 1 / 17, 10_000, seed=8)
-        r = sm.g_lower_lowtemp(iid8, 0.9 * ts.beta_star, ts, 10_000, seed=8)
+        r = _claim(iid8, 0.9 * ts.beta_star, 10_000, 8, "g_lower_lowtemp", ts)
         assert "out-of-regime" in r.flags and r.verdict == "inconclusive"
 
     def test_cold_limit_sudakov_form(self, iid8):
         ts = sm.beta_star(iid8, 1 / 17, 20_000, seed=9)
         beta = max(200.0, 2 * ts.beta_star)
-        r = sm.g_lower_lowtemp(iid8, beta, ts, 20_000, seed=9)
+        r = _claim(iid8, beta, 20_000, 9, "g_lower_lowtemp", ts)
         want = (1 / 17) * math.sqrt(2) * math.sqrt(math.log(8))
         assert r.rhs[0] == pytest.approx(want, rel=0.02)
 
     def test_foreign_threshold_rejected(self, iid8, ar8):
         ts = sm.beta_star(ar8, 1 / 17, 5000, seed=10)
         with pytest.raises(ValueError, match="invalid-input"):
-            sm.g_lower_lowtemp(iid8, 100.0, ts, 5000, seed=10)
+            sm.divergence_bounds(iid8, 100.0, ts, 5000, seed=10)
 
 
 class TestGLowerIid:
@@ -121,56 +169,57 @@ class TestGLowerIid:
     def test_holds(self, beta):
         ens = sm.build_iid(16, 1.0)
         ts = sm.beta_star(ens, 1 / 17, 20_000, seed=11)
-        r = sm.g_lower_iid(ens, beta, ts, 20_000, seed=11)
+        r = _claim(ens, beta, 20_000, 11, "g_lower_iid", ts)
         assert r.verdict == "holds"
         assert r.extra["kappa"] == pytest.approx((1 / 17) / math.sqrt(2))
 
     def test_beta_zero_both_sides_zero(self, iid8):
         ts = sm.beta_star(iid8, 1 / 17, 2000, seed=12)
-        r = sm.g_lower_iid(iid8, 0.0, ts, 2000, seed=12)
+        r = _claim(iid8, 0.0, 2000, 12, "g_lower_iid", ts)
         assert r.rhs == (0.0, 0.0)
         assert r.verdict == "holds"
 
     def test_constant_switches_above_threshold(self, iid8):
         # kappa jumps from c/sqrt(2) to c once beta clears the threshold
         ts = sm.beta_star(iid8, 1 / 17, 20_000, seed=13)
-        r = sm.g_lower_iid(iid8, 2 * ts.beta_star, ts, 20_000, seed=13)
+        r = _claim(iid8, 2 * ts.beta_star, 20_000, 13, "g_lower_iid", ts)
         assert r.extra["kappa"] == pytest.approx(1 / 17)
         assert r.extra["beta_star"] == ts.beta_star
         assert r.verdict == "holds"
 
-    def test_correlated_rejected(self, ar8):
+    def test_absent_on_correlated(self, ar8):
         ts = sm.beta_star(ar8, 1 / 17, 1000, seed=14)
-        with pytest.raises(ValueError, match="regime"):
-            sm.g_lower_iid(ar8, 1.0, ts, 1000, seed=14)
+        names = [r.name for r in sm.divergence_bounds(ar8, 1.0, ts, 1000, 14)]
+        assert "g_lower_iid" not in names
 
 
 class TestPhiBounds:
     def test_phi_upper_beta_zero(self, iid8):
-        r = sm.phi_upper(iid8, 0.0, 2000, seed=15)
+        r = _claim(iid8, 0.0, 2000, 15, "phi_upper")
         assert r.lhs == (0.0, 0.0) and r.rhs == (0.0, 0.0)
         assert r.verdict == "holds"
 
     @pytest.mark.parametrize("beta", [0.5, 2.0, 8.0])
     def test_phi_upper_holds(self, iid8, beta):
-        assert sm.phi_upper(iid8, beta, 20_000, seed=16).verdict == "holds"
+        assert _claim(iid8, beta, 20_000, 16, "phi_upper").verdict == "holds"
 
     def test_phi_upper_correlated(self, ar8):
-        assert sm.phi_upper(ar8, 2.0, 20_000, seed=17).verdict == "holds"
+        assert _claim(ar8, 2.0, 20_000, 17, "phi_upper").verdict == "holds"
 
     @pytest.mark.parametrize("beta", [0.5, 2.0, 8.0])
     def test_phi_lower_iid_holds(self, beta):
         ens = sm.build_iid(16, 1.0)
-        r = sm.phi_lower_iid(ens, beta, 20_000, seed=18)
+        r = _claim(ens, beta, 20_000, 18, "phi_lower_iid")
         assert r.verdict == "holds"
 
     def test_phi_lower_beta_zero(self, iid8):
-        r = sm.phi_lower_iid(iid8, 0.0, 2000, seed=19)
+        r = _claim(iid8, 0.0, 2000, 19, "phi_lower_iid")
         assert r.verdict == "holds" and r.rhs == (0.0, 0.0)
 
-    def test_phi_lower_correlated_rejected(self, ar8):
-        with pytest.raises(ValueError, match="regime"):
-            sm.phi_lower_iid(ar8, 1.0, 1000, seed=20)
+    def test_phi_lower_absent_on_correlated(self, ar8):
+        ts = sm.beta_star(ar8, 1 / 17, 1000, seed=20)
+        names = [r.name for r in sm.divergence_bounds(ar8, 1.0, ts, 1000, 20)]
+        assert "phi_lower_iid" not in names
 
 
 class TestMaxBounds:
@@ -257,7 +306,7 @@ class TestSePropagation:
         # rhs of g_upper is sqrt(2 sigma^2 * mean(KL)); bootstrap the same
         # functional over per-sample KL values and compare se within 2x.
         n = 20_000
-        r = sm.g_upper(iid8, 1.0, n, seed=29)
+        r = _claim(iid8, 1.0, n, 29, "g_upper")
         vals = sm.per_sample_values(iid8, sm.KL_TO_UNIFORM, 1.0, n, seed=29)
         rng = np.random.default_rng(0)
         coef = math.sqrt(2.0) * iid8.sigma_max
@@ -268,7 +317,7 @@ class TestSePropagation:
 
     def test_delta_method_matches_bootstrap_renyi(self, ar8):
         n = 20_000
-        r = sm.phi_upper(ar8, 2.0, n, seed=30)
+        r = _claim(ar8, 2.0, n, 30, "phi_upper")
         vals = sm.per_sample_values(ar8, sm.RENYI_HALF, 2.0, n, seed=30)
         rng = np.random.default_rng(1)
         coef = math.sqrt(2.0) * ar8.sigma_max
@@ -282,12 +331,15 @@ class TestSeedRobustness:
     @pytest.mark.parametrize("seed", [101, 202, 303])
     def test_proved_inequalities_never_violated(self, iid8, ar8, seed):
         ts = sm.beta_star(iid8, 1 / 17, 10_000, seed=seed)
+        ts_ar8 = sm.beta_star(ar8, 1 / 17, 10_000, seed=seed)
         for beta in (0.1, 1.0, 8.0):
-            assert sm.g_upper(iid8, beta, 10_000, seed=seed).verdict != "violated"
-            assert sm.phi_upper(ar8, beta, 10_000, seed=seed).verdict != "violated"
-            assert sm.g_lower_iid(iid8, beta, ts, 10_000,
-                                  seed=seed).verdict != "violated"
-        r = sm.g_lower_lowtemp(iid8, 2 * ts.beta_star, ts, 10_000, seed=seed)
+            assert _claim(iid8, beta, 10_000, seed, "g_upper",
+                          ts).verdict != "violated"
+            assert _claim(ar8, beta, 10_000, seed, "phi_upper",
+                          ts_ar8).verdict != "violated"
+            assert _claim(iid8, beta, 10_000, seed, "g_lower_iid",
+                          ts).verdict != "violated"
+        r = _claim(iid8, 2 * ts.beta_star, 10_000, seed, "g_lower_lowtemp", ts)
         assert r.verdict != "violated"
 
 
@@ -296,8 +348,8 @@ def test_threshold_must_match_ensemble_and_c(bound):
     model = sm.rem_model(3)
     ens = model.ensemble
     call = {
-        "g_lower_lowtemp": lambda thr: sm.g_lower_lowtemp(ens, 1.0, thr, 400, 40),
-        "g_lower_iid": lambda thr: sm.g_lower_iid(ens, 1.0, thr, 400, 40),
+        "g_lower_lowtemp": lambda thr: _claim(ens, 1.0, 400, 40, bound, thr),
+        "g_lower_iid": lambda thr: _claim(ens, 1.0, 400, 40, bound, thr),
         "q_lower": lambda thr: sm.q_lower(model, 1.0, thr, 400, 40),
     }[bound]
     own = sm.beta_star(ens, 1 / 17, 400, seed=40)
@@ -323,7 +375,7 @@ def test_threshold_must_match_ensemble_and_c(bound):
 
 def test_invalid_c(iid8):
     with pytest.raises(ValueError, match="invalid-parameter: c must lie"):
-        sm.phi_lower_iid(iid8, 1.0, 1000, seed=31, c=1.5)
+        sm.beta_star(iid8, 1.5, 1000, seed=31)
     with pytest.raises(ValueError, match="invalid-parameter: c must lie"):
         sm.max_bounds(iid8, 1000, seed=31, c=1.5)
 

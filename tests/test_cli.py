@@ -4,6 +4,8 @@ import ast
 import csv
 import json
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -476,6 +478,32 @@ class TestBenchmarkReference:
                 else:
                     assert abs(a_num - r_num) <= (
                         rtol * max(abs(a_num), abs(r_num)) + atol), (col, row, ref)
+
+
+class TestModuleEntry:
+    """`python -m softmaxima` runs the CLI in a fresh interpreter."""
+
+    @staticmethod
+    def _module(*argv):
+        src = str(Path(sm.__file__).resolve().parents[1])
+        return subprocess.run([sys.executable, "-m", "softmaxima", *argv],
+                              cwd=src, capture_output=True, text=True)
+
+    def test_writes_csv(self, tmp_path):
+        out = tmp_path / "m"
+        proc = self._module("estimate", "--ensemble", IID2, "--n", "100",
+                            "--seed", "3", "--out", str(out))
+        assert proc.returncode == EXIT_OK, proc.stderr
+        lines = out.with_suffix(".csv").read_text().splitlines()
+        assert len(lines) == 3 and lines[1].startswith("observable,")
+
+    def test_bad_config_is_one_error_line(self, tmp_path):
+        proc = self._module("estimate", "--ensemble", IID2, "--n", "1",
+                            "--out", str(tmp_path / "m"))
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr.startswith("error:")
+        assert "\n" not in proc.stderr.strip()
+        assert not (tmp_path / "m.csv").exists()
 
 
 class TestDeterminism:

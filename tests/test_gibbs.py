@@ -493,6 +493,27 @@ class TestDivergences:
         with pytest.raises(ValueError, match="invalid-parameter"):
             sm.renyi_to_uniform(X_HAND, 1.0, -2.0)
 
+    def test_renyi_extreme_beta_on_one_shift(self):
+        # Both sums come from the one shift at beta, so alpha beta is never
+        # formed and the beta max x terms never meet as inf - inf.
+        x = np.array([[0.5, -1.0, 2.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for alpha in (0.5, 2.0):
+                assert np.array_equal(sm.renyi_to_uniform(x, 1e308, alpha),
+                                      [np.log(3.0)])
+
+    def test_renyi_cold_limit_exact(self):
+        # Far past every gap the weights are a point mass and D_alpha is log m
+        # exactly; the per-sample error was up to 1.0 before the one shift.
+        x = sm.realization_batch(sm.build_iid(8, 1.0), 1000, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for beta in (1e10, 1e15):
+                for alpha in (0.7, 3.0):
+                    got = sm.renyi_to_uniform(x, beta, alpha)
+                    assert np.array_equal(got, np.full(1000, np.log(8.0)))
+
     def test_half_route_zero_at_beta_zero(self):
         assert sm.renyi_half_via_participation(random_x(5, 14), 0.0) == pytest.approx(0.0, abs=1e-14)
 

@@ -1,4 +1,4 @@
-"""Binary-cube ensemble, pressure estimates, sandwich curves, integral check."""
+"""Binary-cube ensemble, pressure estimates and sandwich curves."""
 
 import math
 
@@ -177,15 +177,13 @@ class TestPressureSweep:
         betas = [r.beta for r in curve.rows]
         assert betas == sorted(betas)
 
-    def test_sandwich_and_integral(self):
+    def test_sandwich_holds(self):
         model = sm.rem_model(6)
         curve = sm.pressure_sweep(model, np.arange(0.0, 4.01, 0.5), 500, seed=42)
         for row in curve.rows:
             assert row.q_lower <= row.p_hat.mean + 3 * row.p_hat.std_error
             assert row.p_hat.mean <= row.q_upper_min + 3 * row.p_hat.std_error
             assert row.sandwich_verdict == "holds"
-            assert row.integral_ok
-            assert abs(row.integral_residual) <= max(row.integral_tolerance, 0.01)
 
     def test_unsorted_grid_rejected(self):
         model = sm.rem_model(4)
