@@ -6,8 +6,10 @@ Given a vector x in R^m and inverse temperature beta >= 0, the Gibbs measure
 
 interpolates between the uniform measure (beta = 0) and the point mass at the
 argmax (beta -> infinity).  Everything here is a deterministic function of
-(x, beta) routed through one max-shifted primitive, taken once per beta a
-kernel needs, so nothing overflows even when beta * max|x| reaches 1e6.
+(x, beta) routed through one max-shifted primitive, so nothing overflows
+even when beta * max|x| reaches 1e6.  One pass (_observe) forms the shift,
+its exp and the exp's row sum once per (batch, beta) and takes from them every
+value a caller wants at that beta; each kernel below is its one-value case.
 Every exp of log-weights skips the exponents below -746, whose exp is an
 exact 0, when those are most of them; the result is the same bit for bit.
 
@@ -36,6 +38,12 @@ _EXP_FLOOR = -746.0
 # vectorised, about twice as fast, and a tie between 0.0 and -0.0 can come
 # out with the other sign than the fold's, so the fold stops at 8.
 _ROW_MAX_FOLD_WIDTH = 8
+# Rows up to this wide take their sum as np.add folded over the columns,
+# wider rows as np.sum(axis=-1).  Below 8 columns numpy adds a row to 0.0
+# left to right, as the fold does, and on 2^18 x 3 np.sum takes 6.0 ms
+# against the fold's 1.1; from 8 columns its pairwise sum adds in another
+# order.
+_ROW_SUM_FOLD_WIDTH = 7
 
 
 def _check_beta(beta, positive=False):
@@ -55,14 +63,30 @@ def _scalar(out):
     return float(out) if np.ndim(out) == 0 else out
 
 
+def _fold(ufunc, x, start):
+    """ufunc folded over the columns of x, left to right, from start."""
+    out = ufunc(start, x[..., 0], out=np.empty(x.shape[:-1]))
+    for j in range(1, x.shape[-1]):
+        ufunc(out, x[..., j], out=out)
+    return out[()]
+
+
 def _row_max(x):
     """np.max(x, axis=-1), bit for bit, by the faster form for the row width."""
     if x.shape[-1] > _ROW_MAX_FOLD_WIDTH:
         return np.max(x, axis=-1)
-    out = x[..., 0].copy()
-    for j in range(1, x.shape[-1]):
-        np.maximum(out, x[..., j], out=out)
-    return out[()]
+    return _fold(np.maximum, x, -np.inf)
+
+
+def _row_sum(x):
+    """np.sum(x, axis=-1), bit for bit, by the faster form for the row width.
+
+    numpy adds each row to 0.0, so a row of -0.0 sums to 0.0; the fold
+    starts from 0.0 too.
+    """
+    if x.shape[-1] > _ROW_SUM_FOLD_WIDTH:
+        return np.sum(x, axis=-1)
+    return _fold(np.add, x, 0.0)
 
 
 def _shifted(x, beta):
@@ -98,19 +122,139 @@ def _exp(z, out=None):
     return e
 
 
+# Keys of the values _observe takes: (kind, alpha) of an observable (see
+# _pass_key), or one of these two for Lambda(beta) and the log-weights.
+_LOG_PARTITION = ("log_partition", None)
+_LOG_WEIGHTS = ("log_weights", None)
+# The observable kinds whose values _observe takes from its one pass.
+_PASS_KINDS = frozenset({"gibbs_average", "free_energy", "participation_ratio",
+                         "kl_to_uniform", "renyi_to_uniform", "replica_gibbs"})
+
+
+def _pass_key(obs):
+    """obs's key in _observe, or None for a kind the pass does not take."""
+    if obs.kind not in _PASS_KINDS:
+        return None
+    if obs.kind == "renyi_to_uniform":
+        if abs(obs.alpha - 1.0) < RENYI_KL_WINDOW:
+            return ("kl_to_uniform", None)
+        return (obs.kind, float(obs.alpha))
+    return (obs.kind, None)
+
+
+def _observe(x, beta, keys, ens=None):
+    """Yield (i, value of keys[i]) on the batch x at beta from one shifted pass.
+
+    x and beta are checked by the caller; ens, read for replica_gibbs only,
+    gives the geometry.  The shift z = beta (x - max x), its exp e and the
+    row sum s of e are formed once, and each value from them by its kernel's
+    own formula in its own order, so the values do not depend on which
+    others are taken.  Each is yielded as soon as it is formed, so a caller
+    can reduce it before the next is formed.  At most two batch-sized arrays
+    are alive at a time, and one when neither Gibbs weights nor log-weights
+    are wanted.
+    """
+    def emit(key, values):
+        return ((i, values) for i, k in enumerate(keys) if k == key)
+
+    kinds = {kind for kind, _ in keys}
+    if beta == 0.0:
+        # The free energy's 1/beta and the replica statistic's beta factor
+        # are taken at their limits.
+        for kind in ("free_energy", "replica_gibbs"):
+            if kind in kinds:
+                kinds.remove(kind)
+                yield from emit((kind, None), np.zeros(x.shape[:-1]))
+    if not kinds:
+        return
+    iid_replica = "replica_gibbs" in kinds and ens.is_iid
+    want_pr = "participation_ratio" in kinds or iid_replica
+    want_w = (bool(kinds & {"gibbs_average", "kl_to_uniform"})
+              or ("replica_gibbs" in kinds and not iid_replica))
+    keep_z = want_w or "log_weights" in kinds
+    log_m = np.log(x.shape[-1])
+    x_max, z = _shifted(x, beta)
+    # log s(alpha z) for each Renyi order, forming z again after each in the
+    # same buffer as _shifted forms it, so z needs no second array.
+    log_s_alpha = {}
+    for kind, alpha in keys:
+        if kind == "renyi_to_uniform" and alpha not in log_s_alpha:
+            with np.errstate(over="ignore"):
+                z *= alpha
+                log_s_alpha[alpha] = np.log(_row_sum(_exp(z, out=z)))
+                np.subtract(x, x_max[..., None], out=z)
+                z *= beta
+    # Every array is dropped once nothing reads it any more, so beside z and
+    # e only a few row vectors are alive.
+    e = _exp(z, out=None if keep_z else z)
+    if not keep_z:
+        z = None  # e is z's buffer now
+    s = _row_sum(e)
+    if want_pr:
+        e *= e
+        pr = _row_sum(e)
+        pr /= s * s
+    del e
+    log_s = np.log(s)
+    del s
+    if want_pr:
+        yield from emit(("participation_ratio", None), pr)
+        if iid_replica:
+            # Scalar covariance: the double sum collapses exactly.
+            yield from emit(("replica_gibbs", None),
+                            beta * ens.iid_variance * (1.0 - pr))
+        del pr
+    for alpha in list(log_s_alpha):
+        yield from emit(("renyi_to_uniform", alpha), log_m + (
+            log_s_alpha.pop(alpha) - alpha * log_s) / (alpha - 1.0))
+    if kinds & {"log_partition", "free_energy", "kl_to_uniform"}:
+        # Beside the Gibbs weights Lambda may overflow to inf silently, while
+        # <X>_beta stays exact.
+        with np.errstate(over="ignore" if want_w else None):
+            log_z = beta * x_max + log_s
+        yield from emit(_LOG_PARTITION, log_z)
+        if "free_energy" in kinds:
+            yield from emit(("free_energy", None), (log_z - log_m) / beta)
+    del x_max
+    if not keep_z:
+        return
+    z -= log_s[..., None]
+    del log_s
+    yield from emit(_LOG_WEIGHTS, z)
+    if not want_w:
+        return
+    w = _exp(z, out=None if "log_weights" in kinds else z)
+    if "replica_gibbs" in kinds and not iid_replica:
+        yield from emit(("replica_gibbs", None), 0.5 * beta * np.einsum(
+            "ni,ij,nj->n", w, ens.squared_distances, w))
+    mean = _row_sum(np.multiply(w, x, out=w))
+    yield from emit(("gibbs_average", None), mean)
+    if "kl_to_uniform" in kinds:
+        yield from emit(("kl_to_uniform", None), _kl(log_m, beta, mean, log_z))
+
+
+def _values(x, beta, keys, ens=None):
+    """The values of _observe(x, beta, keys, ens), in the order of keys."""
+    out = [None] * len(keys)
+    for i, values in _observe(x, beta, keys, ens):
+        out[i] = values
+    return out
+
+
+def _kl(log_m, beta, mean, log_z):
+    """KL(nu_beta || uniform) = log m + beta <X>_beta - Lambda(beta)."""
+    return log_m + beta * mean - log_z
+
+
 def _lse(x, beta, log_weights=False):
     """Lambda(beta) = log sum_i exp(beta x_i) over the last axis.
 
     With log_weights=True also returns beta * x - Lambda(beta), formed from
     the shifted exponents, so it is finite for every finite beta.
     """
-    x_max, z = _shifted(x, beta)
-    log_s = np.log(np.sum(_exp(z, out=None if log_weights else z), axis=-1))
-    log_z = beta * x_max + log_s
     if not log_weights:
-        return log_z
-    z -= log_s[..., None]
-    return log_z, z
+        return _values(x, beta, [_LOG_PARTITION])[0]
+    return tuple(_values(x, beta, [_LOG_PARTITION, _LOG_WEIGHTS]))
 
 
 def _check_x(x):
@@ -175,18 +319,16 @@ def gibbs_average(state: GibbsState, x) -> np.ndarray | float:
         raise ValueError(
             f"invalid-input: state over {state.weights.shape[-1]} coordinates "
             f"cannot average a realization with {x.shape[-1]}")
-    return _scalar(np.sum(state.weights * x, axis=-1))
+    return _scalar(_row_sum(state.weights * x))
 
 
 def _tilted_mean(x, beta):
     """(Lambda(beta), <X>_beta) from one shifted pass (batched internal helper).
 
-    Exponentiates the log-weights and multiplies by x in place.  Lambda may
-    overflow to inf at extreme beta, silently, while <X>_beta stays exact.
+    Lambda may overflow to inf at extreme beta, silently, while <X>_beta
+    stays exact.
     """
-    with np.errstate(over="ignore"):
-        log_z, w = _lse(x, beta, log_weights=True)
-    return log_z, np.sum(np.multiply(_exp(w, out=w), x, out=w), axis=-1)
+    return tuple(_values(x, beta, [_LOG_PARTITION, ("gibbs_average", None)]))
 
 
 def free_energy(x, beta) -> np.ndarray | float:
@@ -197,9 +339,7 @@ def free_energy(x, beta) -> np.ndarray | float:
     """
     beta = _check_beta(beta)
     x = _check_x(x)
-    if beta == 0.0:
-        return _scalar(np.zeros(x.shape[:-1]))
-    return _scalar((_lse(x, beta) - np.log(x.shape[-1])) / beta)
+    return _scalar(_values(x, beta, [("free_energy", None)])[0])
 
 
 def soft_max(x, beta, subset=None) -> np.ndarray | float:
@@ -242,10 +382,7 @@ def participation_ratio(x, beta) -> np.ndarray | float:
     """
     beta = _check_beta(beta)
     x = _check_x(x)
-    _, e = _shifted(x, beta)
-    s = np.sum(_exp(e, out=e), axis=-1)
-    e *= e
-    return _scalar(np.sum(e, axis=-1) / (s * s))
+    return _scalar(_values(x, beta, [("participation_ratio", None)])[0])
 
 
 def participation_derivative(x, beta) -> np.ndarray | float:
@@ -256,8 +393,10 @@ def participation_derivative(x, beta) -> np.ndarray | float:
     """
     beta = _check_beta(beta)
     x = _check_x(x)
-    pr = participation_ratio(x, beta)
-    return _scalar(2.0 * pr * (_tilted_mean(x, 2.0 * beta)[1] - _tilted_mean(x, beta)[1]))
+    pr, mean = _values(x, beta, [("participation_ratio", None),
+                                 ("gibbs_average", None)])
+    mean_2 = _values(x, 2.0 * beta, [("gibbs_average", None)])[0]
+    return _scalar(2.0 * pr * (mean_2 - mean))
 
 
 def kl_to_uniform(x, beta) -> np.ndarray | float:
@@ -270,7 +409,7 @@ def kl_to_uniform(x, beta) -> np.ndarray | float:
     beta = _check_beta(beta)
     x = _check_x(x)
     log_z, mean = _tilted_mean(x, beta)
-    return _scalar(np.log(x.shape[-1]) + beta * mean - log_z)
+    return _scalar(_kl(np.log(x.shape[-1]), beta, mean, log_z))
 
 
 def renyi_to_uniform(x, beta, alpha) -> np.ndarray | float:
@@ -291,17 +430,7 @@ def renyi_to_uniform(x, beta, alpha) -> np.ndarray | float:
     if abs(alpha - 1.0) < RENYI_KL_WINDOW:
         return kl_to_uniform(x, beta)
     x = _check_x(x)
-    x_max, z = _shifted(x, beta)
-    # alpha z first, then z formed again in the same buffer as _shifted forms
-    # it, so only one batch-sized array is alive at a time.
-    with np.errstate(over="ignore"):
-        z *= alpha
-        log_s_alpha = np.log(np.sum(_exp(z, out=z), axis=-1))
-        np.subtract(x, x_max[..., None], out=z)
-        z *= beta
-    log_s = np.log(np.sum(_exp(z, out=z), axis=-1))
-    return _scalar(np.log(x.shape[-1])
-                   + (log_s_alpha - alpha * log_s) / (alpha - 1.0))
+    return _scalar(_values(x, beta, [("renyi_to_uniform", alpha)])[0])
 
 
 def renyi_half_via_participation(x, beta) -> np.ndarray | float:
@@ -326,7 +455,7 @@ def shannon_entropy(state: GibbsState) -> np.ndarray | float:
     """
     w = np.asarray(state.weights, dtype=np.float64)
     log_w = np.log(w, out=np.zeros_like(w), where=w > 0.0)
-    return _scalar(-np.sum(w * log_w, axis=-1))
+    return _scalar(-_row_sum(w * log_w))
 
 
 # -- observables -------------------------------------------------------------
@@ -356,8 +485,9 @@ def _replica_gibbs_value(obs, x, beta):
 # kind -> value of (observable, x, beta).  The lambdas look the public
 # functions up when called, so a wrapper patched into this module sees them.
 _EVALUATORS = {
-    "gibbs_average": lambda obs, x, beta: _scalar(
-        _tilted_mean(beta=_check_beta(beta), x=_check_x(x))[1]),
+    "gibbs_average": lambda obs, x, beta: _scalar(_values(
+        beta=_check_beta(beta), x=_check_x(x),
+        keys=[("gibbs_average", None)])[0]),
     "free_energy": lambda obs, x, beta: free_energy(x, beta),
     "soft_max": lambda obs, x, beta: soft_max(x, beta, obs.subset),
     "participation_ratio": lambda obs, x, beta: participation_ratio(x, beta),

@@ -25,9 +25,10 @@ error.  Three contracts shape everything here:
 
 A tensor-product Gauss-Hermite oracle provides independent high-precision
 expectations for index sets of up to four points.  quadrature_oracles takes
-many (observable, beta) pairs in one pass over the grid, and oracle-check
-integrates each fixture with one such call; quadrature_oracle is its
-one-pair case.
+many (observable, beta) pairs in one pass over the grid, with one shifted
+pass (gibbs._observe) per chunk and beta for every pair at that beta, and
+oracle-check integrates each fixture with one such call; quadrature_oracle is
+its one-pair case.
 
 SUDAKOV_C, the default Sudakov constant c, and Z_MARGIN, the standard errors
 that every statistical verdict and tolerance allows, are defined here once.
@@ -385,14 +386,9 @@ def _check_n(n):
 
 def _replica_values(ens: IndexedEnsemble, x: np.ndarray, beta: float) -> np.ndarray:
     """(beta/2) sum_{s,t} d^2(s,t) nu(s) nu(t): mean equal to the tilted mean's."""
-    if beta == 0.0:
-        return np.zeros(x.shape[0])
-    if ens.is_iid:
-        # Scalar covariance: the double sum collapses exactly.
-        return beta * ens.iid_variance * (1.0 - gibbs.participation_ratio(x, beta))
-    w = gibbs.gibbs_measure(x, beta).weights
-    d2 = ens.squared_distances
-    return 0.5 * beta * np.einsum("ni,ij,nj->n", w, d2, w)
+    beta = gibbs._check_beta(beta)
+    x = gibbs._check_x(x)
+    return gibbs._values(x, beta, [("replica_gibbs", None)], ens)[0]
 
 
 def evaluate_values(ens: IndexedEnsemble, obs: gibbs.Observable, x: np.ndarray,
@@ -626,11 +622,26 @@ def quadrature_oracles(ens: IndexedEnsemble, pairs,
     """quadrature_oracle(ens, obs, beta, nodes_per_dim) for each (obs, beta).
 
     One pass over the grid: each chunk of nodes and its realizations are
-    built once and every pair is evaluated on them.  Each pair keeps its own
-    sum over the chunks, in chunk order, so its value does not depend on the
-    other pairs.  Nothing of the grid outlives the call.
+    built once and every pair is evaluated on them.  The pairs at one beta
+    whose kinds gibbs._observe takes share its one shifted pass per chunk,
+    and each of their values is reduced as soon as it is formed; the other
+    pairs are evaluated one by one.  Each pair keeps its own sum over the
+    chunks, in chunk order, so its value does not depend on the other pairs.
+    Nothing of the grid outlives the call.
     """
     pairs = [(obs, gibbs._check_beta(beta)) for obs, beta in pairs]
+    # beta -> (pair indices, pass keys).  -0.0 joins 0.0: at either the
+    # shift is all zeros and every pass value is the same.
+    passes = {}
+    rest = []
+    for i, (obs, beta) in enumerate(pairs):
+        key = gibbs._pass_key(obs)
+        if key is None:
+            rest.append(i)
+        else:
+            index, keys = passes.setdefault(beta, ([], []))
+            index.append(i)
+            keys.append(key)
     m = ens.size
     z, w = _oracle_rule(m, nodes_per_dim)
     k = z.size
@@ -650,7 +661,12 @@ def quadrature_oracles(ens: IndexedEnsemble, pairs,
         x = g @ factor.T
         del g
         x.setflags(write=False)  # shared by every pair
-        for i, (obs, beta) in enumerate(pairs):
+        for beta, (index, keys) in passes.items():
+            for j, values in gibbs._observe(x, beta, keys, ens):
+                acc[index[j]] += float(np.dot(weight, values))
+                del values  # gone before the pass forms the next value
+        for i in rest:
+            obs, beta = pairs[i]
             acc[i] += float(np.dot(weight, evaluate_values(ens, obs, x, beta)))
     scale = np.pi ** (m / 2.0)
     return [a / scale for a in acc]

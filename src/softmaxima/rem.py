@@ -194,7 +194,7 @@ def pressure_sweep(model: RemModel, beta_grid, n: int, seed: int,
         p_hat = _from_values(lam[k] / model.n_spins, gibbs.REM_PRESSURE, beta,
                              n, seed)
         low = _lower_curve(model, beta, threshold.c, bs, div_star)
-        kl = np.log(model.size) + beta * g_sample[k] - lam[k]  # KL(beta) per sample
+        kl = gibbs._kl(np.log(model.size), beta, g_sample[k], lam[k])  # per sample
         up = _upper_min(model, beta, grid + [model.beta_c], lambda: _mean_se(kl)[0])
         margin = Z_MARGIN * p_hat.std_error
         verdict = ("holds"

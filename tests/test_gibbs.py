@@ -140,7 +140,7 @@ class TestShiftedPasses:
     @pytest.mark.parametrize("kernel, passes", [
         (sm.kl_to_uniform, 1), (sm.participation_ratio, 1),
         (sm.renyi_half_via_participation, 1), (sm.GIBBS_AVERAGE.evaluate, 1),
-        (sm.participation_derivative, 3)])
+        (sm.participation_derivative, 2)])
     def test_passes_per_call(self, monkeypatch, kernel, passes):
         calls = []
         real = gibbs._shifted
@@ -192,6 +192,46 @@ class TestRowMax:
                           np.max(x.reshape(1, -1, m), axis=-1))
         for row in x[:64]:
             assert _same_bits(gibbs._row_max(row), np.max(row))
+
+
+class TestRowSum:
+    """_row_sum is np.sum(x, axis=-1) bit for bit, by either form."""
+
+    # numpy adds a row left to right below 8 columns, pairwise from 8 on.
+    WIDTHS = sorted({1, 2, 3, 7, 8, 9, 16, gibbs._ROW_SUM_FOLD_WIDTH,
+                     gibbs._ROW_SUM_FOLD_WIDTH + 1, 64})
+
+    @pytest.mark.parametrize("m", WIDTHS)
+    @pytest.mark.parametrize("lead", [(), (37,), (5, 7)])
+    def test_equals_np_sum(self, m, lead):
+        # Magnitudes spread over six decades, so the order of the adds shows.
+        rng = np.random.default_rng(m)
+        x = rng.standard_normal(lead + (m,)) * 10.0 ** rng.uniform(-3, 3, lead + (m,))
+        got = gibbs._row_sum(x)
+        assert type(got) is type(np.sum(x, axis=-1))
+        assert _same_bits(got, np.sum(x, axis=-1))
+
+    @pytest.mark.parametrize("m", WIDTHS)
+    def test_signed_zeros(self, m):
+        # Every mix of 0.0 and -0.0 up to 2^10 rows, a nonzero row beside
+        # them, and each as one 1-D row.
+        rows = min(1 << m, 1 << 10)
+        bits = (np.arange(rows)[:, None] >> np.arange(m)[None, :]) & 1
+        x = np.where(bits == 1, -0.0, 0.0)
+        x = np.vstack([x, -np.ones(m)])
+        assert _same_bits(gibbs._row_sum(x), np.sum(x, axis=-1))
+        assert _same_bits(gibbs._row_sum(x.reshape(1, -1, m)),
+                          np.sum(x.reshape(1, -1, m), axis=-1))
+        for row in x[:64]:
+            assert _same_bits(gibbs._row_sum(row), np.sum(row))
+
+    def test_fold_differs_from_np_sum_at_width_8(self, monkeypatch):
+        # The crossover is where it is for a reason: folded at 8 columns, the
+        # sum is not np.sum's on this batch.
+        x = np.random.default_rng(8).standard_normal((1000, 8))
+        assert _same_bits(gibbs._row_sum(x), np.sum(x, axis=-1))
+        monkeypatch.setattr(gibbs, "_ROW_SUM_FOLD_WIDTH", 8)
+        assert not np.array_equal(gibbs._row_sum(x), np.sum(x, axis=-1))
 
 
 def _edge_exponents(rng, shape, live_share):

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import softmaxima as sm
-from softmaxima import cli, quench
+from softmaxima import cli, gibbs, quench
 from softmaxima.quench import BATCH_ELEMENT_CAP
 
 TWO_POINT_GIBBS_MEAN = {
@@ -547,8 +547,111 @@ class TestQuadratureOracle:
         assert a == b
 
 
+def _frozen_shift(x, beta):
+    x_max = np.max(x, axis=-1)
+    with np.errstate(over="ignore"):
+        return x_max, (x - x_max[..., None]) * beta
+
+
+def _frozen_log_sum_exp(z):
+    return np.log(np.sum(np.exp(z), axis=-1))
+
+
+def _frozen_ratio(x, beta):
+    e = np.exp(_frozen_shift(x, beta)[1])
+    s = np.sum(e, axis=-1)
+    return np.sum(e * e, axis=-1) / (s * s)
+
+
+def _frozen_values(ens, obs, x, beta):
+    """Per-realization values of obs on x at beta, each from its own kernel
+    with numpy's max, sum and exp: a frozen copy of the per-pair route that
+    the shared shifted pass replaced."""
+    m = x.shape[-1]
+    kind = obs.kind
+    if kind == "renyi_to_uniform" and abs(obs.alpha - 1.0) < 1e-8:
+        kind = "kl_to_uniform"
+    if kind == "expected_max":
+        return np.max(x, axis=-1)
+    if kind == "participation_ratio":
+        return _frozen_ratio(x, beta)
+    if kind == "renyi_half":
+        return np.log(m) + np.log(_frozen_ratio(x, beta / 2.0))
+    if kind == "renyi_to_uniform":
+        z = _frozen_shift(x, beta)[1]
+        with np.errstate(over="ignore"):
+            log_s_alpha = _frozen_log_sum_exp(z * obs.alpha)
+        return np.log(m) + (log_s_alpha - obs.alpha * _frozen_log_sum_exp(z)) / (
+            obs.alpha - 1.0)
+    if kind in ("free_energy", "replica_gibbs") and beta == 0.0:
+        return np.zeros(x.shape[:-1])
+    if kind == "replica_gibbs" and ens.is_iid:
+        return beta * ens.iid_variance * (1.0 - _frozen_ratio(x, beta))
+    if kind == "soft_max":
+        x = x[..., list(obs.subset)]
+        if x.shape[-1] == 1:
+            return x[..., 0]
+    x_max, z = _frozen_shift(x, beta)
+    log_s = _frozen_log_sum_exp(z)
+    with np.errstate(over="ignore"):
+        log_z = beta * x_max + log_s
+    if kind == "soft_max":
+        return log_z / beta
+    if kind == "free_energy":
+        return (log_z - np.log(m)) / beta
+    w = np.exp(z - log_s[..., None])
+    if kind == "shannon_entropy":
+        if beta == 0.0:
+            w = np.full(x.shape, 1.0 / m)
+        return -np.sum(w * np.log(w, out=np.zeros_like(w), where=w > 0.0), axis=-1)
+    if kind == "replica_gibbs":
+        return 0.5 * beta * np.einsum("ni,ij,nj->n", w, ens.squared_distances, w)
+    mean = np.sum(w * x, axis=-1)
+    if kind == "gibbs_average":
+        return mean
+    assert kind == "kl_to_uniform"
+    return np.log(m) + beta * mean - log_z
+
+
+def _frozen_oracles(ens, pairs, nodes_per_dim):
+    """Each pair on each 2^18-node chunk of the grid in turn, frozen."""
+    m = ens.size
+    z, w = quench._oracle_rule(m, nodes_per_dim)
+    k = z.size
+    total = k ** m
+    radix = k ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    acc = [0.0] * len(pairs)
+    for start in range(0, total, 1 << 18):
+        flat = np.arange(start, min(start + (1 << 18), total), dtype=np.int64)
+        idx = (flat[:, None] // radix[None, :]) % k
+        weight = np.prod(w[idx], axis=1)
+        x = (np.sqrt(2.0) * z)[idx] @ ens.sampling_factor.T
+        for i, (obs, beta) in enumerate(pairs):
+            values = _frozen_values(ens, obs, x, float(beta))
+            acc[i] += float(np.dot(weight, values))
+    return [a / np.pi ** (m / 2.0) for a in acc]
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+# Kinds outside the shared pass beside every shared kind, at beta = 0 and
+# -0.0, at 1 given three ways, and at 1e308, where the shift overflows.
+_EDGE_PAIRS = (
+    [(sm.soft_max_observable((0, 1)), 1.0), (sm.soft_max_observable((1,)), 2.0),
+     (sm.SHANNON_ENTROPY, 0.5), (sm.SHANNON_ENTROPY, 0.0),
+     (sm.RENYI_HALF, 1.0), (sm.EXPECTED_MAX, 0.0)]
+    + [(obs, beta)
+       for beta in (0, -0.0, 1, 1.0, np.float64(1.0), 1e308)
+       for obs in (sm.GIBBS_AVERAGE, sm.FREE_ENERGY, sm.PARTICIPATION_RATIO,
+                   sm.KL_TO_UNIFORM, sm.renyi_observable(0.5),
+                   sm.renyi_observable(2.0), sm.renyi_observable(1.0 + 1e-9),
+                   sm.REPLICA_GIBBS)])
+
+
 class TestFusedOracle:
-    """quadrature_oracles is one quadrature_oracle call per pair, bit for bit."""
+    """quadrature_oracles equals the per-pair route it replaced, bit for bit."""
 
     @pytest.mark.parametrize("name", ["iid2", "corr3"])
     def test_equals_one_call_per_pair(self, name):
@@ -557,9 +660,33 @@ class TestFusedOracle:
         pairs = cli._CHECK_PAIRS
         assert len(pairs) == 19
         fused = sm.quadrature_oracles(ens, pairs, 128)
-        assert fused == [sm.quadrature_oracle(ens, obs, beta, 128)
-                         for obs, beta in pairs]
+        assert _bits(fused) == _bits(_frozen_oracles(ens, pairs, 128))
         assert all(type(v) is float for v in fused)
+
+    @pytest.mark.parametrize("name", ["iid2", "corr3"])
+    def test_edge_pairs_equal_frozen_route(self, name):
+        # corr3 at 66 nodes spans two chunks, the second one short.
+        ens = dict(cli._check_fixtures())[name]
+        with np.errstate(over="ignore", invalid="ignore"):
+            fused = sm.quadrature_oracles(ens, _EDGE_PAIRS, 66)
+            frozen = _frozen_oracles(ens, _EDGE_PAIRS, 66)
+        assert _bits(fused) == _bits(frozen)
+
+    @pytest.mark.parametrize("name, passes", [("iid2", 3), ("corr3", 24)])
+    def test_one_shifted_pass_per_chunk_and_beta(self, monkeypatch, name, passes):
+        # Three betas; iid2 is one chunk at 128 nodes, corr3 eight.  The
+        # per-pair route took 18 and 144.
+        ens = dict(cli._check_fixtures())[name]
+        calls = []
+        real = gibbs._shifted
+
+        def shifted(x, beta):
+            calls.append(beta)
+            return real(x, beta)
+
+        monkeypatch.setattr(gibbs, "_shifted", shifted)
+        sm.quadrature_oracles(ens, cli._CHECK_PAIRS, 128)
+        assert len(calls) == passes
 
     def test_order_and_repeats(self, corr3):
         pairs = [(sm.KL_TO_UNIFORM, 2.0), (sm.REPLICA_GIBBS, 1.0),
