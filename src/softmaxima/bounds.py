@@ -31,7 +31,7 @@ from . import gibbs
 from .ensemble import IndexedEnsemble, _ball_mask, greedy_packing
 from .quench import (SUDAKOV_C, Z_MARGIN, QuenchedEstimate, ThresholdResult,
                      _check_c, _check_threshold, _mean_se,
-                     expected_max_estimate, mc_estimate, realization_batch,
+                     expected_max_estimate, mc_estimates, realization_batch,
                      standard_normal_batch)
 
 SLACK_TOL = 1e-9
@@ -134,10 +134,10 @@ def divergence_bounds(ens: IndexedEnsemble, beta, threshold: ThresholdResult,
     live cross-check rather than a tautology.
     """
     _check_threshold(threshold, ens)
-    g, kl, ent, phi, half = (
-        _est(mc_estimate(ens, obs, beta, n, seed))
-        for obs in (gibbs.GIBBS_AVERAGE, gibbs.KL_TO_UNIFORM,
-                    gibbs.SHANNON_ENTROPY, gibbs.FREE_ENERGY, gibbs.RENYI_HALF))
+    g, kl, ent, phi, half = (_est(e) for e in mc_estimates(ens, [
+        (obs, beta) for obs in (gibbs.GIBBS_AVERAGE, gibbs.KL_TO_UNIFORM,
+                                gibbs.SHANNON_ENTROPY, gibbs.FREE_ENERGY,
+                                gibbs.RENYI_HALF)], n, seed))
     c, bs = threshold.c, threshold.beta_star
     below = beta < bs
     upper_coef = math.sqrt(2.0) * ens.sigma_max

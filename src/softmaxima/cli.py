@@ -57,7 +57,7 @@ class ExperimentConfig:
     plot: bool = False
     observables: tuple[str, ...] = ("gibbs_average",)
     n_spins: int | None = None
-    nodes: int = 128
+    nodes: int = quench.ORACLE_NODES
 
     def config_hash(self) -> str:
         """Fingerprint of the semantic fields.  The output destination and
@@ -289,12 +289,10 @@ def _run_estimate(cfg: ExperimentConfig):
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     headers = ["observable", "beta", "mean", "std_error", "n_samples", "seed"]
-    rows = []
-    for obs in obs_list:
-        for beta in cfg.beta_grid:
-            est = quench.mc_estimate(ens, obs, beta, cfg.n_samples, cfg.seed)
-            rows.append([obs.name, beta, est.mean, est.std_error,
-                         est.n_samples, est.seed])
+    pairs = [(obs, beta) for obs in obs_list for beta in cfg.beta_grid]
+    estimates = quench.mc_estimates(ens, pairs, cfg.n_samples, cfg.seed)
+    rows = [[obs.name, beta, est.mean, est.std_error, est.n_samples, est.seed]
+            for (obs, beta), est in zip(pairs, estimates)]
     return headers, rows, EXIT_OK, None
 
 
@@ -352,12 +350,14 @@ _CHECK_OBSERVABLES = tuple(gibbs.parse_observable(text) for text in (
     "gibbs_average", "free_energy", "participation_ratio", "kl_to_uniform",
     "renyi(0.5)"))
 _CHECK_BETAS = (0.25, 1.0, 4.0)
+# The Monte Carlo estimates one fixture needs, all on one batch.
+_CHECK_MC_PAIRS = tuple((obs, beta) for obs in _CHECK_OBSERVABLES
+                        for beta in _CHECK_BETAS)
 # The quadrature values one fixture needs, all taken in one grid pass: each
 # observable at each beta, the replica statistic at each beta, and the max.
-_CHECK_PAIRS = (
-    tuple((obs, beta) for obs in _CHECK_OBSERVABLES for beta in _CHECK_BETAS)
-    + tuple((gibbs.REPLICA_GIBBS, beta) for beta in _CHECK_BETAS)
-    + ((gibbs.EXPECTED_MAX, 0.0),))
+_CHECK_PAIRS = (_CHECK_MC_PAIRS
+                + tuple((gibbs.REPLICA_GIBBS, beta) for beta in _CHECK_BETAS)
+                + ((gibbs.EXPECTED_MAX, 0.0),))
 # Tensor quadrature of the kinked max integrand converges slowly; give that
 # row a fixed allowance on top of the Monte Carlo band.
 _MAX_ORACLE_ALLOWANCE = 5e-3
@@ -382,15 +382,14 @@ def _run_oracle_check(cfg: ExperimentConfig):
     for ens_name, ens in fixtures:
         quadrature = dict(zip(_CHECK_PAIRS,
                               quench.quadrature_oracles(ens, _CHECK_PAIRS, nodes)))
-        for obs in _CHECK_OBSERVABLES:
-            for beta in _CHECK_BETAS:
-                est = quench.mc_estimate(ens, obs, beta, n, seed)
-                oracle = quadrature[obs, beta]
-                tol = quench.Z_MARGIN * est.std_error
-                ok = abs(est.mean - oracle) <= tol
-                failed |= not ok
-                rows.append(["mc_vs_quadrature", ens_name, obs.name, beta,
-                             est.mean, oracle, tol, "pass" if ok else "fail"])
+        estimates = quench.mc_estimates(ens, _CHECK_MC_PAIRS, n, seed)
+        for (obs, beta), est in zip(_CHECK_MC_PAIRS, estimates):
+            oracle = quadrature[obs, beta]
+            tol = quench.Z_MARGIN * est.std_error
+            ok = abs(est.mean - oracle) <= tol
+            failed |= not ok
+            rows.append(["mc_vs_quadrature", ens_name, obs.name, beta,
+                         est.mean, oracle, tol, "pass" if ok else "fail"])
         for beta in _CHECK_BETAS:
             direct = quadrature[gibbs.GIBBS_AVERAGE, beta]
             replica = quadrature[gibbs.REPLICA_GIBBS, beta]

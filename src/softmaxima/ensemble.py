@@ -259,7 +259,7 @@ def greedy_packing(ens: IndexedEnsemble, radius: float) -> list[str]:
 
 def ball(ens: IndexedEnsemble, center: str, radius: float) -> list[str]:
     """Closed metric ball around `center`; always contains the center."""
-    if radius < 0:
+    if not radius >= 0:
         raise ValueError(f"invalid-parameter: radius must be nonnegative, got {radius}")
     inside = _ball_mask(ens, [ens.index_of(center)], radius)[0]
     return [ens.labels[i] for i in np.flatnonzero(inside)]

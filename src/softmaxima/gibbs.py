@@ -128,7 +128,8 @@ _LOG_PARTITION = ("log_partition", None)
 _LOG_WEIGHTS = ("log_weights", None)
 # The observable kinds whose values _observe takes from its one pass.
 _PASS_KINDS = frozenset({"gibbs_average", "free_energy", "participation_ratio",
-                         "kl_to_uniform", "renyi_to_uniform", "replica_gibbs"})
+                         "kl_to_uniform", "renyi_to_uniform", "replica_gibbs",
+                         "rem_pressure"})
 
 
 def _pass_key(obs):
@@ -152,12 +153,16 @@ def _observe(x, beta, keys, ens=None):
     others are taken.  Each is yielded as soon as it is formed, so a caller
     can reduce it before the next is formed.  At most two batch-sized arrays
     are alive at a time, and one when neither Gibbs weights nor log-weights
-    are wanted.
+    are wanted.  rem_pressure, Lambda / N for m = 2^N, refuses other m first.
     """
     def emit(key, values):
         return ((i, values) for i, k in enumerate(keys) if k == key)
 
     kinds = {kind for kind, _ in keys}
+    m = x.shape[-1]
+    if "rem_pressure" in kinds and (m < 2 or m & (m - 1)):
+        raise ValueError(
+            f"invalid-size: rem_pressure needs 2^N coordinates, N >= 1, got {m}")
     if beta == 0.0:
         # The free energy's 1/beta and the replica statistic's beta factor
         # are taken at their limits.
@@ -172,18 +177,12 @@ def _observe(x, beta, keys, ens=None):
     want_w = (bool(kinds & {"gibbs_average", "kl_to_uniform"})
               or ("replica_gibbs" in kinds and not iid_replica))
     keep_z = want_w or "log_weights" in kinds
-    log_m = np.log(x.shape[-1])
+    log_m = np.log(m)
     x_max, z = _shifted(x, beta)
-    # log s(alpha z) for each Renyi order, forming z again after each in the
-    # same buffer as _shifted forms it, so z needs no second array.
-    log_s_alpha = {}
-    for kind, alpha in keys:
-        if kind == "renyi_to_uniform" and alpha not in log_s_alpha:
-            with np.errstate(over="ignore"):
-                z *= alpha
-                log_s_alpha[alpha] = np.log(_row_sum(_exp(z, out=z)))
-                np.subtract(x, x_max[..., None], out=z)
-                z *= beta
+    # The Renyi sums run where z alone is alive: before e when e takes z's
+    # buffer, else once e is dropped.
+    if not keep_z:
+        log_s_alpha = _renyi_sums(x, x_max, z, beta, keys)
     # Every array is dropped once nothing reads it any more, so beside z and
     # e only a few row vectors are alive.
     e = _exp(z, out=None if keep_z else z)
@@ -193,21 +192,23 @@ def _observe(x, beta, keys, ens=None):
     if want_pr:
         e *= e
         pr = _row_sum(e)
-        pr /= s * s
     del e
+    if keep_z:
+        log_s_alpha = _renyi_sums(x, x_max, z, beta, keys)
     log_s = np.log(s)
-    del s
     if want_pr:
+        pr /= s * s  # once e is dropped, so s * s never meets z and e
         yield from emit(("participation_ratio", None), pr)
         if iid_replica:
             # Scalar covariance: the double sum collapses exactly.
             yield from emit(("replica_gibbs", None),
                             beta * ens.iid_variance * (1.0 - pr))
         del pr
+    del s
     for alpha in list(log_s_alpha):
         yield from emit(("renyi_to_uniform", alpha), log_m + (
             log_s_alpha.pop(alpha) - alpha * log_s) / (alpha - 1.0))
-    if kinds & {"log_partition", "free_energy", "kl_to_uniform"}:
+    if kinds & {"log_partition", "free_energy", "kl_to_uniform", "rem_pressure"}:
         # Beside the Gibbs weights Lambda may overflow to inf silently, while
         # <X>_beta stays exact.
         with np.errstate(over="ignore" if want_w else None):
@@ -215,6 +216,8 @@ def _observe(x, beta, keys, ens=None):
         yield from emit(_LOG_PARTITION, log_z)
         if "free_energy" in kinds:
             yield from emit(("free_energy", None), (log_z - log_m) / beta)
+        if "rem_pressure" in kinds:
+            yield from emit(("rem_pressure", None), log_z / (m.bit_length() - 1))
     del x_max
     if not keep_z:
         return
@@ -230,7 +233,27 @@ def _observe(x, beta, keys, ens=None):
     mean = _row_sum(np.multiply(w, x, out=w))
     yield from emit(("gibbs_average", None), mean)
     if "kl_to_uniform" in kinds:
-        yield from emit(("kl_to_uniform", None), _kl(log_m, beta, mean, log_z))
+        # KL(nu_beta || uniform) = log m + beta <X>_beta - Lambda(beta).
+        yield from emit(("kl_to_uniform", None), log_m + beta * mean - log_z)
+
+
+def _renyi_sums(x, x_max, z, beta, keys):
+    """{alpha: log s(alpha z)} for the Renyi orders in keys, in z's buffer,
+    forming z = beta (x - x_max) again after each as _shifted forms it."""
+    out = {}
+    with np.errstate(over="ignore"):
+        for alpha in dict.fromkeys([a for k, a in keys if k == "renyi_to_uniform"]):
+            z *= alpha
+            out[alpha] = np.log(_row_sum(_exp(z, out=z)))
+            np.subtract(x, x_max[..., None], out=z)
+            z *= beta
+    return out
+
+
+def _pass_value(obs, x, beta):
+    """The value of obs, a kind _observe takes, from its own shifted pass."""
+    beta = _check_beta(beta)
+    return _scalar(_values(_check_x(x), beta, [_pass_key(obs)])[0])
 
 
 def _values(x, beta, keys, ens=None):
@@ -239,11 +262,6 @@ def _values(x, beta, keys, ens=None):
     for i, values in _observe(x, beta, keys, ens):
         out[i] = values
     return out
-
-
-def _kl(log_m, beta, mean, log_z):
-    """KL(nu_beta || uniform) = log m + beta <X>_beta - Lambda(beta)."""
-    return log_m + beta * mean - log_z
 
 
 def _lse(x, beta, log_weights=False):
@@ -322,24 +340,13 @@ def gibbs_average(state: GibbsState, x) -> np.ndarray | float:
     return _scalar(_row_sum(state.weights * x))
 
 
-def _tilted_mean(x, beta):
-    """(Lambda(beta), <X>_beta) from one shifted pass (batched internal helper).
-
-    Lambda may overflow to inf at extreme beta, silently, while <X>_beta
-    stays exact.
-    """
-    return tuple(_values(x, beta, [_LOG_PARTITION, ("gibbs_average", None)]))
-
-
 def free_energy(x, beta) -> np.ndarray | float:
     """(Lambda(beta) - log m) / beta, the normalized smoothed maximum.
 
     The beta -> 0 limit is 0 (Lambda(0) = log m and Lambda'(0) is the mean
     of a centered vector only in expectation); beta = 0 returns 0 exactly.
     """
-    beta = _check_beta(beta)
-    x = _check_x(x)
-    return _scalar(_values(x, beta, [("free_energy", None)])[0])
+    return _pass_value(FREE_ENERGY, x, beta)
 
 
 def soft_max(x, beta, subset=None) -> np.ndarray | float:
@@ -380,9 +387,7 @@ def participation_ratio(x, beta) -> np.ndarray | float:
     exp(Lambda(2 beta) - 2 Lambda(beta)), as the tests check, but that form
     cancels, and 2 beta overflows near the largest double.
     """
-    beta = _check_beta(beta)
-    x = _check_x(x)
-    return _scalar(_values(x, beta, [("participation_ratio", None)])[0])
+    return _pass_value(PARTICIPATION_RATIO, x, beta)
 
 
 def participation_derivative(x, beta) -> np.ndarray | float:
@@ -406,10 +411,7 @@ def kl_to_uniform(x, beta) -> np.ndarray | float:
     log m - H(nu_beta); that identity is checked in the test suite via the
     weights-based entropy route.
     """
-    beta = _check_beta(beta)
-    x = _check_x(x)
-    log_z, mean = _tilted_mean(x, beta)
-    return _scalar(_kl(np.log(x.shape[-1]), beta, mean, log_z))
+    return _pass_value(KL_TO_UNIFORM, x, beta)
 
 
 def renyi_to_uniform(x, beta, alpha) -> np.ndarray | float:
@@ -426,11 +428,7 @@ def renyi_to_uniform(x, beta, alpha) -> np.ndarray | float:
     if not np.isfinite(alpha) or alpha <= 0:
         raise ValueError(
             f"invalid-parameter: alpha must be positive and finite, got {alpha}")
-    alpha = float(alpha)
-    if abs(alpha - 1.0) < RENYI_KL_WINDOW:
-        return kl_to_uniform(x, beta)
-    x = _check_x(x)
-    return _scalar(_values(x, beta, [("renyi_to_uniform", alpha)])[0])
+    return _pass_value(renyi_observable(alpha), x, beta)
 
 
 def renyi_half_via_participation(x, beta) -> np.ndarray | float:
@@ -464,18 +462,6 @@ def shannon_entropy(state: GibbsState) -> np.ndarray | float:
 # and quadrature drivers.  Kept as data (kind + parameters) rather than
 # closures so observables can be spelled in configs and CSV rows.
 
-def _rem_pressure_value(obs, x, beta):
-    # Pressure of one disorder sample: Lambda(beta) / N with N = log2(m);
-    # only defined for power-of-two label sets.
-    x = _check_x(x)
-    n_spins = int(round(np.log2(x.shape[-1])))
-    if 2 ** n_spins != x.shape[-1]:
-        raise ValueError(
-            f"invalid-size: rem_pressure needs 2^N coordinates, "
-            f"got {x.shape[-1]}")
-    return log_partition(x, beta) / n_spins
-
-
 def _replica_gibbs_value(obs, x, beta):
     raise ValueError(
         "invalid-input: replica_gibbs needs ensemble geometry; "
@@ -485,9 +471,7 @@ def _replica_gibbs_value(obs, x, beta):
 # kind -> value of (observable, x, beta).  The lambdas look the public
 # functions up when called, so a wrapper patched into this module sees them.
 _EVALUATORS = {
-    "gibbs_average": lambda obs, x, beta: _scalar(_values(
-        beta=_check_beta(beta), x=_check_x(x),
-        keys=[("gibbs_average", None)])[0]),
+    "gibbs_average": _pass_value,
     "free_energy": lambda obs, x, beta: free_energy(x, beta),
     "soft_max": lambda obs, x, beta: soft_max(x, beta, obs.subset),
     "participation_ratio": lambda obs, x, beta: participation_ratio(x, beta),
@@ -497,7 +481,7 @@ _EVALUATORS = {
     "shannon_entropy": lambda obs, x, beta: shannon_entropy(gibbs_measure(x, beta)),
     "expected_max": lambda obs, x, beta: _scalar(_row_max(_check_x(x))),
     "replica_gibbs": _replica_gibbs_value,
-    "rem_pressure": _rem_pressure_value,
+    "rem_pressure": _pass_value,
 }
 _KINDS = tuple(_EVALUATORS)
 

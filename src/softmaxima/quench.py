@@ -23,12 +23,13 @@ error.  Three contracts shape everything here:
   replica statistic uses beta * sigma^2 * (1 - participation) instead of the
   generic double sum; the two are equal coordinate-for-coordinate there.
 
-A tensor-product Gauss-Hermite oracle provides independent high-precision
-expectations for index sets of up to four points.  quadrature_oracles takes
-many (observable, beta) pairs in one pass over the grid, with one shifted
-pass (gibbs._observe) per chunk and beta for every pair at that beta, and
-oracle-check integrates each fixture with one such call; quadrature_oracle is
-its one-pair case.
+mc_estimates takes many (observable, beta) pairs on one batch, and
+quadrature_oracles, a tensor-product Gauss-Hermite oracle for index sets of up
+to four points, takes them on each chunk of its grid.  Both evaluate the pairs
+with _evaluate, the one place that groups them: one shifted pass
+(gibbs._observe) per beta serves every pair at that beta whose kind it takes.
+mc_estimate, per_sample_values, evaluate_values and quadrature_oracle are
+one-pair cases.
 
 SUDAKOV_C, the default Sudakov constant c, and Z_MARGIN, the standard errors
 that every statistical verdict and tolerance allows, are defined here once.
@@ -51,6 +52,7 @@ BETA_MAX_FACTOR = 1e4        # beta_star searches beta in (0, 1e4 / sigma]
 DEFAULT_RESOLUTION = 1e-3    # beta_star grid step, in units of 1 / sigma
 ORACLE_MAX_POINTS = 4        # tensor quadrature cap
 ORACLE_MIN_NODES = 32
+ORACLE_NODES = 128           # default nodes_per_dim, and oracle-check's
 ORACLE_MAX_NODES = 1 << 24   # tensor grid cap, nodes_per_dim^|T|
 BATCH_ELEMENT_CAP = 250_000_000  # refuse batches above this many floats
 SUDAKOV_C = 1.0 / 17.0       # default Sudakov minoration constant c
@@ -384,19 +386,34 @@ def _check_n(n):
 
 # -- estimation ----------------------------------------------------------------
 
-def _replica_values(ens: IndexedEnsemble, x: np.ndarray, beta: float) -> np.ndarray:
-    """(beta/2) sum_{s,t} d^2(s,t) nu(s) nu(t): mean equal to the tilted mean's."""
-    beta = gibbs._check_beta(beta)
-    x = gibbs._check_x(x)
-    return gibbs._values(x, beta, [("replica_gibbs", None)], ens)[0]
+def _evaluate(ens: IndexedEnsemble, pairs, x: np.ndarray):
+    """Yield (i, values of pairs[i] on the finite batch x), each as it is formed.
+
+    Betas are checked by the caller.  The pairs at one beta whose kinds
+    gibbs._observe takes share its one shifted pass (-0.0 joins 0.0, where
+    every pass value is the same); the others run their own kernels first.
+    No value depends on the other pairs.
+    """
+    passes = {}  # beta -> (pair indices, pass keys)
+    for i, (obs, beta) in enumerate(pairs):
+        key = gibbs._pass_key(obs)
+        if key is None:
+            yield i, np.asarray(obs.evaluate(x, beta))
+        else:
+            index, keys = passes.setdefault(beta, ([], []))
+            index.append(i)
+            keys.append(key)
+    for beta, (index, keys) in passes.items():
+        for j, values in gibbs._observe(x, beta, keys, ens):
+            yield index[j], values
+            del values  # gone before the pass forms the next value
 
 
 def evaluate_values(ens: IndexedEnsemble, obs: gibbs.Observable, x: np.ndarray,
                     beta: float) -> np.ndarray:
     """Per-realization values of obs on a batch x of shape (..., |T|)."""
-    if obs.kind == "replica_gibbs":
-        return _replica_values(ens, x, beta)
-    return np.asarray(obs.evaluate(x, beta))
+    beta = gibbs._check_beta(beta)
+    return next(_evaluate(ens, [(obs, beta)], gibbs._check_x(x)))[1]
 
 
 def per_sample_values(ens: IndexedEnsemble, obs: gibbs.Observable, beta,
@@ -409,7 +426,7 @@ def per_sample_values(ens: IndexedEnsemble, obs: gibbs.Observable, beta,
     """
     beta = gibbs._check_beta(beta)
     x = realization_batch(ens, n, seed)
-    return evaluate_values(ens, obs, x, beta)
+    return next(_evaluate(ens, [(obs, beta)], x))[1]
 
 
 def _mean_se(values) -> tuple[float, float]:
@@ -438,8 +455,21 @@ def _from_values(values, obs, beta, n, seed) -> QuenchedEstimate:
 def mc_estimate(ens: IndexedEnsemble, obs: gibbs.Observable, beta,
                 n: int, seed: int) -> QuenchedEstimate:
     """Sample mean of obs over n realizations, with standard error."""
-    values = per_sample_values(ens, obs, beta, n, seed)
-    return _from_values(values, obs, beta, n, seed)
+    return mc_estimates(ens, [(obs, beta)], n, seed)[0]
+
+
+def mc_estimates(ens: IndexedEnsemble, pairs, n: int,
+                 seed: int) -> list[QuenchedEstimate]:
+    """mc_estimate(ens, obs, beta, n, seed) for each (obs, beta), bit for bit,
+    from one batch and one _evaluate pass over it.  Every beta is checked
+    before the batch is built."""
+    pairs = [(obs, gibbs._check_beta(beta)) for obs, beta in pairs]
+    x = realization_batch(ens, n, seed)
+    out = [None] * len(pairs)
+    for i, values in _evaluate(ens, pairs, x):
+        out[i] = _from_values(values, *pairs[i], n, seed)
+        del values
+    return out
 
 
 def expected_max_estimate(ens: IndexedEnsemble, n: int, seed: int) -> QuenchedEstimate:
@@ -605,7 +635,7 @@ def _oracle_rule(m: int, nodes_per_dim) -> tuple[np.ndarray, np.ndarray]:
 
 
 def quadrature_oracle(ens: IndexedEnsemble, obs: gibbs.Observable, beta,
-                      nodes_per_dim: int = 64) -> float:
+                      nodes_per_dim: int = ORACLE_NODES) -> float:
     """Tensor-product Gauss-Hermite value of E[obs(X)] for tiny index sets.
 
     Shares no randomness with the Monte Carlo path: the expectation over
@@ -618,30 +648,16 @@ def quadrature_oracle(ens: IndexedEnsemble, obs: gibbs.Observable, beta,
 
 
 def quadrature_oracles(ens: IndexedEnsemble, pairs,
-                       nodes_per_dim: int = 64) -> list[float]:
+                       nodes_per_dim: int = ORACLE_NODES) -> list[float]:
     """quadrature_oracle(ens, obs, beta, nodes_per_dim) for each (obs, beta).
 
     One pass over the grid: each chunk of nodes and its realizations are
-    built once and every pair is evaluated on them.  The pairs at one beta
-    whose kinds gibbs._observe takes share its one shifted pass per chunk,
-    and each of their values is reduced as soon as it is formed; the other
-    pairs are evaluated one by one.  Each pair keeps its own sum over the
+    built once and every pair is evaluated on them by _evaluate, each value
+    reduced as soon as it is formed.  Each pair keeps its own sum over the
     chunks, in chunk order, so its value does not depend on the other pairs.
     Nothing of the grid outlives the call.
     """
     pairs = [(obs, gibbs._check_beta(beta)) for obs, beta in pairs]
-    # beta -> (pair indices, pass keys).  -0.0 joins 0.0: at either the
-    # shift is all zeros and every pass value is the same.
-    passes = {}
-    rest = []
-    for i, (obs, beta) in enumerate(pairs):
-        key = gibbs._pass_key(obs)
-        if key is None:
-            rest.append(i)
-        else:
-            index, keys = passes.setdefault(beta, ([], []))
-            index.append(i)
-            keys.append(key)
     m = ens.size
     z, w = _oracle_rule(m, nodes_per_dim)
     k = z.size
@@ -661,12 +677,8 @@ def quadrature_oracles(ens: IndexedEnsemble, pairs,
         x = g @ factor.T
         del g
         x.setflags(write=False)  # shared by every pair
-        for beta, (index, keys) in passes.items():
-            for j, values in gibbs._observe(x, beta, keys, ens):
-                acc[index[j]] += float(np.dot(weight, values))
-                del values  # gone before the pass forms the next value
-        for i in rest:
-            obs, beta = pairs[i]
-            acc[i] += float(np.dot(weight, evaluate_values(ens, obs, x, beta)))
+        for i, values in _evaluate(ens, pairs, x):
+            acc[i] += float(np.dot(weight, values))
+            del values
     scale = np.pi ** (m / 2.0)
     return [a / scale for a in acc]

@@ -8,11 +8,11 @@ pressure is sandwiched between a lower curve Q_lower (quadratic, then linear
 with a Sudakov slope) and a family of upper curves Q_upper(.; beta0)
 (quadratic up to beta0, then linear with slope sqrt(E KL / N) evaluated at
 the target beta).  Both are estimated here with the common-random-number
-machinery from `quench`.  Nothing is memoized: the sweep forms each row's
-pressure and E KL(beta) from one (Lambda, tilted mean) pass per grid beta,
-and estimates its threshold and E KL(beta_star) once.  The lower curve
-takes its Sudakov constant from the threshold, and the sweep's verdicts
-allow quench.Z_MARGIN standard errors.
+machinery from `quench`.  Nothing is memoized: the sweep estimates its
+threshold once, then in one mc_estimates call each row's pressure and
+E KL(beta), one shifted pass per grid beta, and E KL(beta_star).  The lower
+curve takes its Sudakov constant from the threshold, and the sweep's
+verdicts allow quench.Z_MARGIN standard errors.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ import numpy as np
 from . import gibbs
 from .ensemble import IndexedEnsemble, build_iid
 from .quench import (SUDAKOV_C, Z_MARGIN, QuenchedEstimate, ThresholdResult,
-                     _check_threshold, _from_values, _mean_se, beta_star,
-                     mc_estimate, realization_batch)
+                     _check_threshold, beta_star, mc_estimate, mc_estimates)
 
 MAX_SPINS = 16   # 2^16 states is the desk-scale ceiling
 BETA_C = 2.0 * math.sqrt(math.log(2.0))  # critical beta of the limit pressure
@@ -181,21 +180,22 @@ def pressure_sweep(model: RemModel, beta_grid, n: int, seed: int,
     for b in grid:
         gibbs._check_beta(b)
 
-    ens = model.ensemble
-    threshold = beta_star(ens, c, n, seed)
+    threshold = beta_star(model.ensemble, c, n, seed)
     bs = threshold.beta_star
-    div_star = _kl(model, bs, n, seed) if grid[-1] > bs else None
-
-    x = realization_batch(ens, n, seed)
-    lam, g_sample = map(np.stack, zip(*(gibbs._tilted_mean(x, b) for b in grid)))
+    # E KL(beta_star) for the lower curve past it, then the pressure and
+    # E KL at each grid beta: one shifted pass per beta.
+    star = [(gibbs.KL_TO_UNIFORM, bs)] if grid[-1] > bs else []
+    estimates = mc_estimates(
+        model.ensemble, star + [(obs, beta) for beta in grid for obs in
+                                (gibbs.REM_PRESSURE, gibbs.KL_TO_UNIFORM)],
+        n, seed)
+    div_star = estimates.pop(0).mean if star else None
 
     rows = []
     for k, beta in enumerate(grid):
-        p_hat = _from_values(lam[k] / model.n_spins, gibbs.REM_PRESSURE, beta,
-                             n, seed)
+        p_hat, kl = estimates[2 * k:2 * k + 2]
         low = _lower_curve(model, beta, threshold.c, bs, div_star)
-        kl = gibbs._kl(np.log(model.size), beta, g_sample[k], lam[k])  # per sample
-        up = _upper_min(model, beta, grid + [model.beta_c], lambda: _mean_se(kl)[0])
+        up = _upper_min(model, beta, grid + [model.beta_c], lambda: kl.mean)
         margin = Z_MARGIN * p_hat.std_error
         verdict = ("holds"
                    if low <= p_hat.mean + margin and p_hat.mean <= up + margin

@@ -74,25 +74,27 @@ class TestDivergenceBounds:
             assert tuple(r.name for r in reports) == names
 
     def test_one_estimate_per_observable(self, iid8, ar8, monkeypatch):
-        # Five quenched means carry the six claims: one mc_estimate each.
+        # Five quenched means carry the six claims: one mc_estimates call
+        # per beta, with one pair each.
         calls = []
-        real = sm.bounds.mc_estimate
+        real = sm.bounds.mc_estimates
 
-        def counted(ens, obs, beta, n, seed):
-            calls.append(obs.kind)
-            return real(ens, obs, beta, n, seed)
+        def counted(ens, pairs, n, seed):
+            calls.append([(obs.kind, beta) for obs, beta in pairs])
+            return real(ens, pairs, n, seed)
 
-        monkeypatch.setattr(sm.bounds, "mc_estimate", counted)
+        monkeypatch.setattr(sm.bounds, "mc_estimates", counted)
         for ens in (iid8, ar8):
             ts = sm.beta_star(ens, 1 / 17, 1000, seed=14)
             for beta in (0.0, 1.0):
                 calls.clear()
                 sm.divergence_bounds(ens, beta, ts, 1000, 14)
-                assert len(calls) == 5
-                assert sorted(calls) == sorted(
-                    obs.kind for obs in (sm.GIBBS_AVERAGE, sm.KL_TO_UNIFORM,
-                                         sm.SHANNON_ENTROPY, sm.FREE_ENERGY,
-                                         sm.RENYI_HALF))
+                assert len(calls) == 1
+                assert sorted(calls[0]) == sorted(
+                    (obs.kind, beta)
+                    for obs in (sm.GIBBS_AVERAGE, sm.KL_TO_UNIFORM,
+                                sm.SHANNON_ENTROPY, sm.FREE_ENERGY,
+                                sm.RENYI_HALF))
 
 
     def test_phi_lower_iid_reads_c_from_threshold(self, iid8):

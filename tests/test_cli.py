@@ -453,7 +453,8 @@ class TestBenchmarkReference:
 
     @pytest.mark.parametrize("workload, seed", [("rem-sweep-n10", 42),
                                                 ("bounds-iid64", 7),
-                                                ("estimate-iid8", 7)])
+                                                ("estimate-iid8", 7),
+                                                ("oracle-check", 14)])
     def test_matches_reference(self, tmp_path, workload, seed):
         bench = _bench_definitions()
         rtol, atol = bench["RTOL"], bench["ATOL"]

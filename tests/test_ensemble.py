@@ -224,6 +224,12 @@ class TestBall:
         with pytest.raises(KeyError, match="unknown label"):
             ball(corr3, "zz", 1.0)
 
+    @pytest.mark.parametrize("radius", [-1.0, math.nan])
+    def test_bad_radius(self, corr3, radius):
+        # A nan radius would give an empty ball, without its center.
+        with pytest.raises(ValueError, match="invalid-parameter"):
+            ball(corr3, "b", radius)
+
 
 class TestSpecLoading:
     def test_iid_form(self):

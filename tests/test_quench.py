@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import softmaxima as sm
 from softmaxima import cli, gibbs, quench
 from softmaxima.quench import BATCH_ELEMENT_CAP
+from tests.test_bounds import _ALL_OBSERVABLES
 
 TWO_POINT_GIBBS_MEAN = {
     0.25: 0.12131844208757419,
@@ -208,6 +209,79 @@ class TestMcEstimate:
     def test_negative_beta_rejected(self, iid2):
         with pytest.raises(ValueError, match="invalid-parameter"):
             sm.mc_estimate(iid2, sm.GIBBS_AVERAGE, -1.0, 100, seed=0)
+
+
+class TestMcEstimates:
+    """mc_estimates equals one mc_estimate call per pair, bit for bit."""
+
+    @pytest.mark.parametrize("name", ["iid8", "corr3", "rem3"])
+    def test_equals_one_call_per_pair(self, name, iid8, corr3):
+        ens = {"iid8": iid8, "corr3": corr3, "rem3": sm.rem_model(3).ensemble}[name]
+        pairs = [(obs, beta)
+                 for obs in map(sm.parse_observable, _ALL_OBSERVABLES)
+                 if obs.kind != "rem_pressure" or name != "corr3"
+                 for beta in (0.0, 0.5, 2.0)
+                 if beta > 0 or obs.kind != "soft_max"]
+        assert len({obs for obs, _ in pairs}) == (11 if name == "corr3" else 12)
+        fused = sm.mc_estimates(ens, pairs, 500, 3)
+        single = [sm.mc_estimate(ens, obs, beta, 500, 3) for obs, beta in pairs]
+        assert fused == single
+        assert _bits([(e.mean, e.std_error) for e in fused]) == _bits(
+            [(e.mean, e.std_error) for e in single])
+
+    def test_order_repeats_and_signed_zero(self, corr3):
+        pairs = [(sm.KL_TO_UNIFORM, 2.0), (sm.FREE_ENERGY, -0.0),
+                 (sm.RENYI_HALF, 1.0), (sm.KL_TO_UNIFORM, 2.0),
+                 (sm.FREE_ENERGY, 0.0), (sm.GIBBS_AVERAGE, -0.0)]
+        got = sm.mc_estimates(corr3, pairs, 400, 5)
+        want = [sm.mc_estimate(corr3, obs, beta, 400, 5) for obs, beta in pairs]
+        assert got == want
+        assert _bits([(e.beta, e.mean, e.std_error) for e in got]) == _bits(
+            [(e.beta, e.mean, e.std_error) for e in want])
+        assert [math.copysign(1.0, e.beta) for e in got] == [1, -1, 1, 1, 1, -1]
+        assert sm.mc_estimates(corr3, pairs[::-1], 400, 5) == got[::-1]
+        assert sm.mc_estimates(corr3, [], 400, 5) == []
+
+    @pytest.mark.parametrize("beta", [-1.0, math.inf])
+    def test_bad_beta_refused_before_the_batch(self, iid8, monkeypatch, beta):
+        def unreachable(*args):
+            raise AssertionError("a batch was built")
+
+        monkeypatch.setattr(quench, "realization_batch", unreachable)
+        with pytest.raises(ValueError, match="invalid-parameter"):
+            sm.mc_estimates(iid8, [(sm.GIBBS_AVERAGE, 1.0), (sm.FREE_ENERGY, beta)],
+                            400, 5)
+
+    @pytest.mark.parametrize("m", [1, 3, 6])
+    def test_rem_pressure_refused_before_the_pass(self, m, monkeypatch):
+        # Lambda / N needs m = 2^N with N >= 1; at m = 1 the old route
+        # divided by N = 0.
+        def unreachable(x, beta):
+            raise AssertionError("a shifted pass ran")
+
+        monkeypatch.setattr(gibbs, "_shifted", unreachable)
+        with pytest.raises(ValueError, match="invalid-size"):
+            sm.REM_PRESSURE.evaluate(np.zeros((4, m)), 1.0)
+        if m > 1:
+            ens = sm.build_iid(m, 1.0)
+            with pytest.raises(ValueError, match="invalid-size"):
+                sm.mc_estimates(ens, [(sm.REM_PRESSURE, 1.0)], 400, 5)
+
+    def test_one_pass_per_beta(self, corr3, monkeypatch):
+        betas = []
+        real = gibbs._observe
+
+        def observe(x, beta, keys, ens=None):
+            betas.append(beta)
+            return real(x, beta, keys, ens)
+
+        monkeypatch.setattr(gibbs, "_observe", observe)
+        kinds = (sm.GIBBS_AVERAGE, sm.FREE_ENERGY, sm.PARTICIPATION_RATIO,
+                 sm.KL_TO_UNIFORM, sm.renyi_observable(0.5),
+                 sm.renyi_observable(2.0), sm.REPLICA_GIBBS)
+        pairs = [(obs, beta) for beta in (0.0, 2.0, -0.0, 0.5) for obs in kinds]
+        sm.mc_estimates(corr3, pairs, 400, 5)
+        assert betas == [0.0, 2.0, 0.5]
 
 
 def _replica_case(m, seed, scalar):
@@ -545,6 +619,17 @@ class TestQuadratureOracle:
         a = sm.quadrature_oracle(corr3, sm.KL_TO_UNIFORM, 2.0, nodes_per_dim=64)
         b = sm.quadrature_oracle(corr3, sm.KL_TO_UNIFORM, 2.0, nodes_per_dim=64)
         assert a == b
+
+    def test_default_grid(self, iid2):
+        # One default for the library and the CLI, fine enough that the
+        # replica identity holds within oracle-check's tolerance on iid2 at
+        # beta = 4 (the gap is 1.1e-4 at 64 nodes).
+        assert quench.ORACLE_NODES == cli.ExperimentConfig("oracle-check").nodes
+        pairs = [(sm.GIBBS_AVERAGE, 4.0), (sm.REPLICA_GIBBS, 4.0)]
+        direct, replica = sm.quadrature_oracles(iid2, pairs)
+        assert [direct, replica] == sm.quadrature_oracles(iid2, pairs, 128)
+        assert direct == sm.quadrature_oracle(iid2, sm.GIBBS_AVERAGE, 4.0)
+        assert abs(direct - replica) <= cli._REPLICA_ORACLE_TOL
 
 
 def _frozen_shift(x, beta):

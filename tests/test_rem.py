@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import softmaxima as sm
-from softmaxima import gibbs, quench, rem
+from softmaxima import gibbs, rem
 
 LOG2 = math.log(2.0)
 BETA_C = 2.0 * math.sqrt(LOG2)
@@ -211,15 +211,16 @@ class TestDivergenceEstimates:
 
     @pytest.fixture
     def kl_betas(self, monkeypatch):
+        # The beta of each shifted pass that forms KL values.
         betas = []
-        real = quench.evaluate_values
+        real = gibbs._observe
 
-        def counted(ens, obs, x, beta):
-            if obs.kind == "kl_to_uniform":
+        def counted(x, beta, keys, ens=None):
+            if ("kl_to_uniform", None) in keys:
                 betas.append(beta)
-            return real(ens, obs, x, beta)
+            return real(x, beta, keys, ens)
 
-        monkeypatch.setattr(quench, "evaluate_values", counted)
+        monkeypatch.setattr(gibbs, "_observe", counted)
         return betas
 
     def test_upper_min_shares_one_estimate(self, kl_betas):
@@ -230,15 +231,18 @@ class TestDivergenceEstimates:
         assert kl_betas == [2.0]
 
     def test_sweep_at_most_one_per_beta_and_threshold(self, kl_betas):
-        # The rows read E KL(beta) off the sweep's own passes; only the lower
-        # curve's E KL(beta_star) is estimated, and only past beta_star.
-        grid = np.arange(0.0, 2.01, 0.5)
+        # The rows read E KL(beta) off the sweep's one pass per grid beta;
+        # the lower curve's E KL(beta_star) takes one more pass, and only
+        # past beta_star.
+        grid = [0.0, 0.5, 1.0, 1.5, 2.0]
         curve = sm.pressure_sweep(sm.rem_model(6), grid, 400, seed=42)
         assert grid[-1] <= curve.threshold.beta_star
-        assert kl_betas == []
+        assert kl_betas == grid
+        kl_betas.clear()
         curve = sm.pressure_sweep(sm.rem_model(4), GRID_ACROSS, 400, seed=45)
-        assert GRID_ACROSS[-1] > curve.threshold.beta_star
-        assert kl_betas == [curve.threshold.beta_star]
+        bs = curve.threshold.beta_star
+        assert GRID_ACROSS[-1] > bs and bs not in GRID_ACROSS
+        assert sorted(kl_betas) == sorted(GRID_ACROSS + [bs])
 
 
 # 0:1500:100 runs past beta_star of the N = 4 model at n = 400.
@@ -263,31 +267,34 @@ class TestSweepPasses:
 
     @pytest.mark.parametrize("n_spins, grid, n, seed", SWEEP_CASES)
     def test_one_pass_of_each_per_beta(self, monkeypatch, n_spins, grid, n, seed):
-        mean_calls = []
-        real_mean = gibbs._tilted_mean
+        passes = []
+        real = gibbs._observe
 
         def lam(x, beta):
             raise AssertionError("the sweep called log_partition")
 
-        def mean(x, beta):
-            mean_calls.append((beta, np.shape(x)))
-            return real_mean(x, beta)
+        def observe(x, beta, keys, ens=None):
+            if keys != [("participation_ratio", None)]:  # a beta_star probe
+                passes.append((beta, np.shape(x), sorted(k for k, _ in keys)))
+            return real(x, beta, keys, ens)
 
         def fail(*args, **kwargs):
             raise AssertionError("the sweep called a public upper curve")
 
         monkeypatch.setattr(gibbs, "log_partition", lam)
-        monkeypatch.setattr(gibbs, "_tilted_mean", mean)
+        monkeypatch.setattr(gibbs, "_observe", observe)
         monkeypatch.setattr(rem, "q_upper_min", fail)
         monkeypatch.setattr(rem, "q_upper", fail)
         model = sm.rem_model(n_spins)
         curve = sm.pressure_sweep(model, grid, n, seed)
         batch = (n, model.size)
-        # One (Lambda, <X>) pass per grid beta, and one more at beta_star
-        # for the lower curve's E KL.
+        # One (pressure, KL) pass per grid beta, and one KL pass at
+        # beta_star for the lower curve.
         bs = curve.threshold.beta_star
-        star = [bs] if grid[-1] > bs else []
-        assert sorted(mean_calls) == sorted((b, batch) for b in grid + star)
+        want = [(b, batch, ["kl_to_uniform", "rem_pressure"]) for b in grid]
+        if grid[-1] > bs:
+            want.append((bs, batch, ["kl_to_uniform"]))
+        assert sorted(passes) == sorted(want)
 
 
 class TestFiniteSizeTrend:
