@@ -24,9 +24,9 @@ from .gibbs import (EXPECTED_MAX, FREE_ENERGY, GIBBS_AVERAGE, KL_TO_UNIFORM,
                     soft_max, soft_max_observable)
 from .quench import (QuenchedEstimate, ThresholdResult,
                      UnboundedThresholdError, beta_star, clear_cache,
-                     expected_max_estimate, mc_estimate, mc_estimates,
-                     per_sample_values, quadrature_oracle, quadrature_oracles,
-                     realization_batch, standard_normal_batch)
+                     mc_estimate, mc_estimates, per_sample_values,
+                     quadrature_oracle, quadrature_oracles, realization_batch,
+                     standard_normal_batch)
 from .bounds import (BoundReport, SandwichDiagnostics, divergence_bounds,
                      max_bounds, sandwich_suite, soft_super_sudakov)
 from .rem import (PressureCurve, PressureRow, RemModel, limit_pressure,

@@ -30,9 +30,8 @@ import numpy as np
 from . import gibbs
 from .ensemble import IndexedEnsemble, _ball_mask, greedy_packing
 from .quench import (SUDAKOV_C, Z_MARGIN, QuenchedEstimate, ThresholdResult,
-                     _check_c, _check_threshold, _mean_se,
-                     expected_max_estimate, mc_estimates, realization_batch,
-                     standard_normal_batch)
+                     _check_c, _check_threshold, _mean_se, mc_estimate,
+                     mc_estimates, realization_batch, standard_normal_batch)
 
 SLACK_TOL = 1e-9
 # Seed offset decoupling the auxiliary standard-normal process from the main
@@ -175,7 +174,7 @@ def max_bounds(ens: IndexedEnsemble, n: int, seed: int,
     The reports carry beta = inf (these are the beta -> infinity limits).
     """
     _check_c(c)
-    est = expected_max_estimate(ens, n, seed)
+    est = mc_estimate(ens, gibbs.EXPECTED_MAX, 0.0, n, seed)
     log_m = math.log(ens.size)
     upper = _assemble("max_upper", math.inf, _est(est),
                       (math.sqrt(2.0) * ens.sigma_max * math.sqrt(log_m), 0.0),

@@ -9,9 +9,11 @@ argmax (beta -> infinity).  Everything here is a deterministic function of
 (x, beta) routed through one max-shifted primitive, so nothing overflows
 even when beta * max|x| reaches 1e6.  One pass (_observe) forms the shift,
 its exp and the exp's row sum once per (batch, beta) and takes from them every
-value a caller wants at that beta; each kernel below is its one-value case.
-Every exp of log-weights skips the exponents below -746, whose exp is an
-exact 0, when those are most of them; the result is the same bit for bit.
+value a caller wants at that beta, each by its own formula.  _evaluate, the
+one router of observable kinds, groups (observable, beta) pairs into passes;
+Observable.evaluate and the kernels below are its one-pair cases.  Every exp
+of log-weights skips the exponents below -746, whose exp is an exact 0, when
+those are most of them; the result is the same bit for bit.
 
 beta = 0 is a first-class value (the uniform measure), not an error; only the
 softmax itself, which carries a 1/beta factor, requires beta > 0.
@@ -126,21 +128,51 @@ def _exp(z, out=None):
 # _pass_key), or one of these two for Lambda(beta) and the log-weights.
 _LOG_PARTITION = ("log_partition", None)
 _LOG_WEIGHTS = ("log_weights", None)
-# The observable kinds whose values _observe takes from its one pass.
-_PASS_KINDS = frozenset({"gibbs_average", "free_energy", "participation_ratio",
-                         "kl_to_uniform", "renyi_to_uniform", "replica_gibbs",
-                         "rem_pressure"})
 
 
-def _pass_key(obs):
-    """obs's key in _observe, or None for a kind the pass does not take."""
-    if obs.kind not in _PASS_KINDS:
+def _pass_key(obs, beta):
+    """(beta of obs's pass, obs's key in _observe) for obs at beta, or None
+    for a kind that runs its own kernel."""
+    if obs.kind in ("soft_max", "expected_max"):
         return None
+    if obs.kind == "renyi_half":
+        # D_1/2 at beta is log m + log pr of the pass at beta / 2.
+        return beta / 2.0, (obs.kind, None)
     if obs.kind == "renyi_to_uniform":
         if abs(obs.alpha - 1.0) < RENYI_KL_WINDOW:
-            return ("kl_to_uniform", None)
-        return (obs.kind, float(obs.alpha))
-    return (obs.kind, None)
+            return beta, ("kl_to_uniform", None)
+        return beta, (obs.kind, float(obs.alpha))
+    return beta, (obs.kind, None)
+
+
+def _evaluate(x, pairs, ens=None):
+    """Yield (i, values of pairs[i] on the finite batch x), each as it is formed.
+
+    x and the betas are checked by the caller; ens gives replica_gibbs its
+    geometry.  Pairs whose passes (_pass_key) fall at one beta share one
+    _observe pass (-0.0 joins 0.0, where every pass value is the same);
+    soft_max and expected_max run their own kernels first.  No value
+    depends on the other pairs.
+    """
+    passes = {}  # beta of the pass -> (pair indices, pass keys)
+    for i, (obs, beta) in enumerate(pairs):
+        if obs.kind == "replica_gibbs" and ens is None:
+            raise ValueError(
+                "invalid-input: replica_gibbs needs ensemble geometry; "
+                "evaluate it through the estimation driver")
+        routed = _pass_key(obs, beta)
+        if routed is not None:
+            index, keys = passes.setdefault(routed[0], ([], []))
+            index.append(i)
+            keys.append(routed[1])
+        elif obs.kind == "expected_max":
+            yield i, _row_max(x)
+        else:
+            yield i, _soft_max(x, _check_beta(beta, positive=True), obs.subset)
+    for beta, (index, keys) in passes.items():
+        for j, values in _observe(x, beta, keys, ens):
+            yield index[j], values
+            del values  # gone before the pass forms the next value
 
 
 def _observe(x, beta, keys, ens=None):
@@ -152,8 +184,9 @@ def _observe(x, beta, keys, ens=None):
     own formula in its own order, so the values do not depend on which
     others are taken.  Each is yielded as soon as it is formed, so a caller
     can reduce it before the next is formed.  At most two batch-sized arrays
-    are alive at a time, and one when neither Gibbs weights nor log-weights
-    are wanted.  rem_pressure, Lambda / N for m = 2^N, refuses other m first.
+    are alive at a time (three while shannon_entropy is formed), and one
+    when neither Gibbs weights nor log-weights are wanted.  rem_pressure,
+    Lambda / N for m = 2^N, refuses other m first.
     """
     def emit(key, values):
         return ((i, values) for i, k in enumerate(keys) if k == key)
@@ -173,8 +206,9 @@ def _observe(x, beta, keys, ens=None):
     if not kinds:
         return
     iid_replica = "replica_gibbs" in kinds and ens.is_iid
-    want_pr = "participation_ratio" in kinds or iid_replica
-    want_w = (bool(kinds & {"gibbs_average", "kl_to_uniform"})
+    want_pr = bool(kinds & {"participation_ratio", "renyi_half"}) or iid_replica
+    want_mean = bool(kinds & {"gibbs_average", "kl_to_uniform"})
+    want_w = (want_mean or "shannon_entropy" in kinds
               or ("replica_gibbs" in kinds and not iid_replica))
     keep_z = want_w or "log_weights" in kinds
     log_m = np.log(m)
@@ -199,6 +233,8 @@ def _observe(x, beta, keys, ens=None):
     if want_pr:
         pr /= s * s  # once e is dropped, so s * s never meets z and e
         yield from emit(("participation_ratio", None), pr)
+        if "renyi_half" in kinds:
+            yield from emit(("renyi_half", None), log_m + np.log(pr))
         if iid_replica:
             # Scalar covariance: the double sum collapses exactly.
             yield from emit(("replica_gibbs", None),
@@ -230,6 +266,12 @@ def _observe(x, beta, keys, ens=None):
     if "replica_gibbs" in kinds and not iid_replica:
         yield from emit(("replica_gibbs", None), 0.5 * beta * np.einsum(
             "ni,ij,nj->n", w, ens.squared_distances, w))
+    if "shannon_entropy" in kinds:
+        # At beta = 0 from exactly uniform weights, as gibbs_measure has them.
+        yield from emit(("shannon_entropy", None), _entropy(
+            np.broadcast_to(1.0 / m, x.shape) if beta == 0.0 else w))
+    if not want_mean:
+        return
     mean = _row_sum(np.multiply(w, x, out=w))
     yield from emit(("gibbs_average", None), mean)
     if "kl_to_uniform" in kinds:
@@ -250,20 +292,6 @@ def _renyi_sums(x, x_max, z, beta, keys):
     return out
 
 
-def _pass_value(obs, x, beta):
-    """The value of obs, a kind _observe takes, from its own shifted pass."""
-    beta = _check_beta(beta)
-    return _scalar(_values(_check_x(x), beta, [_pass_key(obs)])[0])
-
-
-def _values(x, beta, keys, ens=None):
-    """The values of _observe(x, beta, keys, ens), in the order of keys."""
-    out = [None] * len(keys)
-    for i, values in _observe(x, beta, keys, ens):
-        out[i] = values
-    return out
-
-
 def _lse(x, beta, log_weights=False):
     """Lambda(beta) = log sum_i exp(beta x_i) over the last axis.
 
@@ -271,8 +299,9 @@ def _lse(x, beta, log_weights=False):
     the shifted exponents, so it is finite for every finite beta.
     """
     if not log_weights:
-        return _values(x, beta, [_LOG_PARTITION])[0]
-    return tuple(_values(x, beta, [_LOG_PARTITION, _LOG_WEIGHTS]))
+        return next(_observe(x, beta, [_LOG_PARTITION]))[1]
+    values = dict(_observe(x, beta, [_LOG_PARTITION, _LOG_WEIGHTS]))
+    return values[0], values[1]
 
 
 def _check_x(x):
@@ -346,7 +375,7 @@ def free_energy(x, beta) -> np.ndarray | float:
     The beta -> 0 limit is 0 (Lambda(0) = log m and Lambda'(0) is the mean
     of a centered vector only in expectation); beta = 0 returns 0 exactly.
     """
-    return _pass_value(FREE_ENERGY, x, beta)
+    return FREE_ENERGY.evaluate(x, beta)
 
 
 def soft_max(x, beta, subset=None) -> np.ndarray | float:
@@ -360,23 +389,34 @@ def soft_max(x, beta, subset=None) -> np.ndarray | float:
     x = _check_x(x)
     if subset is None:
         subset = range(x.shape[-1])
-    idx = _check_subset(subset, x.shape[-1])
-    sub = x[..., idx]
-    if idx.size == 1:
-        return _scalar(sub[..., 0])
-    return _scalar(_lse(sub, beta) / beta)
+    return _scalar(_soft_max(x, beta, subset))
 
 
-def _check_subset(subset, m):
-    idx = np.asarray(subset, dtype=np.intp).reshape(-1)
-    if idx.size == 0:
-        raise ValueError("invalid-input: subset must be nonempty")
+def _soft_max(x, beta, subset):
+    """soft_max of the finite x at the positive beta, subset not yet checked."""
+    m = x.shape[-1]
+    idx = _check_subset(subset)
     if idx.min() < 0 or idx.max() >= m:
         raise ValueError(
             f"invalid-input: subset index out of range for {m} coordinates")
     if np.unique(idx).size != idx.size:
         raise ValueError("invalid-input: subset repeats a coordinate")
-    return idx
+    sub = x[..., idx]
+    if idx.size == 1:
+        return sub[..., 0]
+    return _lse(sub, beta) / beta
+
+
+def _check_subset(subset):
+    """The positions of a nonempty subset of integers, as an intp array."""
+    entries = np.asarray(subset, dtype=object).reshape(-1)
+    if entries.size == 0:
+        raise ValueError("invalid-input: subset must be nonempty")
+    for i in entries:
+        if type(i) is bool or not isinstance(i, (int, np.integer)):
+            raise ValueError(
+                f"invalid-input: subset positions must be integers, got {i!r}")
+    return entries.astype(np.intp)
 
 
 def participation_ratio(x, beta) -> np.ndarray | float:
@@ -387,7 +427,7 @@ def participation_ratio(x, beta) -> np.ndarray | float:
     exp(Lambda(2 beta) - 2 Lambda(beta)), as the tests check, but that form
     cancels, and 2 beta overflows near the largest double.
     """
-    return _pass_value(PARTICIPATION_RATIO, x, beta)
+    return PARTICIPATION_RATIO.evaluate(x, beta)
 
 
 def participation_derivative(x, beta) -> np.ndarray | float:
@@ -395,13 +435,15 @@ def participation_derivative(x, beta) -> np.ndarray | float:
 
     Equals 2 * sum nu^2 * (<X>_{2 beta} - <X>_beta); nonnegative up to
     roundoff (>= -1e-12) because the tilted mean is nondecreasing in beta.
+    A beta for which 2 beta overflows is refused.
     """
     beta = _check_beta(beta)
-    x = _check_x(x)
-    pr, mean = _values(x, beta, [("participation_ratio", None),
-                                 ("gibbs_average", None)])
-    mean_2 = _values(x, 2.0 * beta, [("gibbs_average", None)])[0]
-    return _scalar(2.0 * pr * (mean_2 - mean))
+    if not np.isfinite(2.0 * beta):
+        raise ValueError(f"invalid-parameter: 2 beta overflows at beta = {beta}")
+    values = dict(_evaluate(_check_x(x), [
+        (PARTICIPATION_RATIO, beta), (GIBBS_AVERAGE, beta),
+        (GIBBS_AVERAGE, 2.0 * beta)]))
+    return _scalar(2.0 * values[0] * (values[2] - values[1]))
 
 
 def kl_to_uniform(x, beta) -> np.ndarray | float:
@@ -411,7 +453,7 @@ def kl_to_uniform(x, beta) -> np.ndarray | float:
     log m - H(nu_beta); that identity is checked in the test suite via the
     weights-based entropy route.
     """
-    return _pass_value(KL_TO_UNIFORM, x, beta)
+    return KL_TO_UNIFORM.evaluate(x, beta)
 
 
 def renyi_to_uniform(x, beta, alpha) -> np.ndarray | float:
@@ -424,24 +466,19 @@ def renyi_to_uniform(x, beta, alpha) -> np.ndarray | float:
     algebra rather than in floating point.  Within RENYI_KL_WINDOW of alpha =
     1 the KL limit is returned instead of the unstable quotient.
     """
-    beta = _check_beta(beta)
-    if not np.isfinite(alpha) or alpha <= 0:
-        raise ValueError(
-            f"invalid-parameter: alpha must be positive and finite, got {alpha}")
-    return _pass_value(renyi_observable(alpha), x, beta)
+    return renyi_observable(alpha).evaluate(x, beta)
 
 
 def renyi_half_via_participation(x, beta) -> np.ndarray | float:
     """D_{1/2}(nu_beta || uniform) computed as log m + log pr(x, beta / 2).
 
-    Algebraically identical to renyi_to_uniform(x, beta, 0.5); the routes
-    share only the max shift (_shifted), so their agreement is a real
-    consistency check.
+    Algebraically identical to renyi_to_uniform(x, beta, 0.5), but taken
+    from the participation ratio of the shifted pass at beta / 2, where the
+    generic formula reads two sums of the pass at beta: the routes share
+    only the max shift (_shifted), so their agreement is a real consistency
+    check.
     """
-    beta = _check_beta(beta)
-    x = _check_x(x)
-    m = x.shape[-1]
-    return _scalar(np.log(m) + np.log(participation_ratio(x, beta / 2.0)))
+    return RENYI_HALF.evaluate(x, beta)
 
 
 def shannon_entropy(state: GibbsState) -> np.ndarray | float:
@@ -451,9 +488,14 @@ def shannon_entropy(state: GibbsState) -> np.ndarray | float:
     sit on the opposite side of identity checks against kl_to_uniform.
     Value in [0, log m].
     """
-    w = np.asarray(state.weights, dtype=np.float64)
-    log_w = np.log(w, out=np.zeros_like(w), where=w > 0.0)
-    return _scalar(-_row_sum(w * log_w))
+    return _scalar(_entropy(np.asarray(state.weights, dtype=np.float64)))
+
+
+def _entropy(w):
+    """-sum w log w over the last axis of the weights w, with 0 log 0 := 0."""
+    w_log_w = np.log(w, out=np.zeros_like(w), where=w > 0.0)
+    w_log_w *= w
+    return -_row_sum(w_log_w)
 
 
 # -- observables -------------------------------------------------------------
@@ -462,28 +504,9 @@ def shannon_entropy(state: GibbsState) -> np.ndarray | float:
 # and quadrature drivers.  Kept as data (kind + parameters) rather than
 # closures so observables can be spelled in configs and CSV rows.
 
-def _replica_gibbs_value(obs, x, beta):
-    raise ValueError(
-        "invalid-input: replica_gibbs needs ensemble geometry; "
-        "evaluate it through the estimation driver")
-
-
-# kind -> value of (observable, x, beta).  The lambdas look the public
-# functions up when called, so a wrapper patched into this module sees them.
-_EVALUATORS = {
-    "gibbs_average": _pass_value,
-    "free_energy": lambda obs, x, beta: free_energy(x, beta),
-    "soft_max": lambda obs, x, beta: soft_max(x, beta, obs.subset),
-    "participation_ratio": lambda obs, x, beta: participation_ratio(x, beta),
-    "kl_to_uniform": lambda obs, x, beta: kl_to_uniform(x, beta),
-    "renyi_to_uniform": lambda obs, x, beta: renyi_to_uniform(x, beta, obs.alpha),
-    "renyi_half": lambda obs, x, beta: renyi_half_via_participation(x, beta),
-    "shannon_entropy": lambda obs, x, beta: shannon_entropy(gibbs_measure(x, beta)),
-    "expected_max": lambda obs, x, beta: _scalar(_row_max(_check_x(x))),
-    "replica_gibbs": _replica_gibbs_value,
-    "rem_pressure": _pass_value,
-}
-_KINDS = tuple(_EVALUATORS)
+_KINDS = ("gibbs_average", "free_energy", "soft_max", "participation_ratio",
+          "kl_to_uniform", "renyi_to_uniform", "renyi_half", "shannon_entropy",
+          "expected_max", "replica_gibbs", "rem_pressure")
 
 
 @dataclass(frozen=True)
@@ -510,11 +533,16 @@ class Observable:
         if self.kind == "soft_max" and (self.subset is None or len(self.subset) == 0):
             raise ValueError("invalid-input: soft_max needs a nonempty subset")
         if self.subset is not None:
-            object.__setattr__(self, "subset", tuple(int(i) for i in self.subset))
+            object.__setattr__(self, "subset", tuple(
+                int(i) for i in _check_subset(self.subset)))
 
     def evaluate(self, x, beta):
-        """Value on a realization batch of shape (..., m); drops the last axis."""
-        return _EVALUATORS[self.kind](self, x, beta)
+        """Value on a realization batch of shape (..., m); drops the last axis.
+
+        The checked one-pair case of _evaluate.
+        """
+        beta = _check_beta(beta)
+        return _scalar(next(_evaluate(_check_x(x), [(self, beta)]))[1])
 
     @property
     def name(self) -> str:

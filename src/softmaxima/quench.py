@@ -25,11 +25,10 @@ error.  Three contracts shape everything here:
 
 mc_estimates takes many (observable, beta) pairs on one batch, and
 quadrature_oracles, a tensor-product Gauss-Hermite oracle for index sets of up
-to four points, takes them on each chunk of its grid.  Both evaluate the pairs
-with _evaluate, the one place that groups them: one shifted pass
-(gibbs._observe) per beta serves every pair at that beta whose kind it takes.
-mc_estimate, per_sample_values, evaluate_values and quadrature_oracle are
-one-pair cases.
+to four points, takes them on each chunk of its grid.  Both hand the pairs to
+gibbs._evaluate, the one place that routes an observable kind, and reduce each
+value as soon as it is formed.  mc_estimate, per_sample_values,
+evaluate_values and quadrature_oracle are one-pair cases.
 
 SUDAKOV_C, the default Sudakov constant c, and Z_MARGIN, the standard errors
 that every statistical verdict and tolerance allows, are defined here once.
@@ -386,34 +385,11 @@ def _check_n(n):
 
 # -- estimation ----------------------------------------------------------------
 
-def _evaluate(ens: IndexedEnsemble, pairs, x: np.ndarray):
-    """Yield (i, values of pairs[i] on the finite batch x), each as it is formed.
-
-    Betas are checked by the caller.  The pairs at one beta whose kinds
-    gibbs._observe takes share its one shifted pass (-0.0 joins 0.0, where
-    every pass value is the same); the others run their own kernels first.
-    No value depends on the other pairs.
-    """
-    passes = {}  # beta -> (pair indices, pass keys)
-    for i, (obs, beta) in enumerate(pairs):
-        key = gibbs._pass_key(obs)
-        if key is None:
-            yield i, np.asarray(obs.evaluate(x, beta))
-        else:
-            index, keys = passes.setdefault(beta, ([], []))
-            index.append(i)
-            keys.append(key)
-    for beta, (index, keys) in passes.items():
-        for j, values in gibbs._observe(x, beta, keys, ens):
-            yield index[j], values
-            del values  # gone before the pass forms the next value
-
-
 def evaluate_values(ens: IndexedEnsemble, obs: gibbs.Observable, x: np.ndarray,
                     beta: float) -> np.ndarray:
     """Per-realization values of obs on a batch x of shape (..., |T|)."""
     beta = gibbs._check_beta(beta)
-    return next(_evaluate(ens, [(obs, beta)], gibbs._check_x(x)))[1]
+    return next(gibbs._evaluate(gibbs._check_x(x), [(obs, beta)], ens))[1]
 
 
 def per_sample_values(ens: IndexedEnsemble, obs: gibbs.Observable, beta,
@@ -426,7 +402,7 @@ def per_sample_values(ens: IndexedEnsemble, obs: gibbs.Observable, beta,
     """
     beta = gibbs._check_beta(beta)
     x = realization_batch(ens, n, seed)
-    return next(_evaluate(ens, [(obs, beta)], x))[1]
+    return next(gibbs._evaluate(x, [(obs, beta)], ens))[1]
 
 
 def _mean_se(values) -> tuple[float, float]:
@@ -461,22 +437,15 @@ def mc_estimate(ens: IndexedEnsemble, obs: gibbs.Observable, beta,
 def mc_estimates(ens: IndexedEnsemble, pairs, n: int,
                  seed: int) -> list[QuenchedEstimate]:
     """mc_estimate(ens, obs, beta, n, seed) for each (obs, beta), bit for bit,
-    from one batch and one _evaluate pass over it.  Every beta is checked
-    before the batch is built."""
+    from one batch and one gibbs._evaluate pass over it.  Every beta is
+    checked before the batch is built."""
     pairs = [(obs, gibbs._check_beta(beta)) for obs, beta in pairs]
     x = realization_batch(ens, n, seed)
     out = [None] * len(pairs)
-    for i, values in _evaluate(ens, pairs, x):
+    for i, values in gibbs._evaluate(x, pairs, ens):
         out[i] = _from_values(values, *pairs[i], n, seed)
         del values
     return out
-
-
-def expected_max_estimate(ens: IndexedEnsemble, n: int, seed: int) -> QuenchedEstimate:
-    """Sample mean of max_t X_t (the zero-temperature softmax)."""
-    x = realization_batch(ens, n, seed)
-    values = gibbs._row_max(x)
-    return _from_values(values, gibbs.EXPECTED_MAX, np.inf, n, seed)
 
 
 # -- participation threshold ---------------------------------------------------
@@ -652,9 +621,9 @@ def quadrature_oracles(ens: IndexedEnsemble, pairs,
     """quadrature_oracle(ens, obs, beta, nodes_per_dim) for each (obs, beta).
 
     One pass over the grid: each chunk of nodes and its realizations are
-    built once and every pair is evaluated on them by _evaluate, each value
-    reduced as soon as it is formed.  Each pair keeps its own sum over the
-    chunks, in chunk order, so its value does not depend on the other pairs.
+    built once and every pair is evaluated on them by gibbs._evaluate, each
+    value reduced as soon as it is formed.  Each pair keeps its own sum over
+    the chunks, in chunk order, so its value does not depend on the others.
     Nothing of the grid outlives the call.
     """
     pairs = [(obs, gibbs._check_beta(beta)) for obs, beta in pairs]
@@ -677,7 +646,7 @@ def quadrature_oracles(ens: IndexedEnsemble, pairs,
         x = g @ factor.T
         del g
         x.setflags(write=False)  # shared by every pair
-        for i, values in _evaluate(ens, pairs, x):
+        for i, values in gibbs._evaluate(x, pairs, ens):
             acc[i] += float(np.dot(weight, values))
             del values
     scale = np.pi ** (m / 2.0)

@@ -197,7 +197,7 @@ def _one_dim_max_oracle():
 @pytest.mark.xfail(strict=True, reason=_ZERO_TEMP_XFAIL)
 def test_07_zero_temperature_limits():
     iid2 = sm.build_iid(2, 1.0)
-    emax = quench.expected_max_estimate(iid2, N_BIG, 0)
+    emax = quench.mc_estimate(iid2, sm.EXPECTED_MAX, 0.0, N_BIG, 0)
     oracle = _one_dim_max_oracle()
     assert abs(emax.mean - oracle) <= 3.0 * emax.std_error
 
@@ -239,7 +239,7 @@ def test_07_companion_measured_zero_temperature_gap():
     assert abs(float(np.mean(diff))) <= 0.01 + 3.0 * se
 
     iid2 = sm.build_iid(2, 1.0)
-    emax = quench.expected_max_estimate(iid2, N_BIG, 0)
+    emax = quench.mc_estimate(iid2, sm.EXPECTED_MAX, 0.0, N_BIG, 0)
     assert abs(emax.mean - _one_dim_max_oracle()) <= 3.0 * emax.std_error
     print(f"criterion 07 companion: PASS (entropy gap {gap:.4f})")
 

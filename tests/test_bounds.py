@@ -96,6 +96,31 @@ class TestDivergenceBounds:
                                 sm.SHANNON_ENTROPY, sm.FREE_ENERGY,
                                 sm.RENYI_HALF))
 
+    @pytest.mark.parametrize("beta, passes", [(0.0, 1), (1.0, 2), (4.0, 2)])
+    def test_two_passes_and_no_batch_scan_per_beta(self, iid8, corr3,
+                                                   monkeypatch, beta, passes):
+        # The pass at beta serves the mean, KL, entropy and free energy, the
+        # pass at beta / 2 Renyi-1/2; at beta = 0 they are one.  The cached
+        # batch is finite by construction, so it is never scanned.
+        calls = {"_shifted": 0, "_check_x": 0}
+
+        def counted(name):
+            real = getattr(sm.gibbs, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            return wrapper
+
+        for ens in (iid8, corr3):
+            ts = sm.beta_star(ens, 1 / 17, 1000, seed=14)
+            with monkeypatch.context() as patch:
+                for name in calls:
+                    patch.setattr(sm.gibbs, name, counted(name))
+                    calls[name] = 0
+                sm.divergence_bounds(ens, beta, ts, 1000, 14)
+            assert calls == {"_shifted": passes, "_check_x": 0}
+
 
     def test_phi_lower_iid_reads_c_from_threshold(self, iid8):
         ts = sm.beta_star(iid8, 1 / 10, 2000, seed=32)

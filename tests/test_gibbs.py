@@ -409,6 +409,26 @@ class TestSoftMax:
         with pytest.raises(ValueError, match="invalid-input"):
             sm.soft_max(X_HAND, 1.0, subset=())
 
+    @pytest.mark.parametrize("subset", [
+        [0.7, 2.9], [0.0, 2.0], [True, False], [0, True], np.array([True]),
+        np.array([0.0, 1.0]), ["0"]])
+    def test_positions_must_be_integers(self, subset):
+        # They used to be truncated: [0.7, 2.9] read as [0, 2], True as 1.
+        with pytest.raises(ValueError, match="invalid-input: subset positions"):
+            sm.soft_max(X_HAND, 1.0, subset)
+        with pytest.raises(ValueError, match="invalid-input: subset positions"):
+            sm.Observable("soft_max", subset=tuple(subset))
+
+    def test_integer_positions_of_any_type(self):
+        x = random_x(5, 6)
+        want = sm.soft_max(x, 1.0, (0, 2))
+        for subset in (np.array([0, 2]), np.array([0, 2], dtype=np.uint8),
+                       [np.int64(0), 2], range(0, 3, 2)):
+            assert sm.soft_max(x, 1.0, subset) == want
+            assert sm.Observable("soft_max", subset=subset).name == "soft_max(0,2)"
+        with pytest.raises(ValueError, match="nonempty"):
+            sm.soft_max(X_HAND, 1.0, np.array([]))
+
     def test_beta_zero_rejected(self):
         with pytest.raises(ValueError, match="invalid-parameter"):
             sm.soft_max(X_HAND, 0.0)
@@ -475,6 +495,18 @@ class TestParticipationDerivative:
                       - sm.participation_ratio(x, beta - h)) / (2 * h)
                 got = sm.participation_derivative(x, beta)
                 assert got == pytest.approx(fd, rel=1e-6, abs=1e-12)
+
+    def test_refuses_beta_whose_double_overflows(self, monkeypatch):
+        # The pass at 2 beta = inf gave -4 here, with three warnings.
+        x = np.array([[0.5, -1.0, 2.0]])
+        top = np.finfo(np.float64).max / 2.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sm.participation_derivative(x, top) >= -1e-12
+            monkeypatch.setattr(gibbs, "_shifted", None)  # no pass may run
+            for beta in (1e308, np.nextafter(top, np.inf)):
+                with pytest.raises(ValueError, match="invalid-parameter"):
+                    sm.participation_derivative(x, beta)
 
 
 class TestDivergences:

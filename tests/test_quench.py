@@ -242,6 +242,31 @@ class TestMcEstimates:
         assert sm.mc_estimates(corr3, pairs[::-1], 400, 5) == got[::-1]
         assert sm.mc_estimates(corr3, [], 400, 5) == []
 
+    @pytest.mark.parametrize("name", ["iid8", "corr3"])
+    def test_entropy_and_renyi_half_equal_their_kernels(self, name, iid8, corr3):
+        # In the shared pass, the entropy is read from the pass's own Gibbs
+        # weights and Renyi-1/2 from the participation ratio of the pass at
+        # beta / 2, which the pairs at beta / 2 share.
+        ens = {"iid8": iid8, "corr3": corr3}[name]
+        betas = (0.0, -0.0, 0.5, 4.0, 1e308)
+        pairs = [(obs, b) for beta in betas for b in (beta, beta / 2.0)
+                 for obs in (sm.SHANNON_ENTROPY, sm.RENYI_HALF,
+                             sm.PARTICIPATION_RATIO, sm.GIBBS_AVERAGE)]
+        got = sm.mc_estimates(ens, pairs, 400, 5)
+        x = sm.realization_batch(ens, 400, 5)
+        log_m = np.log(ens.size)
+        with np.errstate(over="ignore"):  # Lambda at 1e308 in gibbs_measure
+            want = {
+                sm.SHANNON_ENTROPY: lambda b: sm.shannon_entropy(sm.gibbs_measure(x, b)),
+                sm.RENYI_HALF: lambda b: log_m + np.log(
+                    sm.participation_ratio(x, b / 2.0)),
+                sm.PARTICIPATION_RATIO: lambda b: sm.participation_ratio(x, b),
+                sm.GIBBS_AVERAGE: lambda b: sm.GIBBS_AVERAGE.evaluate(x, b)}
+            for (obs, beta), est in zip(pairs, got):
+                mean, se = quench._mean_se(want[obs](beta))
+                assert _bits([est.mean, est.std_error]) == _bits([mean, se]), (
+                    obs.name, beta)
+
     @pytest.mark.parametrize("beta", [-1.0, math.inf])
     def test_bad_beta_refused_before_the_batch(self, iid8, monkeypatch, beta):
         def unreachable(*args):
@@ -349,22 +374,22 @@ class TestReplicaEstimate:
 
 class TestExpectedMax:
     def test_two_point_closed_form(self, iid2):
-        est = sm.expected_max_estimate(iid2, 200_000, seed=14)
+        est = sm.mc_estimate(iid2, sm.EXPECTED_MAX, 0.0, 200_000, seed=14)
         assert abs(est.mean - 1 / math.sqrt(math.pi)) <= 3 * est.std_error
-        assert est.beta == math.inf
 
     def test_close_to_cold_soft_max(self, corr3):
-        em = sm.expected_max_estimate(corr3, 50_000, seed=15)
+        em = sm.mc_estimate(corr3, sm.EXPECTED_MAX, 0.0, 50_000, seed=15)
         phi = sm.mc_estimate(corr3, sm.parse_observable("soft_max(0,1,2)"), 1000.0,
                              50_000, seed=15)
         gap = math.log(3) / 1000.0 + 3 * math.hypot(em.std_error, phi.std_error)
         assert abs(em.mean - phi.mean) <= gap
 
     def test_relabeling_invariant(self):
-        a = sm.expected_max_estimate(sm.build_iid(4, 1.0), 10_000, seed=16)
+        a = sm.mc_estimate(sm.build_iid(4, 1.0), sm.EXPECTED_MAX, 0.0, 10_000,
+                           seed=16)
         sm.clear_cache()
-        b = sm.expected_max_estimate(sm.build_iid(4, 1.0, labels=list("wxyz")),
-                                     10_000, seed=16)
+        b = sm.mc_estimate(sm.build_iid(4, 1.0, labels=list("wxyz")),
+                           sm.EXPECTED_MAX, 0.0, 10_000, seed=16)
         assert a.mean == b.mean
 
 
@@ -722,17 +747,18 @@ def _bits(values):
 
 
 # Kinds outside the shared pass beside every shared kind, at beta = 0 and
-# -0.0, at 1 given three ways, and at 1e308, where the shift overflows.
+# -0.0, at 1 given three ways, at 4, at 1e308, where the shift overflows, and
+# at the halves of 4 and 1e308, whose passes Renyi-1/2 shares.
 _EDGE_PAIRS = (
     [(sm.soft_max_observable((0, 1)), 1.0), (sm.soft_max_observable((1,)), 2.0),
      (sm.SHANNON_ENTROPY, 0.5), (sm.SHANNON_ENTROPY, 0.0),
      (sm.RENYI_HALF, 1.0), (sm.EXPECTED_MAX, 0.0)]
     + [(obs, beta)
-       for beta in (0, -0.0, 1, 1.0, np.float64(1.0), 1e308)
+       for beta in (0, -0.0, 1, 1.0, np.float64(1.0), 4.0, 2.0, 1e308, 5e307)
        for obs in (sm.GIBBS_AVERAGE, sm.FREE_ENERGY, sm.PARTICIPATION_RATIO,
                    sm.KL_TO_UNIFORM, sm.renyi_observable(0.5),
                    sm.renyi_observable(2.0), sm.renyi_observable(1.0 + 1e-9),
-                   sm.REPLICA_GIBBS)])
+                   sm.REPLICA_GIBBS, sm.SHANNON_ENTROPY, sm.RENYI_HALF)])
 
 
 class TestFusedOracle:
@@ -760,9 +786,11 @@ class TestFusedOracle:
     @pytest.mark.parametrize("name, passes", [("iid2", 3), ("corr3", 24)])
     def test_one_shifted_pass_per_chunk_and_beta(self, monkeypatch, name, passes):
         # Three betas; iid2 is one chunk at 128 nodes, corr3 eight.  The
-        # per-pair route took 18 and 144.
+        # per-pair route took 18 and 144.  The grid is finite by
+        # construction, so no chunk is scanned (the max did it per chunk).
         ens = dict(cli._check_fixtures())[name]
         calls = []
+        scans = []
         real = gibbs._shifted
 
         def shifted(x, beta):
@@ -770,8 +798,10 @@ class TestFusedOracle:
             return real(x, beta)
 
         monkeypatch.setattr(gibbs, "_shifted", shifted)
+        monkeypatch.setattr(gibbs, "_check_x", scans.append)
         sm.quadrature_oracles(ens, cli._CHECK_PAIRS, 128)
         assert len(calls) == passes
+        assert scans == []
 
     def test_order_and_repeats(self, corr3):
         pairs = [(sm.KL_TO_UNIFORM, 2.0), (sm.REPLICA_GIBBS, 1.0),
