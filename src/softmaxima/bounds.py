@@ -212,11 +212,13 @@ def soft_super_sudakov(ens: IndexedEnsemble, beta, n: int, seed: int,
     ball_positions = [np.flatnonzero(row) for row in balls]
     union = np.flatnonzero(balls.any(axis=0))
 
+    # Both batches are finite by construction, so they go to the kernel
+    # unscanned.
     x = realization_batch(ens, n, seed)
-    lhs = _mean_se(gibbs.soft_max(x, beta, union))
+    lhs = _mean_se(gibbs._soft_max(x, beta, union))
 
     # Ball average first: shares the batch with the lhs sample-for-sample.
-    ball_vals = np.mean([gibbs.soft_max(x, beta, bp) for bp in ball_positions],
+    ball_vals = np.mean([gibbs._soft_max(x, beta, bp) for bp in ball_positions],
                         axis=0)
     ball_mean, ball_se = _mean_se(ball_vals)
 
@@ -226,11 +228,11 @@ def soft_super_sudakov(ens: IndexedEnsemble, beta, n: int, seed: int,
     else:
         aux_seed = (int(seed) ^ _AUX_SEED_SALT) & 0x7FFFFFFFFFFFFFFF
         g = standard_normal_batch(len(s_pos), n, aux_seed)
-        aux_mean, aux_se = _mean_se(
-            gibbs.soft_max(g, beta * r, np.arange(len(s_pos))))
+        aux_mean, aux_se = _mean_se(gibbs._soft_max(
+            g, gibbs._check_beta(beta * r, positive=True), np.arange(len(s_pos))))
 
     rhs = (r * aux_mean + ball_mean, math.hypot(r * aux_se, ball_se))
-    full = _mean_se(gibbs.soft_max(x, beta, np.arange(ens.size)))
+    full = _mean_se(gibbs._soft_max(x, beta, np.arange(ens.size)))
     return _assemble("soft_super_sudakov", beta, lhs, rhs, "ge",
                      extra={"packing": tuple(packing), "scale": r,
                             "full_softmax": full,

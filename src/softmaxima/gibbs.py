@@ -13,7 +13,9 @@ value a caller wants at that beta, each by its own formula.  _evaluate, the
 one router of observable kinds, groups (observable, beta) pairs into passes;
 Observable.evaluate and the kernels below are its one-pair cases.  Every exp
 of log-weights skips the exponents below -746, whose exp is an exact 0, when
-those are most of them; the result is the same bit for bit.
+those are most of them; the result is the same bit for bit.  Row reductions
+are folds over the columns where that is faster, so a column-major batch is
+read in contiguous columns, and no value depends on the batch's layout.
 
 beta = 0 is a first-class value (the uniform measure), not an error; only the
 softmax itself, which carries a 1/beta factor, requires beta > 0.
@@ -81,13 +83,15 @@ def _row_max(x):
 
 
 def _row_sum(x):
-    """np.sum(x, axis=-1), bit for bit, by the faster form for the row width.
+    """np.sum(x, axis=-1) of x in C order, bit for bit, by the faster form for
+    the row width.
 
     numpy adds each row to 0.0, so a row of -0.0 sums to 0.0; the fold
-    starts from 0.0 too.
+    starts from 0.0 too.  Wide rows are summed in C order: on a column-major
+    x, np.sum adds each row left to right instead of pairwise.
     """
     if x.shape[-1] > _ROW_SUM_FOLD_WIDTH:
-        return np.sum(x, axis=-1)
+        return np.sum(np.ascontiguousarray(x), axis=-1)
     return _fold(np.add, x, 0.0)
 
 
@@ -109,10 +113,12 @@ def _exp(z, out=None):
     """np.exp(z, out=out) of a contiguous z, bit for bit.
 
     When most entries lie below _EXP_FLOOR (judged on about 1024 spread
-    through z), exp is taken of the others only and scattered into a zeroed
-    array.  out may be z itself.
+    through z in memory order, so z of either layout is not copied), exp is
+    taken of the others only and scattered into a zeroed array.  Both forms
+    give the same bits, so the sample decides the time only.  out may be z
+    itself.
     """
-    sample = z.reshape(-1)[::max(1, z.size // 1024)]
+    sample = z.ravel(order="K")[::max(1, z.size // 1024)]
     if 2 * np.count_nonzero(sample >= _EXP_FLOOR) > sample.size:
         return np.exp(z, out=out)
     live = z >= _EXP_FLOOR
@@ -264,8 +270,8 @@ def _observe(x, beta, keys, ens=None):
         return
     w = _exp(z, out=None if "log_weights" in kinds else z)
     if "replica_gibbs" in kinds and not iid_replica:
-        yield from emit(("replica_gibbs", None), 0.5 * beta * np.einsum(
-            "ni,ij,nj->n", w, ens.squared_distances, w))
+        yield from emit(("replica_gibbs", None),
+                        0.5 * beta * _replica_sum(w, ens.squared_distances))
     if "shannon_entropy" in kinds:
         # At beta = 0 from exactly uniform weights, as gibbs_measure has them.
         yield from emit(("shannon_entropy", None), _entropy(
@@ -277,6 +283,23 @@ def _observe(x, beta, keys, ens=None):
     if "kl_to_uniform" in kinds:
         # KL(nu_beta || uniform) = log m + beta <X>_beta - Lambda(beta).
         yield from emit(("kl_to_uniform", None), log_m + beta * mean - log_z)
+
+
+def _replica_sum(w, d2):
+    """sum_ij w_i d2_ij w_j over the last axis of the weights w >= 0, equal
+    bit for bit to numpy's einsum "ni,ij,nj->n" of (w, d2, w) on C-ordered w.
+
+    As that einsum does, it adds (w_i d2_ij) w_j to 0.0 for i, then j, in
+    order; a term with d2_ij = 0 is +0.0 and is skipped.  Each term is a
+    product of columns, so the order does not depend on w's layout.
+    """
+    out = np.zeros(w.shape[:-1])
+    term = np.empty_like(out)
+    for i, j in zip(*np.nonzero(d2)):  # row-major: i, then j
+        np.multiply(w[..., i], d2[i, j], out=term)
+        term *= w[..., j]
+        out += term
+    return out
 
 
 def _renyi_sums(x, x_max, z, beta, keys):

@@ -25,10 +25,12 @@ error.  Three contracts shape everything here:
 
 mc_estimates takes many (observable, beta) pairs on one batch, and
 quadrature_oracles, a tensor-product Gauss-Hermite oracle for index sets of up
-to four points, takes them on each chunk of its grid.  Both hand the pairs to
-gibbs._evaluate, the one place that routes an observable kind, and reduce each
-value as soon as it is formed.  mc_estimate, per_sample_values,
-evaluate_values and quadrature_oracle are one-pair cases.
+to four points, takes them on each chunk of its grid.  A chunk is built
+column-major from repeated node columns (_grid_chunk), so every row reduction
+on it reads contiguous columns.  Both hand the pairs to gibbs._evaluate, the
+one place that routes an observable kind, and reduce each value as soon as it
+is formed.  mc_estimate, per_sample_values, evaluate_values and
+quadrature_oracle are one-pair cases.
 
 SUDAKOV_C, the default Sudakov constant c, and Z_MARGIN, the standard errors
 that every statistical verdict and tolerance allows, are defined here once.
@@ -603,6 +605,32 @@ def _oracle_rule(m: int, nodes_per_dim) -> tuple[np.ndarray, np.ndarray]:
     return z, w
 
 
+def _grid_chunk(points, w, factor, start, stop):
+    """(weights, x = g F^T) of the tensor-grid nodes start..stop-1, x column-major.
+
+    Node t has digit (t // k^(m-1-d)) % k in dimension d, the last digit
+    running fastest.  A dimension of radix r repeats each of its nodes r
+    times, so its column is a slice of np.repeat over the digits the chunk
+    spans, and no node index is formed.  The weight is the product of the
+    digits' rule weights, left to right.  Because k^m <= ORACLE_MAX_NODES,
+    no radix exceeds the chunk, so no repeat is longer than twice the chunk.
+    """
+    k, m = points.size, factor.shape[0]
+    size = stop - start
+    g = np.empty((size, m), order="F")
+    for d in range(m):
+        r = k ** (m - 1 - d)
+        digits = np.arange(start // r, (stop - 1) // r + 1) % k
+        cut = slice(start % r, start % r + size)
+        g[:, d] = np.repeat(points[digits], r)[cut]
+        digit_weight = np.repeat(w[digits], r)[cut]
+        if d == 0:
+            weight = digit_weight
+        else:
+            weight *= digit_weight
+    return weight, np.matmul(g, factor.T, out=np.empty((size, m), order="F"))
+
+
 def quadrature_oracle(ens: IndexedEnsemble, obs: gibbs.Observable, beta,
                       nodes_per_dim: int = ORACLE_NODES) -> float:
     """Tensor-product Gauss-Hermite value of E[obs(X)] for tiny index sets.
@@ -621,30 +649,23 @@ def quadrature_oracles(ens: IndexedEnsemble, pairs,
     """quadrature_oracle(ens, obs, beta, nodes_per_dim) for each (obs, beta).
 
     One pass over the grid: each chunk of nodes and its realizations are
-    built once and every pair is evaluated on them by gibbs._evaluate, each
-    value reduced as soon as it is formed.  Each pair keeps its own sum over
-    the chunks, in chunk order, so its value does not depend on the others.
-    Nothing of the grid outlives the call.
+    built once (_grid_chunk, column-major) and every pair is evaluated on
+    them by gibbs._evaluate, each value reduced as soon as it is formed.
+    Each pair keeps its own sum over the chunks, in chunk order, so its
+    value does not depend on the others.  Nothing of the grid outlives the
+    call.
     """
     pairs = [(obs, gibbs._check_beta(beta)) for obs, beta in pairs]
     m = ens.size
     z, w = _oracle_rule(m, nodes_per_dim)
-    k = z.size
-    total = k ** m
+    total = z.size ** m
     points = np.sqrt(2.0) * z          # E f(G) = pi^{-1/2} sum_k w_k f(sqrt(2) z_k)
-    factor = ens.sampling_factor
     chunk = min(total, 1 << 18)
-    radix = k ** np.arange(m - 1, -1, -1, dtype=np.int64)
 
     acc = [0.0] * len(pairs)
     for start in range(0, total, chunk):
-        flat = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        idx = (flat[:, None] // radix[None, :]) % k
-        g = points[idx]
-        weight = np.prod(w[idx], axis=1)
-        del flat, idx  # only weight and x stay alive while the pairs run
-        x = g @ factor.T
-        del g
+        weight, x = _grid_chunk(points, w, ens.sampling_factor, start,
+                                min(start + chunk, total))
         x.setflags(write=False)  # shared by every pair
         for i, values in gibbs._evaluate(x, pairs, ens):
             acc[i] += float(np.dot(weight, values))

@@ -297,6 +297,26 @@ class TestSoftSuperSudakov:
         with pytest.raises(ValueError, match="invalid-parameter"):
             sm.soft_super_sudakov(iid8, 0.0, 1000, seed=27)
 
+    @pytest.mark.parametrize("scale, packing", [(None, 1), (0.25, 2)])
+    def test_no_batch_scan(self, twocluster12, monkeypatch, scale, packing):
+        # The cached batch and the auxiliary batch are finite by
+        # construction, so no softmax scans them (the public soft_max made
+        # 2 + |packing| scans, and one of the auxiliary batch).
+        scans = []
+        real = sm.gibbs._check_x
+
+        def check_x(x):
+            scans.append(np.shape(x))
+            return real(x)
+
+        monkeypatch.setattr(sm.gibbs, "_check_x", check_x)
+        r = sm.soft_super_sudakov(twocluster12, 1.0, 2000, seed=29, scale=scale)
+        assert len(r.extra["packing"]) == packing
+        assert scans == []
+        x = sm.realization_batch(twocluster12, 2000, 29)
+        lhs = sm.soft_max(x, 1.0, np.arange(12))
+        assert r.extra["full_softmax"][0] == sm.quench._mean_se(lhs)[0]
+
     def test_ball_boundary_matches_ensemble_ball(self):
         # d^2 = 3.0 exactly and r = sqrt(3): r * r rounds below 3.0, so only a
         # comparison at distance scale keeps the boundary points in the ball.

@@ -225,6 +225,14 @@ class TestRowSum:
         for row in x[:64]:
             assert _same_bits(gibbs._row_sum(row), np.sum(row))
 
+    @pytest.mark.parametrize("m", WIDTHS)
+    def test_column_major_sums_as_c_order(self, m):
+        # On a column-major x np.sum adds each wide row left to right, not
+        # pairwise; _row_sum gives the C-ordered bits on either layout.
+        rng = np.random.default_rng(m)
+        x = rng.standard_normal((200, m)) * 10.0 ** rng.uniform(-3, 3, (200, m))
+        assert _same_bits(gibbs._row_sum(np.asfortranarray(x)), np.sum(x, axis=-1))
+
     def test_fold_differs_from_np_sum_at_width_8(self, monkeypatch):
         # The crossover is where it is for a reason: folded at 8 columns, the
         # sum is not np.sum's on this batch.
@@ -310,6 +318,72 @@ class TestSumExp:
         assert np.array_equal(sm.gibbs_measure(x, beta).weights, weights)
         assert np.array_equal(sm.GIBBS_AVERAGE.evaluate(x, beta),
                               np.sum(weights * x, axis=-1))
+
+
+class TestReplicaSum:
+    """_replica_sum is numpy's einsum "ni,ij,nj->n" bit for bit."""
+
+    @staticmethod
+    def _case(m, seed):
+        # Points in the plane, the third on the first (a zero off the
+        # diagonal of d2), and Gibbs weights with exact zeros among them.
+        rng = np.random.default_rng(seed)
+        pts = rng.standard_normal((m, 2))
+        if m > 2:
+            pts[2] = pts[0]
+        d2 = np.sum((pts[:, None] - pts[None]) ** 2, axis=-1)
+        z = 5.0 * rng.standard_normal((20_000, m))
+        w = np.exp(z - np.max(z, axis=-1, keepdims=True))
+        w /= np.sum(w, axis=-1, keepdims=True)
+        w[::3, 0] = 0.0
+        w[1::5, m - 1] = 0.0
+        return w, d2
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_equals_einsum(self, m, order):
+        w, d2 = self._case(m, m)
+        if m > 2:
+            assert d2[0, 2] == d2[2, 0] == 0.0
+        expected = np.einsum("ni,ij,nj->n", w, d2, w)
+        got = gibbs._replica_sum(np.asarray(w, order=order), d2)
+        assert _same_bits(got, expected)
+
+    def test_matmul_form_differs(self):
+        # The order matters: the row sum of (w d2) * w is not einsum's.
+        w, d2 = self._case(3, 3)
+        expected = np.einsum("ni,ij,nj->n", w, d2, w)
+        assert _same_bits(gibbs._replica_sum(w, d2), expected)
+        assert not np.array_equal(gibbs._row_sum((w @ d2) * w), expected)
+
+
+class TestColumnMajorBatch:
+    """_evaluate gives the same bits on a column-major copy of a batch."""
+
+    PAIRS = [sm.GIBBS_AVERAGE, sm.FREE_ENERGY, sm.PARTICIPATION_RATIO,
+             sm.KL_TO_UNIFORM, sm.RENYI_HALF, sm.SHANNON_ENTROPY,
+             sm.renyi_observable(0.7), sm.renyi_observable(2.0),
+             sm.renyi_observable(1.0 + 1e-9), sm.REPLICA_GIBBS,
+             sm.EXPECTED_MAX, sm.soft_max_observable((0, 2))]
+
+    # At beta = 1 no shifted exponent lies below the floor, so every exp is
+    # dense; at 2000 most do (53% on corr3, 78% on ar8), so they are sparse.
+    @pytest.mark.parametrize("beta, below", [(1.0, (0.0, 0.0)),
+                                             (2000.0, (0.5, 0.75))])
+    def test_every_kind(self, corr3, ar8, beta, below):
+        for ens, share in zip((corr3, ar8), below):
+            x = sm.realization_batch(ens, 20_000, 5)
+            z = beta * (x - np.max(x, axis=-1, keepdims=True))
+            assert np.mean(z < _EXP_FLOOR) >= share
+            pairs = [(obs, beta) for obs in self.PAIRS]
+            if ens.size == 8:
+                pairs.append((sm.REM_PRESSURE, beta))
+            x_f = np.asfortranarray(x)
+            assert x_f.flags.f_contiguous and not x_f.flags.c_contiguous
+            c_order = dict(gibbs._evaluate(x, pairs, ens))
+            f_order = dict(gibbs._evaluate(x_f, pairs, ens))
+            for i in range(len(pairs)):
+                assert _same_bits(f_order[i], c_order[i]), pairs[i]
 
 
 class TestGibbsMeasure:

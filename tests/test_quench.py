@@ -761,6 +761,31 @@ _EDGE_PAIRS = (
                    sm.REPLICA_GIBBS, sm.SHANNON_ENTROPY, sm.RENYI_HALF)])
 
 
+class TestGridChunk:
+    """_grid_chunk equals the radix index build it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("k, m", [(200, 3), (64, 4), (128, 2), (32, 1)])
+    def test_equals_frozen_index_build(self, k, m):
+        # At k = 200 the chunk edges fall inside a leading digit.
+        z, w = quench._oracle_rule(m, k)
+        points = np.sqrt(2.0) * z
+        factor = np.random.default_rng(k + m).standard_normal((m, m))
+        total = k ** m
+        radix = k ** np.arange(m - 1, -1, -1, dtype=np.int64)
+        chunk = min(total, 1 << 18)
+        for start in range(0, total, chunk):
+            stop = min(start + chunk, total)
+            flat = np.arange(start, stop, dtype=np.int64)
+            idx = (flat[:, None] // radix[None, :]) % k
+            weight, x = quench._grid_chunk(points, w, factor, start, stop)
+            frozen = np.prod(w[idx], axis=1)
+            assert np.array_equal(weight.view(np.uint64), frozen.view(np.uint64))
+            frozen = points[idx] @ factor.T
+            assert frozen.flags.c_contiguous
+            assert np.array_equal(x.view(np.uint64), frozen.view(np.uint64))
+            assert x.flags.f_contiguous
+
+
 class TestFusedOracle:
     """quadrature_oracles equals the per-pair route it replaced, bit for bit."""
 
