@@ -14,8 +14,10 @@ one router of observable kinds, groups (observable, beta) pairs into passes;
 Observable.evaluate and the kernels below are its one-pair cases.  Every exp
 of log-weights skips the exponents below -746, whose exp is an exact 0, when
 those are most of them; the result is the same bit for bit.  Row reductions
-are folds over the columns where that is faster, so a column-major batch is
-read in contiguous columns, and no value depends on the batch's layout.
+give numpy's own bits by the faster form for the row width: a fold over the
+columns up to 7 wide, so a column-major batch is read in contiguous columns,
+and at exactly 8 wide numpy's pairwise tree, built from strided-slice ufuncs
+over blocks of rows.  No value depends on the batch's layout.
 
 beta = 0 is a first-class value (the uniform measure), not an error; only the
 softmax itself, which carries a 1/beta factor, requires beta > 0.
@@ -37,17 +39,25 @@ RENYI_KL_WINDOW = 1e-8
 # taken of an exponent below this floor.
 _EXP_FLOOR = -746.0
 # Rows up to this wide take their max as np.maximum folded over the columns,
-# wider rows as np.max(axis=-1).  With numpy 2.4 on one thread, np.max on
-# 2e5 x 8 takes 15.9 ms against the fold's 4.8; from 9 columns np.max is
-# vectorised, about twice as fast, and a tie between 0.0 and -0.0 can come
-# out with the other sign than the fold's, so the fold stops at 8.
-_ROW_MAX_FOLD_WIDTH = 8
+# rows of _ROW_TREE_WIDTH as its balanced tree, and wider rows as
+# np.max(axis=-1).  With numpy 2.4 on one thread, np.max on 2e5 x 8 takes
+# 18 ms against the fold's 5.5 and the tree's 1.5; from 9 columns np.max is
+# vectorised, about twice as fast as the fold, and a tie between 0.0 and
+# -0.0 can come out with the other sign than the fold's or the tree's.
+_ROW_MAX_FOLD_WIDTH = 7
 # Rows up to this wide take their sum as np.add folded over the columns,
-# wider rows as np.sum(axis=-1).  Below 8 columns numpy adds a row to 0.0
-# left to right, as the fold does, and on 2^18 x 3 np.sum takes 6.0 ms
-# against the fold's 1.1; from 8 columns its pairwise sum adds in another
-# order.
+# rows of _ROW_TREE_WIDTH as its balanced tree, and wider rows as
+# np.sum(axis=-1).  Below 8 columns numpy adds a row to 0.0 left to right,
+# as the fold does, and on 2^18 x 3 np.sum takes 6.0 ms against the fold's
+# 1.1; at 8 columns its pairwise sum adds in the tree's order, and on 2e5 x 8
+# the tree takes 1.5 ms against np.sum's 5.4.  A tree with a sequential
+# remainder was slower than np.sum at every width from 9 to 15.
 _ROW_SUM_FOLD_WIDTH = 7
+# The one row width reduced as the tree ((x0 x1)(x2 x3))((x4 x5)(x6 x7)),
+# numpy's pairwise order for 8 elements, in blocks of this many rows, so no
+# temporary is larger than one block.
+_ROW_TREE_WIDTH = 8
+_ROW_TREE_BLOCK = 1 << 14
 
 
 def _check_beta(beta, positive=False):
@@ -75,9 +85,39 @@ def _fold(ufunc, x, start):
     return out[()]
 
 
+def _tree(ufunc, x, start=None):
+    """ufunc over each row of 8 in numpy's pairwise order, applied to start
+    first when given: start o (((x0 o x1) o (x2 o x3)) o ((x4 o x5) o (x6 o x7))).
+
+    Each level is one ufunc on strided column slices of a block of rows, so
+    either layout is read in place.  np.maximum returns its right operand on
+    a tie between 0.0 and -0.0, so a max tree picks the rightmost maximum,
+    as the fold does.
+    """
+    lead = x.shape[:-1]
+    if x.ndim != 2:
+        x = x.reshape(-1, _ROW_TREE_WIDTH)
+    n = x.shape[0]
+    out = np.empty(n)
+    rows = min(n, _ROW_TREE_BLOCK)
+    half, quarter = np.empty((rows, 4)), np.empty((rows, 2))
+    for a in range(0, n, _ROW_TREE_BLOCK):
+        b = x[a:a + _ROW_TREE_BLOCK]
+        h, q, o = half[:len(b)], quarter[:len(b)], out[a:a + len(b)]
+        ufunc(b[:, 0::2], b[:, 1::2], out=h)
+        ufunc(h[:, 0::2], h[:, 1::2], out=q)
+        ufunc(q[:, 0], q[:, 1], out=o)
+        if start is not None:
+            ufunc(start, o, out=o)
+    return out.reshape(lead)[()]
+
+
 def _row_max(x):
     """np.max(x, axis=-1), bit for bit, by the faster form for the row width."""
-    if x.shape[-1] > _ROW_MAX_FOLD_WIDTH:
+    m = x.shape[-1]
+    if m == _ROW_TREE_WIDTH:
+        return _tree(np.maximum, x)
+    if m > _ROW_MAX_FOLD_WIDTH:
         return np.max(x, axis=-1)
     return _fold(np.maximum, x, -np.inf)
 
@@ -86,11 +126,14 @@ def _row_sum(x):
     """np.sum(x, axis=-1) of x in C order, bit for bit, by the faster form for
     the row width.
 
-    numpy adds each row to 0.0, so a row of -0.0 sums to 0.0; the fold
-    starts from 0.0 too.  Wide rows are summed in C order: on a column-major
-    x, np.sum adds each row left to right instead of pairwise.
+    numpy adds each row to 0.0, so a row of -0.0 sums to 0.0; the fold and
+    the tree start from 0.0 too.  Wide rows are summed in C order: on a
+    column-major x, np.sum adds each row left to right instead of pairwise.
     """
-    if x.shape[-1] > _ROW_SUM_FOLD_WIDTH:
+    m = x.shape[-1]
+    if m == _ROW_TREE_WIDTH:
+        return _tree(np.add, x, 0.0)
+    if m > _ROW_SUM_FOLD_WIDTH:
         return np.sum(np.ascontiguousarray(x), axis=-1)
     return _fold(np.add, x, 0.0)
 

@@ -10,9 +10,13 @@ error.  Three contracts shape everything here:
   whatever the order in which rows are filled.  The fill does not build those
   generators one by one: it computes the Philox blocks of many samples as
   whole-array numpy operations, takes numpy's ziggurat fast path on them,
-  and hands a row to numpy's own generator, set to the exact state, at the
-  first draw the fast path declines.  tests/test_quench.py pins the result
-  to the per-sample definition bit for bit.
+  and, in rows of up to 64 draws, decides the wedge tests of the draws it
+  declines in array ops too.  Such a row goes to numpy's own generator, set
+  to the exact state, only at a tail draw, at a draw or a wedge test too
+  close to numpy's bound to decide safely, and where its Philox words run
+  out; a wider row goes to numpy at its first declined draw or after 64.
+  tests/test_quench.py pins the result to the per-sample definition bit for
+  bit.
 * Common random numbers: identical (ensemble, n, seed) always yields the
   identical realization batch, so comparisons across beta or across the two
   sides of an identity are per-sample comparisons.  A few recent batches are
@@ -226,9 +230,9 @@ def _zig_thresholds(wi) -> np.ndarray:
     """Fast-path acceptance bounds, a strict subset of numpy's ki_double.
 
     With x_k = 2^52 wi[k]: ki[0] = floor(2^52 r / x_0), ki[1] = 0 and
-    ki[k] = floor(2^52 x_{k-1} / x_k), computed exactly, less a 4096-unit
-    margin.  A draw the fast path declines goes to numpy, so the margin
-    costs about 1e-12 of acceptance and can never change a value.
+    ki[k] = floor(2^52 x_{k-1} / x_k), computed exactly, less a margin of
+    _ZIG_KI_MARGIN units.  A draw the fast path declines is decided by the
+    wedge test or by numpy, so the margin can never change a value.
     """
     x = [float(w) * 2.0 ** 52 for w in wi]  # exact: a power-of-two scale
 
@@ -238,11 +242,30 @@ def _zig_thresholds(wi) -> np.ndarray:
 
     ki = [floor_ratio(_ZIG_R, x[0]), 0]
     ki += [floor_ratio(x[k - 1], x[k]) for k in range(2, len(x))]
-    return np.array([max(k - 4096, 0) for k in ki], dtype=np.uint64)
+    return np.array([max(k - _ZIG_KI_MARGIN, 0) for k in ki], dtype=np.uint64)
 
 
+def _zig_densities(wi) -> np.ndarray:
+    """The wedge densities of numpy's fi_double: fi[k] = exp(-x_k^2 / 2) with
+    x_k = 2^52 wi[k], and fi[0] = 1 at the top of the ziggurat.  They may
+    differ from numpy's table in the last bits, which _ZIG_TIE covers."""
+    x = wi * 2.0 ** 52
+    fi = np.exp(-0.5 * x * x)
+    fi[0] = 1.0
+    return fi
+
+
+_ZIG_KI_MARGIN = 4096
 _ZIG_KI = _zig_thresholds(_ZIG_WI)
-_ZIG_PREFIX = 64        # draws per row taken by the vectorised fast path
+# A declined draw below this bound is left to numpy: its own ki may lie up to
+# _ZIG_KI_MARGIN above the exact bound and accept it.
+_ZIG_KI_BAND = _ZIG_KI + np.uint64(2 * _ZIG_KI_MARGIN)
+_ZIG_FI = _zig_densities(_ZIG_WI)
+# A wedge test whose two sides lie closer than this is left to numpy: the
+# tables, exp and the rounding of the test may differ from numpy's by ulps.
+_ZIG_TIE = 1e-12
+_ZIG_PREFIX = 64        # draws per row taken by the vectorised path
+_ZIG_EXTRA_BLOCKS = 2   # Philox blocks past the prefix's read by wedge rows
 _CHUNK_BLOCKS = 1 << 14  # Philox blocks per vectorised chunk (bounds memory)
 
 
@@ -260,13 +283,14 @@ def _mulhilo(m, x):
     return m_hi * x_hi + (t >> 32) + (u >> 32), np.uint64(m) * x
 
 
-def _philox_blocks(key, lo, hi, n_blocks):
-    """Philox4x64-10 of counters (b, 0, i, 0), b = 1..n_blocks, lo <= i < hi.
+def _philox_blocks(key, rows, first, last):
+    """Philox4x64-10 of counters (b, 0, i, 0), first < b <= last, i in rows.
 
-    Returns the outputs in draw order, shape (hi - lo, 4 * n_blocks).
+    Returns the outputs in draw order, shape (len(rows), 4 * (last - first)).
     """
-    c0 = np.tile(np.arange(1, n_blocks + 1, dtype=np.uint64), hi - lo)
-    c2 = np.repeat(np.arange(lo, hi, dtype=np.uint64), n_blocks)
+    n_blocks = last - first
+    c0 = np.tile(np.arange(first + 1, last + 1, dtype=np.uint64), len(rows))
+    c2 = np.repeat(np.asarray(rows, dtype=np.uint64), n_blocks)
     c1 = np.zeros_like(c0)
     c3 = np.zeros_like(c0)
     k0, k1 = int(key[0]), int(key[1])
@@ -277,49 +301,146 @@ def _philox_blocks(key, lo, hi, n_blocks):
         hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
         hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
         c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ np.uint64(k1), lo0
-    return np.stack([c0, c1, c2, c3], axis=-1).reshape(hi - lo, 4 * n_blocks)
+    return np.stack([c0, c1, c2, c3], axis=-1).reshape(len(rows), 4 * n_blocks)
+
+
+def _zig_fields(r):
+    """(idx, rabs) of raw words r: the layer, bits 0-7, and the 52-bit
+    magnitude, bits 9-60; bit 8 is the sign."""
+    return (r & 0xFF).astype(np.intp), (r >> 9) & np.uint64((1 << 52) - 1)
+
+
+def _zig_draws(r):
+    """(x, declined) of raw words r: numpy's ziggurat candidate
+    x = +-rabs * wi[idx], and whether the fast path declines it."""
+    idx, rabs = _zig_fields(r)
+    x = rabs.astype(np.float64) * _ZIG_WI[idx]
+    x.view(np.uint64)[...] |= (r & 0x100) << 55  # sign bit 8 -> bit 63
+    return x, rabs >= _ZIG_KI[idx]
+
+
+def _resume(rng, state, i, cursor, words, out):
+    """Fill out with numpy's own generator at word cursor of sample i's stream.
+
+    words is the Philox block holding the cursor's word; the state resumes
+    inside that block with its buffer loaded, or at a block boundary with
+    the buffer spent.
+    """
+    q, s = divmod(cursor, 4)
+    state["state"]["counter"] = [q + 1 if s else q, 0, i, 0]
+    state["buffer"] = words if s else [0, 0, 0, 0]
+    state["buffer_pos"] = s or 4
+    rng.bit_generator.state = state
+    rng.standard_normal(out=out)
+
+
+def _wedges(raw, x, declined, p):
+    """Word of each of the first p draws of every row of raw, and where
+    numpy's generator must take over, deciding declined draws in array ops.
+
+    raw holds W words of each row, x and declined their _zig_draws.  A draw
+    the fast path declines is numpy's wedge test when its layer idx >= 1:
+    with u = (next word >> 11) 2^-53 it is accepted iff
+    (fi[idx-1] - fi[idx]) u + fi[idx] < exp(-x^2 / 2), and otherwise the
+    draw is retried from the word after u.  Each decision shifts the row's
+    later draws past the words it consumed.  A row stops, to be resumed by
+    numpy at its word cursor, at a tail draw (idx 0), at a draw within
+    _ZIG_KI_BAND, at a wedge test within _ZIG_TIE of a tie, and where its
+    words run out.  Returns (word, k_stop, cursor): draw k < k_stop of row h
+    is x[h, word[h, k]], and numpy draws k >= k_stop from word cursor[h].
+    """
+    n, w_end = raw.shape
+    # Every declined word of every row, in row order, each row's list ended
+    # by a sentinel at w_end; the test of each is taken as if it were a
+    # draw, though a word that serves as some u is never read as one.
+    rows, cols = np.nonzero(np.concatenate([declined, np.ones((n, 1), bool)], axis=1))
+    live_word = cols < w_end - 1  # a sentinel, or a declined last word, has no u
+    at = np.where(live_word, cols, 0)
+    idx, rabs = _zig_fields(raw[rows, at])
+    u = (raw[rows, at + 1] >> 11) * 2.0 ** -53
+    xd = x[rows, at]
+    lhs = (_ZIG_FI[idx - 1] - _ZIG_FI[idx]) * u + _ZIG_FI[idx]
+    rhs = np.exp(-0.5 * xd * xd)
+    decided = (live_word & (idx > 0) & (rabs >= _ZIG_KI_BAND[idx])
+               & (np.abs(lhs - rhs) > _ZIG_TIE))
+    accept = (lhs < rhs).astype(np.intp)
+    # The entry after a decided one: the next, or the one after it when the
+    # next is the u word itself.  A decided entry is never a row's last.
+    nxt = np.arange(1, len(cols) + 1)
+    nxt[:-1] += cols[1:] == cols[:-1] + 1
+    ptr = np.searchsorted(rows, np.arange(n))  # each row's next entry
+    k = np.zeros(n, np.intp)  # next draw of each row
+    w = np.zeros(n, np.intp)  # next word of each row
+    k_stop, cursor = np.empty(n, np.intp), np.empty(n, np.intp)
+    shift = np.zeros((n, p + 1), np.intp)  # words consumed before draw k
+    live = np.arange(n)
+    while live.size:
+        e = ptr[live]
+        d = cols[e]
+        kd = k[live] + (d - w[live])
+        # The fast path returns words w .. d - 1 as draws k .. kd - 1.
+        done = kd >= p
+        h = live[done]
+        k_stop[h], cursor[h] = p, w[h] + (p - k[h])
+        go = ~done & decided[e]
+        h = live[~done & ~go]
+        k_stop[h], cursor[h] = kd[~done & ~go], d[~done & ~go]
+        live, e, d, kd = live[go], e[go], d[go], kd[go]
+        a = accept[e]
+        # An accepted draw consumed u; a rejected one consumed x and u.
+        shift[live, kd + a] += 2 - a
+        k[live], w[live], ptr[live] = kd + a, d + 2, nxt[e]
+    word = np.arange(p) + np.cumsum(shift[:, :p], axis=1)
+    return np.minimum(word, w_end - 1), k_stop, cursor
 
 
 def _fill_block(out, key):
     """Every row of out, row i being sample i's stream (see above).
 
-    numpy's ziggurat fast path (Marsaglia & Tsang 2000) is applied to the
-    first _ZIG_PREFIX draws of every row at once.  At a row's first draw
-    the fast path declines, or after the prefix, numpy's own generator,
-    set to the exact state the stream has there, draws the rest of the row:
-    every tail, wedge and rejection is drawn by numpy itself.
+    numpy's ziggurat (Marsaglia & Tsang 2000) is applied to the first
+    _ZIG_PREFIX draws of every row at once: the fast path to whole blocks of
+    Philox words and, in rows no wider than the prefix, the wedge tests of
+    the rows where it declines a draw (_wedges), read _ZIG_EXTRA_BLOCKS
+    blocks further.  Where _wedges stops a row, and in a wider row at its
+    first declined draw or after the prefix, numpy's own generator, set to
+    the exact state the stream has there, draws the rest of the row (_resume).
     """
     m = out.shape[1]
     if m == 0:
         return
     p = min(m, _ZIG_PREFIX)
     n_blocks = -(-p // 4)
-    bitgen = np.random.Philox(key=key)
-    rng = np.random.Generator(bitgen)
-    state = bitgen.state
+    rng = np.random.Generator(np.random.Philox(key=key))
+    state = rng.bit_generator.state
     n = out.shape[0]
     step = _CHUNK_BLOCKS // n_blocks
     for start in range(0, n, step):
         stop = min(start + step, n)
-        raw = _philox_blocks(key, start, stop, n_blocks)
-        r = raw[:, :p]
-        idx = (r & 0xFF).astype(np.intp)
-        rabs = (r >> 9) & np.uint64((1 << 52) - 1)
-        x = rabs.astype(np.float64) * _ZIG_WI[idx]
-        x.view(np.uint64)[...] |= (r & 0x100) << 55  # sign bit 8 -> bit 63
-        out[start:stop, :p] = x
-        declined = rabs >= _ZIG_KI[idx]
-        first = np.where(declined.any(axis=1), declined.argmax(axis=1), p)
-        for k in np.flatnonzero(first < m):
-            i, j = start + int(k), int(first[k])
-            q, s = divmod(j, 4)
-            # Resume at draw j: inside block q + 1 with its buffer loaded,
-            # or at a block boundary with the buffer spent.
-            state["state"]["counter"] = [q + 1 if s else q, 0, i, 0]
-            state["buffer"] = raw[k, 4 * q:4 * q + 4] if s else [0, 0, 0, 0]
-            state["buffer_pos"] = s or 4
-            bitgen.state = state
-            rng.standard_normal(out=out[i, j:])
+        raw = _philox_blocks(key, np.arange(start, stop), 0, n_blocks)
+        x, declined = _zig_draws(raw)
+        out[start:stop, :p] = x[:, :p]
+        wedged = declined[:, :p].any(axis=1)
+        if m > p:
+            # numpy draws every row past the prefix anyway, so it takes a
+            # row over from its first declined draw.
+            k_stop = cursor = np.where(wedged, declined[:, :p].argmax(axis=1), p)
+            rows = np.arange(stop - start)
+        else:
+            rows = np.flatnonzero(wedged)
+            if not rows.size:
+                continue
+            extra = _philox_blocks(key, start + rows, n_blocks,
+                                   n_blocks + _ZIG_EXTRA_BLOCKS)
+            x_extra, declined_extra = _zig_draws(extra)
+            raw = np.concatenate([raw[rows], extra], axis=1)
+            x = np.concatenate([x[rows], x_extra], axis=1)
+            declined = np.concatenate([declined[rows], declined_extra], axis=1)
+            word, k_stop, cursor = _wedges(raw, x, declined, p)
+            out[start + rows, :p] = np.take_along_axis(x, word, axis=1)
+        resumed = np.flatnonzero(k_stop < m)
+        for h, i, k, c in zip(resumed.tolist(), (start + rows[resumed]).tolist(),
+                              k_stop[resumed].tolist(), cursor[resumed].tolist()):
+            _resume(rng, state, i, c, raw[h, c & ~3:(c & ~3) + 4], out[i, k:])
 
 
 def _standard_batch(m: int, n: int, seed: int) -> np.ndarray:

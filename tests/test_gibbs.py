@@ -233,13 +233,44 @@ class TestRowSum:
         x = rng.standard_normal((200, m)) * 10.0 ** rng.uniform(-3, 3, (200, m))
         assert _same_bits(gibbs._row_sum(np.asfortranarray(x)), np.sum(x, axis=-1))
 
-    def test_fold_differs_from_np_sum_at_width_8(self, monkeypatch):
+    def test_fold_differs_from_np_sum_at_width_8(self):
         # The crossover is where it is for a reason: folded at 8 columns, the
         # sum is not np.sum's on this batch.
         x = np.random.default_rng(8).standard_normal((1000, 8))
         assert _same_bits(gibbs._row_sum(x), np.sum(x, axis=-1))
-        monkeypatch.setattr(gibbs, "_ROW_SUM_FOLD_WIDTH", 8)
-        assert not np.array_equal(gibbs._row_sum(x), np.sum(x, axis=-1))
+        assert not np.array_equal(gibbs._fold(np.add, x, 0.0), np.sum(x, axis=-1))
+
+
+class TestRowTree:
+    """At width 8 _row_max and _row_sum take the tree, and it is np.max and
+    np.sum bit for bit."""
+
+    @staticmethod
+    def check(x):
+        c = np.ascontiguousarray(x)
+        assert _same_bits(gibbs._row_max(x), np.max(c, axis=-1))
+        assert _same_bits(gibbs._row_sum(x), np.sum(c, axis=-1))
+
+    def test_every_signed_zero_mix(self):
+        # All 3^8 rows over {0.0, -0.0, -1.0}: ties of either sign anywhere.
+        digits = np.arange(3 ** 8)[:, None] // 3 ** np.arange(8) % 3
+        self.check(np.array([0.0, -0.0, -1.0])[digits])
+
+    def test_blocks(self):
+        # Two whole blocks and a partial one, with magnitudes over six
+        # decades so the order of the adds shows.
+        n = 2 * gibbs._ROW_TREE_BLOCK + 3
+        rng = np.random.default_rng(17)
+        self.check(rng.standard_normal((n, 8)) * 10.0 ** rng.uniform(-3, 3, (n, 8)))
+
+    def test_shapes_and_layouts(self):
+        rng = np.random.default_rng(18)
+        x = rng.standard_normal((5, 7, 8)) * 10.0 ** rng.uniform(-3, 3, (5, 7, 8))
+        self.check(x)
+        self.check(x[2, 3])
+        assert type(gibbs._row_sum(x[2, 3])) is type(np.sum(x[2, 3]))
+        self.check(np.asfortranarray(x.reshape(35, 8)))
+        self.check(np.empty((0, 8)))
 
 
 def _edge_exponents(rng, shape, live_share):

@@ -173,6 +173,96 @@ class TestStreamDefinition:
             sm.standard_normal_batch(2, 10, True)
 
 
+def resumed(monkeypatch):
+    """(row, word cursor) of every row the fill hands to numpy's generator."""
+    calls = []
+    real = quench._resume
+
+    def record(rng, state, i, cursor, words, out):
+        calls.append((i, cursor))
+        real(rng, state, i, cursor, words, out)
+
+    monkeypatch.setattr(quench, "_resume", record)
+    return calls
+
+
+def candidate(r):
+    """numpy's ziggurat candidate +-rabs * wi[idx] of one raw word."""
+    x = float((r >> np.uint64(9)) & np.uint64((1 << 52) - 1)) * quench._ZIG_WI[int(r & 0xFF)]
+    return -x if int(r) & 0x100 else x
+
+
+def first_decline(seed, i, m, words=12):
+    """(raw words, position of the first fast-path decline among the first
+    m) of sample i, the position None when there is none."""
+    r = first_raw_words(seed, i, words)
+    at = np.flatnonzero(fast_path_declines(r[:m]))
+    return r, (int(at[0]) if at.size else None)
+
+
+class TestWedgeFill:
+    """Declined draws decided in array ops, and each path that still hands a
+    row to numpy's generator, against the per-sample definition."""
+
+    def test_tie_margin_sends_every_wedge_to_numpy(self, monkeypatch):
+        calls = resumed(monkeypatch)
+        monkeypatch.setattr(quench, "_ZIG_TIE", 2.0)
+        got = quench._standard_batch(8, 3000, 3)
+        assert np.array_equal(got, reference_batch(3, 3000, 8))
+        firsts = [(i, first_decline(3, i, 8)[1]) for i in range(3000)]
+        assert sorted(calls) == [(i, d) for i, d in firsts if d is not None]
+
+    @pytest.mark.parametrize("m", [3, 5, 8, 64])
+    def test_no_extra_blocks(self, monkeypatch, m):
+        monkeypatch.setattr(quench, "_ZIG_EXTRA_BLOCKS", 0)
+        n = 16_384 // m
+        assert np.array_equal(quench._standard_batch(m, n, 4), reference_batch(4, n, m))
+
+    def test_tail_draw_goes_to_numpy(self, monkeypatch):
+        calls = resumed(monkeypatch)
+        for i in range(20_000):
+            r, d = first_decline(5, i, 8)
+            if d is not None and int(r[d] & 0xFF) == 0:
+                break
+        else:
+            pytest.fail("no first decline in a tail")
+        got = quench._standard_batch(8, i + 1, 5)
+        assert np.array_equal(got, reference_batch(5, i + 1, 8))
+        assert (i, d) in calls
+
+    def test_rejected_wedge_then_second_decline(self, monkeypatch):
+        calls = resumed(monkeypatch)
+        # A row whose first decline is a wedge that numpy rejects (its draw
+        # d is not the declined candidate), with another decline among the
+        # words its later draws read.
+        for i in range(20_000):
+            r, d = first_decline(6, i, 8)
+            if (d is not None and int(r[d] & 0xFF) > 0
+                    and reference_sample(6, i, 8)[d] != candidate(r[d])
+                    and fast_path_declines(r[d + 2:10]).any()):
+                break
+        else:
+            pytest.fail("no rejected wedge followed by a decline")
+        got = quench._standard_batch(8, i + 1, 6)
+        assert np.array_equal(got, reference_batch(6, i + 1, 8))
+        assert all(c >= d + 2 for j, c in calls if j == i)
+
+    @pytest.mark.parametrize("m", [5, 8, 64])
+    def test_chunk_boundaries(self, monkeypatch, m):
+        # Chunks of a few rows: the wedge rows of every chunk after the
+        # first sit at a nonzero row offset.
+        monkeypatch.setattr(quench, "_CHUNK_BLOCKS", 48)
+        n = 30 * (48 // -(-m // 4)) + 7
+        assert np.array_equal(quench._standard_batch(m, n, 10), reference_batch(10, n, m))
+
+    def test_few_rows_resume_numpy(self, monkeypatch):
+        # Handing every row with a declined draw to numpy resumed 11% of
+        # these rows.
+        calls = resumed(monkeypatch)
+        quench._standard_batch(8, 20_000, 7)
+        assert len(calls) < 200
+
+
 class TestMcEstimate:
     def test_centered_at_beta_zero(self, corr3):
         est = sm.mc_estimate(corr3, sm.GIBBS_AVERAGE, 0.0, 20_000, seed=6)
