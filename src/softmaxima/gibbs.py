@@ -9,9 +9,13 @@ argmax (beta -> infinity).  Everything here is a deterministic function of
 (x, beta) routed through one max-shifted primitive, so nothing overflows
 even when beta * max|x| reaches 1e6.  One pass (_observe) forms the shift,
 its exp and the exp's row sum once per (batch, beta) and takes from them every
-value a caller wants at that beta, each by its own formula.  _evaluate, the
-one router of observable kinds, groups (observable, beta) pairs into passes;
-Observable.evaluate and the kernels below are its one-pair cases.  Every exp
+value a caller wants at that beta, each by its own formula.  It runs over
+blocks of whole rows, at most _BLOCK_ELEMENTS (512 KB) unless one row is
+wider, so only one block's shift and exp are alive at a time, in cache,
+beside one output per value; a row's values depend on that row alone, so
+the bits are those of one pass over the whole batch.  _evaluate, the one router of observable
+kinds, groups (observable, beta) pairs into passes; Observable.evaluate and
+the kernels below are its one-pair cases.  Every exp
 of log-weights skips the exponents below -746, whose exp is an exact 0, when
 those are most of them; the result is the same bit for bit.  Row reductions
 give numpy's own bits by the faster form for the row width: a fold over the
@@ -54,10 +58,14 @@ _ROW_MAX_FOLD_WIDTH = 7
 # remainder was slower than np.sum at every width from 9 to 15.
 _ROW_SUM_FOLD_WIDTH = 7
 # The one row width reduced as the tree ((x0 x1)(x2 x3))((x4 x5)(x6 x7)),
-# numpy's pairwise order for 8 elements, in blocks of this many rows, so no
-# temporary is larger than one block.
+# numpy's pairwise order for 8 elements, in blocks of _BLOCK_ELEMENTS / 8
+# rows, so no temporary is larger than one block.
 _ROW_TREE_WIDTH = 8
-_ROW_TREE_BLOCK = 1 << 14
+# Float64 elements per block (512 KB) of a shifted pass and of the row tree.
+# Each block's z and e then stay in a 2 MB L2 cache; in-process medians on
+# the four benchmark workloads were lowest at 2^16 among 2^13 to 2^18 and
+# the whole batch.
+_BLOCK_ELEMENTS = 1 << 16
 
 
 def _check_beta(beta, positive=False):
@@ -99,10 +107,11 @@ def _tree(ufunc, x, start=None):
         x = x.reshape(-1, _ROW_TREE_WIDTH)
     n = x.shape[0]
     out = np.empty(n)
-    rows = min(n, _ROW_TREE_BLOCK)
+    step = _BLOCK_ELEMENTS // _ROW_TREE_WIDTH
+    rows = min(n, step)
     half, quarter = np.empty((rows, 4)), np.empty((rows, 2))
-    for a in range(0, n, _ROW_TREE_BLOCK):
-        b = x[a:a + _ROW_TREE_BLOCK]
+    for a in range(0, n, step):
+        b = x[a:a + step]
         h, q, o = half[:len(b)], quarter[:len(b)], out[a:a + len(b)]
         ufunc(b[:, 0::2], b[:, 1::2], out=h)
         ufunc(h[:, 0::2], h[:, 1::2], out=q)
@@ -195,7 +204,8 @@ def _pass_key(obs, beta):
 
 
 def _evaluate(x, pairs, ens=None):
-    """Yield (i, values of pairs[i] on the finite batch x), each as it is formed.
+    """Yield (i, values of pairs[i] on the finite batch x), each as soon as
+    its kernel or pass is done.
 
     x and the betas are checked by the caller; ens gives replica_gibbs its
     geometry.  Pairs whose passes (_pass_key) fall at one beta share one
@@ -221,21 +231,45 @@ def _evaluate(x, pairs, ens=None):
     for beta, (index, keys) in passes.items():
         for j, values in _observe(x, beta, keys, ens):
             yield index[j], values
-            del values  # gone before the pass forms the next value
+            del values  # gone before the next pass forms its values
 
 
 def _observe(x, beta, keys, ens=None):
     """Yield (i, value of keys[i]) on the batch x at beta from one shifted pass.
 
     x and beta are checked by the caller; ens, read for replica_gibbs only,
-    gives the geometry.  The shift z = beta (x - max x), its exp e and the
-    row sum s of e are formed once, and each value from them by its kernel's
-    own formula in its own order, so the values do not depend on which
-    others are taken.  Each is yielded as soon as it is formed, so a caller
-    can reduce it before the next is formed.  At most two batch-sized arrays
-    are alive at a time (three while shannon_entropy is formed), and one
-    when neither Gibbs weights nor log-weights are wanted.  rem_pressure,
-    Lambda / N for m = 2^N, refuses other m first.
+    gives the geometry.  The pass (_pass) runs over blocks of
+    _BLOCK_ELEMENTS // m rows, so its arrays stay in cache; every value of a
+    row depends on that row alone, so the bits are those of one pass over
+    the whole batch.  Each key's values fill one output array, yielded once
+    the last block is done.  Beside those outputs (one n-vector per key, or
+    n x m for log_weights) only one block's z and e are alive at a time.
+    rem_pressure, Lambda / N for m = 2^N, refuses other m first.
+    """
+    lead, m = x.shape[:-1], x.shape[-1]
+    rows = x.reshape(-1, m)
+    n = rows.shape[0]
+    step = max(1, _BLOCK_ELEMENTS // m)
+    out = {}
+    for a in range(0, max(n, 1), step):
+        for i, values in _pass(rows[a:a + step], beta, keys, ens):
+            if keys[i] not in out:
+                out[keys[i]] = np.empty((n,) + values.shape[1:])
+            out[keys[i]][a:a + step] = values
+    for i, key in enumerate(keys):
+        yield i, out[key].reshape(lead + out[key].shape[1:])[()]
+
+
+def _pass(x, beta, keys, ens=None):
+    """Yield (i, value of keys[i]) on the block x at beta from one shifted
+    pass.
+
+    The shift z = beta (x - max x), its exp e and the row sum s of e are
+    formed once, and each value from them by its kernel's own formula in its
+    own order, so the values do not depend on which others are taken.  At
+    most two block-sized arrays are alive at a time (three while
+    shannon_entropy is formed), and one when neither Gibbs weights nor
+    log-weights are wanted.
     """
     def emit(key, values):
         return ((i, values) for i, k in enumerate(keys) if k == key)
@@ -467,9 +501,10 @@ def _soft_max(x, beta, subset):
             f"invalid-input: subset index out of range for {m} coordinates")
     if np.unique(idx).size != idx.size:
         raise ValueError("invalid-input: subset repeats a coordinate")
-    sub = x[..., idx]
     if idx.size == 1:
-        return sub[..., 0]
+        return x[..., idx][..., 0]
+    # Every position in order: x itself, not a fancy-index copy of it.
+    sub = x if np.array_equal(idx, np.arange(m)) else x[..., idx]
     return _lse(sub, beta) / beta
 
 

@@ -771,7 +771,7 @@ def quadrature_oracles(ens: IndexedEnsemble, pairs,
 
     One pass over the grid: each chunk of nodes and its realizations are
     built once (_grid_chunk, column-major) and every pair is evaluated on
-    them by gibbs._evaluate, each value reduced as soon as it is formed.
+    them by gibbs._evaluate, each value reduced as soon as it is yielded.
     Each pair keeps its own sum over the chunks, in chunk order, so its
     value does not depend on the others.  Nothing of the grid outlives the
     call.

@@ -159,6 +159,66 @@ def _same_bits(a, b):
             and np.array_equal(np.signbit(a), np.signbit(b)))
 
 
+class TestBlockedPass:
+    """_observe over row blocks equals the pass body run on the whole batch
+    as one block, bit for bit, signed zeros included."""
+
+    @staticmethod
+    def keys(m):
+        keys = [("participation_ratio", None), ("renyi_half", None),
+                ("gibbs_average", None), ("kl_to_uniform", None),
+                ("free_energy", None), ("shannon_entropy", None),
+                ("replica_gibbs", None), gibbs._LOG_PARTITION,
+                gibbs._LOG_WEIGHTS, ("renyi_to_uniform", 0.5),
+                ("renyi_to_uniform", 2.0)]
+        if m >= 2 and not m & (m - 1):
+            keys.append(("rem_pressure", None))
+        return keys + [("kl_to_uniform", None), gibbs._LOG_WEIGHTS]  # repeats
+
+    @staticmethod
+    def batch(m, n, order, seed):
+        # Rows alternate between small and large scales block by block, so
+        # at beta = 300 some blocks take the sparse exp and others do not.
+        step = gibbs._BLOCK_ELEMENTS // m
+        scale = np.where(np.arange(n) // step % 2 == 1, 10.0, 0.01)[:, None]
+        x = np.random.default_rng(seed).standard_normal((n, m)) * scale
+        return np.asarray(x, order=order)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7, 8, 9, 64, 1024])
+    def test_equals_one_block(self, corr3, m, order):
+        # No ensemble has one point, so replica_gibbs is left out at m = 1.
+        ens = corr3 if m == 3 else sm.build_iid(m, 1.0) if m > 1 else None
+        keys = [k for k in self.keys(m) if ens or k[0] != "replica_gibbs"]
+        step = gibbs._BLOCK_ELEMENTS // m
+        for n in (1, step - 1, step, step + 1, 2 * step + step // 3 + 1):
+            x = self.batch(m, n, order, seed=m * n)
+            for beta in (0.0, -0.0, 1.0, 300.0):
+                blocked = list(gibbs._observe(x, beta, keys, ens))
+                whole = dict(gibbs._pass(x, beta, keys, ens))
+                assert sorted(i for i, _ in blocked) == list(range(len(keys)))
+                for i, values in blocked:
+                    assert _same_bits(values, whole[i]), (n, beta, keys[i])
+
+    def test_sparse_exp_in_some_blocks_only(self):
+        m = 64
+        step = gibbs._BLOCK_ELEMENTS // m
+        x = self.batch(m, 2 * step, "C", seed=1)
+        below = [np.mean(300.0 * (b - b.max(axis=-1, keepdims=True)) < _EXP_FLOOR)
+                 for b in (x[:step], x[step:])]
+        assert below[0] < 0.5 < below[1]
+
+    @pytest.mark.parametrize("shape", [(3,), (5, 7, 8), (0, 8), (0, 3, 4)])
+    def test_shapes(self, shape):
+        x = np.random.default_rng(3).standard_normal(shape)
+        keys = [gibbs._LOG_PARTITION, gibbs._LOG_WEIGHTS]
+        rows = x.reshape(-1, shape[-1])
+        whole = dict(gibbs._pass(rows, 1.5, keys))
+        for i, values in gibbs._observe(x, 1.5, keys):
+            assert _same_bits(values, whole[i].reshape(np.shape(values)))
+            assert np.shape(values) == shape[:-1] + np.shape(whole[i])[1:]
+
+
 class TestRowMax:
     """_row_max is np.max(x, axis=-1) bit for bit, by either form."""
 
@@ -259,7 +319,7 @@ class TestRowTree:
     def test_blocks(self):
         # Two whole blocks and a partial one, with magnitudes over six
         # decades so the order of the adds shows.
-        n = 2 * gibbs._ROW_TREE_BLOCK + 3
+        n = 2 * (gibbs._BLOCK_ELEMENTS // 8) + 3
         rng = np.random.default_rng(17)
         self.check(rng.standard_normal((n, 8)) * 10.0 ** rng.uniform(-3, 3, (n, 8)))
 

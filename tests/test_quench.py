@@ -10,6 +10,7 @@ adaptive quadrature at 30-digit working precision:
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -397,6 +398,21 @@ class TestMcEstimates:
         pairs = [(obs, beta) for beta in (0.0, 2.0, -0.0, 0.5) for obs in kinds]
         sm.mc_estimates(corr3, pairs, 400, 5)
         assert betas == [0.0, 2.0, 0.5]
+
+    def test_pass_allocates_less_than_one_batch(self):
+        # The shifted pass runs over row blocks, so its arrays are one
+        # block's, not the batch's; over the whole batch the peak was about
+        # two batches.
+        ens = sm.rem_model(10).ensemble
+        x = sm.realization_batch(ens, 2000, 7)
+        pairs = [(sm.REM_PRESSURE, 2.0), (sm.KL_TO_UNIFORM, 2.0)]
+        tracemalloc.start()
+        try:
+            sm.mc_estimates(ens, pairs, 2000, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < x.nbytes
 
 
 def _replica_case(m, seed, scalar):
@@ -898,24 +914,38 @@ class TestFusedOracle:
             frozen = _frozen_oracles(ens, _EDGE_PAIRS, 66)
         assert _bits(fused) == _bits(frozen)
 
-    @pytest.mark.parametrize("name, passes", [("iid2", 3), ("corr3", 24)])
-    def test_one_shifted_pass_per_chunk_and_beta(self, monkeypatch, name, passes):
-        # Three betas; iid2 is one chunk at 128 nodes, corr3 eight.  The
-        # per-pair route took 18 and 144.  The grid is finite by
-        # construction, so no chunk is scanned (the max did it per chunk).
+    @pytest.mark.parametrize("name, passes, blocks", [
+        ("iid2", 3, 3),
+        # Each 2^18-node chunk of corr3 is cut into blocks of
+        # _BLOCK_ELEMENTS // 3 rows, and each block is shifted once.
+        ("corr3", 24, 24 * -(-(1 << 18) // (gibbs._BLOCK_ELEMENTS // 3)))],
+        ids=["iid2-3", "corr3-24"])
+    def test_one_shifted_pass_per_chunk_and_beta(self, monkeypatch, name,
+                                                 passes, blocks):
+        # Three betas; iid2 is one chunk (and one block) at 128 nodes, corr3
+        # eight.  The per-pair route took 18 and 144 passes.  The grid is
+        # finite by construction, so no chunk is scanned (the max did it per
+        # chunk).
         ens = dict(cli._check_fixtures())[name]
         calls = []
+        shifts = []
         scans = []
-        real = gibbs._shifted
+        observe, shifted = gibbs._observe, gibbs._shifted
 
-        def shifted(x, beta):
+        def counted_observe(x, beta, keys, ens=None):
             calls.append(beta)
-            return real(x, beta)
+            return observe(x, beta, keys, ens)
 
-        monkeypatch.setattr(gibbs, "_shifted", shifted)
+        def counted_shifted(x, beta):
+            shifts.append(beta)
+            return shifted(x, beta)
+
+        monkeypatch.setattr(gibbs, "_observe", counted_observe)
+        monkeypatch.setattr(gibbs, "_shifted", counted_shifted)
         monkeypatch.setattr(gibbs, "_check_x", scans.append)
         sm.quadrature_oracles(ens, cli._CHECK_PAIRS, 128)
         assert len(calls) == passes
+        assert len(shifts) == blocks
         assert scans == []
 
     def test_order_and_repeats(self, corr3):
