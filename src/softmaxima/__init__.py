@@ -30,8 +30,7 @@ from .quench import (QuenchedEstimate, ThresholdResult,
 from .bounds import (BoundReport, SandwichDiagnostics, divergence_bounds,
                      max_bounds, sandwich_suite, soft_super_sudakov)
 from .rem import (PressureCurve, PressureRow, RemModel, limit_pressure,
-                  pressure_sweep, q_lower, q_upper, q_upper_cap, q_upper_min,
-                  rem_model)
+                  pressure_sweep, q_lower, q_upper_min, rem_model)
 from .cli import ExperimentConfig, main, run
 
 __version__ = "0.1.0"

@@ -208,7 +208,12 @@ def build_from_covariance(labels: Sequence[str], sigma_matrix) -> IndexedEnsembl
         raise ValueError(
             f"invalid-input: covariance is asymmetric at pair "
             f"({labels[i]!r}, {labels[j]!r}): {cov[i, j]!r} vs {cov[j, i]!r}")
-    cov = (cov + cov.T) / 2.0
+    with np.errstate(over="ignore"):
+        cov = (cov + cov.T) / 2.0
+    if not np.isfinite(cov).all():
+        raise ValueError(
+            f"scale: covariance entries of size {scale:.6g} overflow when "
+            "symmetrised; rescale the covariance")
 
     eigvals = np.linalg.eigvalsh(cov)
     norm = np.abs(eigvals).max()

@@ -663,6 +663,11 @@ def beta_star(ens: IndexedEnsemble, c: float, n: int, seed: int,
     a = ens.min_separation
     delta = ens.diameter
     target = (c * a) ** 2 / (2.0 * delta ** 2)
+    if not (math.isfinite(target) and target > 0.0):
+        raise ValueError(
+            f"scale: the participation target c^2 a^2 / (2 Delta^2) = {target!r} "
+            f"is not positive and finite at a = {a:.6g}, Delta = {delta:.6g}, "
+            f"c = {c:.6g}; rescale the covariance")
     x = realization_batch(ens, n, seed)
 
     lo_gap = hi_values = None

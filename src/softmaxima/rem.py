@@ -4,15 +4,16 @@ centered Gaussian energies of variance N/2.
 The quenched pressure P_N(beta) = (1/N) E log Z_N(beta) interpolates between
 log 2 at beta = 0 and the linear ground-state regime; in the infinite-size
 limit it develops a kink at beta_c = 2 sqrt(log 2).  For each finite N the
-pressure is sandwiched between a lower curve Q_lower (quadratic, then linear
-with a Sudakov slope) and a family of upper curves Q_upper(.; beta0)
-(quadratic up to beta0, then linear with slope sqrt(E KL / N) evaluated at
-the target beta).  Both are estimated here with the common-random-number
-machinery from `quench`.  Nothing is memoized: the sweep estimates its
-threshold once, then in one mc_estimates call each row's pressure and
-E KL(beta), one shifted pass per grid beta, and E KL(beta_star).  The lower
-curve takes its Sudakov constant from the threshold, and the sweep's
-verdicts allow quench.Z_MARGIN standard errors.
+pressure is sandwiched between a lower curve q_lower (quadratic, then linear
+with a Sudakov slope) and the minimum q_upper_min of a family of upper
+curves (quadratic up to a knee beta0, then linear with slope sqrt(E KL / N)
+evaluated at the target beta).  The curves are pure functions of the
+divergence estimate they are given: they draw no batch and make no pass.
+pressure_sweep estimates its threshold once, then in one mc_estimates call
+each row's pressure and E KL(beta), one shifted pass per grid beta, and
+E KL(beta_star), and builds each row from q_lower, q_upper_min and
+limit_pressure.  The lower curve takes its Sudakov constant from the
+threshold, and the sweep's verdicts allow quench.Z_MARGIN standard errors.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from . import gibbs
 from .ensemble import IndexedEnsemble, build_iid
 from .quench import (SUDAKOV_C, Z_MARGIN, QuenchedEstimate, ThresholdResult,
-                     _check_threshold, beta_star, mc_estimate, mc_estimates)
+                     _check_threshold, beta_star, mc_estimates)
 
 MAX_SPINS = 16   # 2^16 states is the desk-scale ceiling
 BETA_C = 2.0 * math.sqrt(math.log(2.0))  # critical beta of the limit pressure
@@ -64,22 +65,16 @@ def limit_pressure(beta) -> float:
     return beta * math.sqrt(math.log(2.0))
 
 
-def _kl(model: RemModel, beta: float, n: int, seed: int) -> float:
-    return mc_estimate(model.ensemble, gibbs.KL_TO_UNIFORM, beta, n, seed).mean
+def _divergence(kl) -> float:
+    """An E KL estimate as a float; a missing or non-finite one is refused."""
+    real = (isinstance(kl, (int, float, np.integer, np.floating))
+            and not isinstance(kl, bool))
+    if not (real and math.isfinite(kl)):
+        raise ValueError(f"invalid-input: E KL must be a finite number, got {kl!r}")
+    return float(kl)
 
 
-def _lower_curve(model: RemModel, beta: float, c: float, beta_star: float,
-                 div) -> float:
-    """Q_lower at beta; div = E KL(beta_star) is read only above beta_star."""
-    if beta <= beta_star:
-        return math.log(2.0) + c * c * beta * beta / 8.0
-    slope = c * math.sqrt(max(div, 0.0) / (2.0 * model.n_spins))
-    return (math.log(2.0) + c * c * beta_star * beta_star / 8.0
-            + (beta - beta_star) * slope)
-
-
-def q_lower(model: RemModel, beta, threshold: ThresholdResult,
-            n: int, seed: int) -> float:
+def q_lower(model: RemModel, beta, threshold: ThresholdResult, kl_star) -> float:
     """Lower pressure curve: quadratic up to the threshold, then linear.
 
         log 2 + c^2 beta^2 / 8                                for beta <= beta_star
@@ -87,62 +82,41 @@ def q_lower(model: RemModel, beta, threshold: ThresholdResult,
               + c (beta - beta_star) sqrt(E KL(beta_star) / (2N))  above
 
     threshold must come from beta_star on this model's ensemble; c is the
-    constant it was computed with.  The divergence in the slope is estimated
-    at beta_star, once, and only when beta lies above it.
+    constant it was computed with.  kl_star is an estimate of E KL(beta_star),
+    read only when beta lies above beta_star.
     """
     beta = gibbs._check_beta(beta)
     _check_threshold(threshold, model.ensemble)
-    bs = threshold.beta_star
-    div = _kl(model, bs, n, seed) if beta > bs else None
-    return _lower_curve(model, beta, threshold.c, bs, div)
+    c, bs = threshold.c, threshold.beta_star
+    if beta <= bs:
+        return math.log(2.0) + c * c * beta * beta / 8.0
+    slope = c * math.sqrt(max(_divergence(kl_star), 0.0) / (2.0 * model.n_spins))
+    return math.log(2.0) + c * c * bs * bs / 8.0 + (beta - bs) * slope
 
 
-def q_upper(model: RemModel, beta, beta0, n: int, seed: int) -> float:
-    """Upper pressure curve for one knee beta0.
+def q_upper_min(model: RemModel, beta, beta0_grid, kl) -> float:
+    """Minimum over the knees beta0 of the upper pressure curve.
 
         log 2 + beta^2 / 4                                    for beta <= beta0
         log 2 + beta0^2 / 4 + (beta - beta0) sqrt(E KL(beta) / N)   above
 
-    Note the divergence is evaluated at beta itself, not at the knee.
-    """
-    return _upper_min(model, beta, [beta0], lambda: _kl(model, beta, n, seed))
-
-
-def q_upper_min(model: RemModel, beta, beta0_grid, n: int, seed: int) -> float:
-    """Minimum of q_upper over a knee grid; beta_c always joins the grid."""
-    grid = [float(b) for b in np.atleast_1d(np.asarray(beta0_grid, dtype=float))]
-    if len(grid) == 0:
-        raise ValueError("invalid-parameter: beta0 grid must be nonempty")
-    return _upper_min(model, beta, grid + [model.beta_c],
-                      lambda: _kl(model, beta, n, seed))
-
-
-def _upper_min(model: RemModel, beta, knees, kl) -> float:
-    """Minimum of the upper curve over the knees, which share one E KL(beta).
-
-    kl() returns it, and is called only if some knee lies below beta.
+    beta_c always joins the knee grid.  kl is an estimate of E KL at beta
+    itself, not at a knee, read only when some knee lies below beta.
     """
     beta = gibbs._check_beta(beta)
-    knees = [float(b) for b in knees]
+    knees = [float(b) for b in np.atleast_1d(np.asarray(beta0_grid, dtype=float))]
+    if len(knees) == 0:
+        raise ValueError("invalid-parameter: beta0 grid must be nonempty")
+    knees.append(model.beta_c)
     bad = [b for b in knees if not (np.isfinite(b) and b >= 0)]
     if bad:
         raise ValueError(
             f"invalid-parameter: beta0 must be nonnegative and finite, got {bad[0]}")
-    div = kl() if beta > min(knees) else 0.0
+    div = _divergence(kl) if beta > min(knees) else 0.0
     slope = math.sqrt(max(div, 0.0) / model.n_spins)
     return min(math.log(2.0) + beta * beta / 4.0 if beta <= b0
                else math.log(2.0) + b0 * b0 / 4.0 + (beta - b0) * slope
                for b0 in knees)
-
-
-def q_upper_cap(model: RemModel, beta) -> float:
-    """Upper curve with knee beta_c under the divergence cap E KL <= N log 2.
-
-    Equals log 2 + beta^2 / 4 below beta_c and beta sqrt(log 2) above (the
-    knee value telescopes), so it upper-bounds the pressure for every N.  It
-    is the limit pressure, whose two closed forms agree to the bit at beta_c.
-    """
-    return limit_pressure(beta)
 
 
 @dataclass(frozen=True)
@@ -194,15 +168,16 @@ def pressure_sweep(model: RemModel, beta_grid, n: int, seed: int,
     rows = []
     for k, beta in enumerate(grid):
         p_hat, kl = estimates[2 * k:2 * k + 2]
-        low = _lower_curve(model, beta, threshold.c, bs, div_star)
-        up = _upper_min(model, beta, grid + [model.beta_c], lambda: kl.mean)
+        low = q_lower(model, beta, threshold, div_star)
+        up = q_upper_min(model, beta, grid, kl.mean)
+        limit = limit_pressure(beta)
         margin = Z_MARGIN * p_hat.std_error
         verdict = ("holds"
                    if low <= p_hat.mean + margin and p_hat.mean <= up + margin
                    else "violated")
         rows.append(PressureRow(
             beta=beta, p_hat=p_hat, q_lower=low, q_upper_min=up,
-            q_upper_cap=q_upper_cap(model, beta), limit=limit_pressure(beta),
+            q_upper_cap=limit, limit=limit,
             sandwich_verdict=verdict))
     return PressureCurve(n_spins=model.n_spins, threshold=threshold,
                          rows=tuple(rows))

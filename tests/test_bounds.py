@@ -397,7 +397,8 @@ def test_threshold_must_match_ensemble_and_c(bound):
     call = {
         "g_lower_lowtemp": lambda thr: _claim(ens, 1.0, 400, 40, bound, thr),
         "g_lower_iid": lambda thr: _claim(ens, 1.0, 400, 40, bound, thr),
-        "q_lower": lambda thr: sm.q_lower(model, 1.0, thr, 400, 40),
+        # beta = 1 lies below both thresholds, so E KL(beta_star) is not read.
+        "q_lower": lambda thr: sm.q_lower(model, 1.0, thr, None),
     }[bound]
     own = sm.beta_star(ens, 1 / 17, 400, seed=40)
     foreign = sm.beta_star(sm.build_iid(8, 1.0), 1 / 17, 400, seed=40)

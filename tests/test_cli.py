@@ -430,6 +430,20 @@ class TestExitCodes:
         assert err.startswith("error: run:") and "\n" not in err.strip()
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("spec", [
+        '{"iid":{"n":2,"variance":1e-323}}',
+        '{"iid":{"n":2,"variance":6e307}}',
+        '{"iid":{"n":2,"variance":1e308}}',
+        '{"labels":["a","b"],"covariance":[[1e308,0],[0,1e308]]}'])
+    def test_extreme_scale_is_one_error_line(self, tmp_path, capsys, spec):
+        code = run_main(["bounds", "--ensemble", spec, "--beta", "1",
+                         "--n", "50", "--out", str(tmp_path / "x")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "\n" not in err.strip()
+        assert "scale: " in err and "rescale the covariance" in err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_exit_code_constants_distinct(self):
         assert len({EXIT_OK, EXIT_CONFIG, EXIT_VIOLATION, EXIT_MISMATCH}) == 4
 

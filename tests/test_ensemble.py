@@ -99,6 +99,20 @@ class TestBuildFromCovariance:
         with pytest.raises(ValueError, match="non-finite"):
             build_from_covariance(["a", "b"], [[1.0, np.nan], [np.nan, 1.0]])
 
+    def test_symmetrised_overflow_is_scale_error(self):
+        # Finite entries whose sum cov + cov.T overflows to inf.
+        with pytest.raises(ValueError, match="scale: .*1e\\+308"):
+            build_from_covariance(["a", "b"], [[1e308, 0.0], [0.0, 1e308]])
+
+    def test_extreme_entries_below_overflow_kept(self):
+        ens = build_from_covariance(["a", "b"], [[8e307, 0.0], [0.0, 8e307]])
+        assert ens.min_separation == math.sqrt(1.6e308)
+        # (cov + cov.T) / 2 keeps a subnormal entry that cov/2 + cov.T/2
+        # would round to 0.
+        t = 5e-324
+        ens = build_from_covariance(["a", "b"], [[4 * t, t], [t, 4 * t]])
+        assert ens.covariance[0, 1] == t
+
     def test_singular_psd_accepted(self, twocluster12):
         # Rank-2 covariance: cholesky fails, the eigen fallback must not.
         fac = twocluster12.sampling_factor

@@ -602,6 +602,22 @@ class TestBetaStar:
         with pytest.raises(ValueError, match="invalid-parameter: resolution"):
             sm.beta_star(iid2, 1 / 17, 100, 0, resolution=1e-320)
 
+    @pytest.mark.parametrize("variance, target", [
+        (1e-323, "0.0"),   # c^2 a^2 underflows
+        (6e307, "0.0"),    # 2 Delta^2 overflows
+        (1e308, "nan")])   # a = Delta = inf
+    def test_target_out_of_range_is_scale_error(self, monkeypatch, variance,
+                                                target):
+        def unreachable(*args):
+            raise AssertionError("batch drawn")
+
+        monkeypatch.setattr(quench, "realization_batch", unreachable)
+        ens = sm.build_iid(2, variance)
+        with pytest.raises(ValueError, match=(
+                rf"^scale: .* = {target} is not positive and finite at "
+                rf"a = .*, Delta = .*, c = 0\.0588235")):
+            sm.beta_star(ens, 1 / 17, 50, seed=0)
+
     def test_few_probes_on_iid64(self, monkeypatch):
         # Bisection takes 24 probes here; the interpolating search 7.
         calls = []

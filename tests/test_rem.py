@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import softmaxima as sm
-from softmaxima import gibbs, rem
+from softmaxima import gibbs, quench, rem
 
 LOG2 = math.log(2.0)
 BETA_C = 2.0 * math.sqrt(LOG2)
@@ -82,18 +82,23 @@ class TestLimitPressure:
             sm.limit_pressure(-0.1)
 
 
+def _kl(model, beta, n, seed):
+    """E KL(beta) on the model's common batch, as the sweep estimates it."""
+    return sm.mc_estimate(model.ensemble, sm.KL_TO_UNIFORM, beta, n, seed).mean
+
+
 class TestQLower:
     def test_zero(self):
         model = sm.rem_model(6)
         ts = sm.beta_star(model.ensemble, 1 / 17, 400, seed=3)
-        assert sm.q_lower(model, 0.0, ts, 400, seed=3) == LOG2
+        assert sm.q_lower(model, 0.0, ts, _kl(model, ts.beta_star, 400, 3)) == LOG2
 
     def test_quadratic_below_threshold(self):
         model = sm.rem_model(6)
         ts = sm.beta_star(model.ensemble, 1 / 17, 400, seed=4)
         c = 1 / 17
         beta = min(1.0, 0.5 * ts.beta_star)
-        got = sm.q_lower(model, beta, ts, 400, seed=4)
+        got = sm.q_lower(model, beta, ts, _kl(model, ts.beta_star, 400, 4))
         assert got == pytest.approx(LOG2 + c ** 2 * beta ** 2 / 8, rel=1e-12)
 
     def test_continuous_at_threshold(self):
@@ -101,15 +106,17 @@ class TestQLower:
         # tiny c keeps beta* finite but the criterion strict
         c = 1 / 17
         ts = sm.beta_star(model.ensemble, c, 400, seed=5)
-        left = sm.q_lower(model, ts.beta_star, ts, 400, seed=5)
-        right = sm.q_lower(model, ts.beta_star + 1e-12, ts, 400, seed=5)
+        kl_star = _kl(model, ts.beta_star, 400, 5)
+        left = sm.q_lower(model, ts.beta_star, ts, kl_star)
+        right = sm.q_lower(model, ts.beta_star + 1e-12, ts, kl_star)
         assert abs(left - right) <= 1e-10
 
     def test_below_pressure(self):
         model = sm.rem_model(10)
         ts = sm.beta_star(model.ensemble, 1 / 17, 2000, seed=6)
+        kl_star = _kl(model, ts.beta_star, 2000, 6)
         for beta in (1.0, 2.5, 4.0):
-            low = sm.q_lower(model, beta, ts, 2000, seed=6)
+            low = sm.q_lower(model, beta, ts, kl_star)
             p = sm.mc_estimate(model.ensemble, sm.REM_PRESSURE, beta, 2000, seed=6)
             assert low <= p.mean + 3 * p.std_error
 
@@ -117,54 +124,99 @@ class TestQLower:
         model = sm.rem_model(6)
         other = sm.beta_star(sm.build_iid(8, 1.0), 1 / 17, 400, seed=7)
         with pytest.raises(ValueError, match="invalid-input"):
-            sm.q_lower(model, 1.0, other, 400, seed=7)
+            sm.q_lower(model, 1.0, other, 1.0)
+
+    def test_divergence_read_only_above_threshold(self):
+        model = sm.rem_model(4)
+        ts = sm.beta_star(model.ensemble, 1 / 17, 400, seed=5)
+        bs = ts.beta_star
+        assert sm.q_lower(model, bs, ts, None) == pytest.approx(
+            LOG2 + bs * bs / (8 * 17 ** 2), rel=1e-12)
+        for bad in (None, math.nan, math.inf, -math.inf, "1.0", True):
+            with pytest.raises(ValueError, match="invalid-input: E KL"):
+                sm.q_lower(model, 2 * bs, ts, bad)
+        # The slope reads the estimate as given: four times the divergence,
+        # twice the slope.
+        kl_star = _kl(model, bs, 400, 5)
+        rise = [sm.q_lower(model, bs + 1.0, ts, k) - sm.q_lower(model, bs, ts, k)
+                for k in (kl_star, 4 * kl_star)]
+        assert rise[1] == pytest.approx(2 * rise[0], rel=1e-9)
+        assert rise[0] == pytest.approx(
+            math.sqrt(kl_star / (2 * 4)) / 17, rel=1e-9)
 
 
 class TestQUpper:
+    """q_upper_min from its knee grid (beta_c joins it) and E KL(beta)."""
+
     def test_quadratic_branch(self):
+        # At or below every knee the curve is the annealed bound, and the
+        # divergence is not read.
         model = sm.rem_model(6)
-        for beta, beta0 in [(0.5, 1.0), (1.0, 1.0), (2.0, 3.0)]:
-            got = sm.q_upper(model, beta, beta0, 400, seed=8)
+        for beta, beta0 in [(0.5, 1.0), (1.0, 1.0), (1.5, 3.0)]:
+            got = sm.q_upper_min(model, beta, [beta0], None)
             assert got == pytest.approx(LOG2 + beta ** 2 / 4, rel=1e-12)
 
     def test_cap_form_linear_above_critical(self):
+        # Knee beta_c under the divergence cap E KL <= N log 2: the knee
+        # value telescopes into beta sqrt(log 2).
         model = sm.rem_model(6)
         for beta in (BETA_C, 2.0, 3.0, 5.0):
-            if beta >= BETA_C:
-                assert sm.q_upper_cap(model, beta) == pytest.approx(
-                    beta * math.sqrt(LOG2), rel=1e-12)
+            got = sm.q_upper_min(model, beta, [BETA_C], 6 * LOG2)
+            assert got == pytest.approx(beta * math.sqrt(LOG2), rel=1e-12)
 
     def test_cap_form_quadratic_below_critical(self):
         model = sm.rem_model(6)
-        assert sm.q_upper_cap(model, 1.0) == pytest.approx(LOG2 + 0.25, rel=1e-12)
+        assert sm.q_upper_min(model, 1.0, [BETA_C], 6 * LOG2) == pytest.approx(
+            LOG2 + 0.25, rel=1e-12)
 
     def test_cap_matches_limit(self):
-        # The cap's knee value telescopes, and its two closed forms give the
-        # same double at beta_c, where the branches meet.
+        # The capped curve is the limit pressure, which a sweep row writes
+        # as both q_upper_cap and limit; its two closed forms give the same
+        # double at beta_c, where the branches meet.
         assert rem.BETA_C == BETA_C == sm.rem_model(8).beta_c
         assert LOG2 + rem.BETA_C ** 2 / 4.0 == rem.BETA_C * math.sqrt(LOG2)
         model = sm.rem_model(8)
-        for beta in np.append(np.linspace(0.0, 8.0, 8001), rem.BETA_C):
-            assert sm.q_upper_cap(model, beta) == sm.limit_pressure(beta)
+        for beta in np.append(np.linspace(0.0, 8.0, 801), rem.BETA_C):
+            assert sm.q_upper_min(model, beta, [BETA_C], 8 * LOG2) == pytest.approx(
+                sm.limit_pressure(beta), rel=1e-14)
 
     def test_min_above_pressure(self):
         model = sm.rem_model(10)
         grid = [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
         p = sm.mc_estimate(model.ensemble, sm.REM_PRESSURE, 3.0, 2000, seed=9)
-        up = sm.q_upper_min(model, 3.0, grid, 2000, seed=9)
+        up = sm.q_upper_min(model, 3.0, grid, _kl(model, 3.0, 2000, 9))
         assert up >= p.mean - 3 * p.std_error
 
     def test_min_includes_critical_candidate(self):
         # the grid {0} alone would give a poor bound at cold beta; appending
-        # beta_c must recover at least the cap bound there
+        # beta_c must recover at least the cap bound there, since
+        # E KL <= N log 2
         model = sm.rem_model(8)
-        up = sm.q_upper_min(model, 4.0, [0.0], 1000, seed=10)
-        assert up <= sm.q_upper(model, 4.0, 0.0, 1000, seed=10) + 1e-12
+        kl = _kl(model, 4.0, 1000, 10)
+        up = sm.q_upper_min(model, 4.0, [0.0], kl)
+        assert up <= sm.limit_pressure(4.0)
+        assert up < LOG2 + 4.0 * math.sqrt(kl / 8)  # the knee at 0 alone
 
     def test_empty_grid_rejected(self):
         model = sm.rem_model(4)
         with pytest.raises(ValueError, match="invalid-parameter"):
-            sm.q_upper_min(model, 1.0, [], 400, seed=11)
+            sm.q_upper_min(model, 1.0, [], 0.5)
+
+    def test_bad_knee_rejected(self):
+        model = sm.rem_model(4)
+        for knees in ([-0.5], [1.0, math.inf], [math.nan]):
+            with pytest.raises(ValueError, match="invalid-parameter: beta0"):
+                sm.q_upper_min(model, 1.0, knees, 0.5)
+
+    def test_divergence_read_only_above_a_knee(self):
+        model = sm.rem_model(4)
+        assert sm.q_upper_min(model, 0.5, [1.0], None) == LOG2 + 0.0625
+        for bad in (None, math.nan, math.inf, "0.5", False):
+            with pytest.raises(ValueError, match="invalid-input: E KL"):
+                sm.q_upper_min(model, 2.0, [1.0], bad)
+        # beta_c joins the grid, so a cold beta reads it whatever the grid.
+        with pytest.raises(ValueError, match="invalid-input: E KL"):
+            sm.q_upper_min(model, 2.0, [3.0], math.nan)
 
 
 class TestPressureSweep:
@@ -207,7 +259,7 @@ class TestPressureSweep:
 
 
 class TestDivergenceEstimates:
-    """The divergences a curve needs are estimated once per call, not memoized."""
+    """The sweep estimates each divergence once; the curves estimate none."""
 
     @pytest.fixture
     def kl_betas(self, monkeypatch):
@@ -223,12 +275,25 @@ class TestDivergenceEstimates:
         monkeypatch.setattr(gibbs, "_observe", counted)
         return betas
 
-    def test_upper_min_shares_one_estimate(self, kl_betas):
-        model = sm.rem_model(6)
-        sm.q_upper_min(model, 2.0, [0.0, 0.5, 1.0, 1.5], 400, seed=15)
-        assert kl_betas == [2.0]
-        sm.q_upper_min(model, 0.5, [1.0, 2.0], 400, seed=15)
-        assert kl_betas == [2.0]
+    def test_curves_are_pure(self, monkeypatch):
+        # The curves read the estimates they are given: no batch request
+        # and no shifted pass, on either side of beta_star and of the knees.
+        model = sm.rem_model(4)
+        ts = sm.beta_star(model.ensemble, 1 / 17, 400, seed=45)
+
+        def no_batch(*args, **kwargs):
+            raise AssertionError("a curve requested a batch")
+
+        def no_pass(*args, **kwargs):
+            raise AssertionError("a curve made a shifted pass")
+
+        for name in ("realization_batch", "standard_normal_batch"):
+            monkeypatch.setattr(quench, name, no_batch)
+        monkeypatch.setattr(gibbs, "_observe", no_pass)
+        for beta in (0.0, 0.5 * ts.beta_star, 2.0 * ts.beta_star):
+            sm.q_lower(model, beta, ts, 1.5)
+        for beta in (0.0, 1.0, 2.0, 4.0):
+            sm.q_upper_min(model, beta, [0.0, 0.5, 1.0], 1.5)
 
     def test_sweep_at_most_one_per_beta_and_threshold(self, kl_betas):
         # The rows read E KL(beta) off the sweep's one pass per grid beta;
@@ -256,11 +321,17 @@ class TestSweepPasses:
 
     @pytest.mark.parametrize("n_spins, grid, n, seed", SWEEP_CASES)
     def test_rows_equal_public_estimates(self, n_spins, grid, n, seed):
+        # Each row is the public curves fed E KL from mc_estimate.
         model = sm.rem_model(n_spins)
         curve = sm.pressure_sweep(model, grid, n, seed)
         assert [r.beta for r in curve.rows] == grid
+        ts = curve.threshold
+        kl_star = _kl(model, ts.beta_star, n, seed)
         for row in curve.rows:
-            assert row.q_upper_min == sm.q_upper_min(model, row.beta, grid, n, seed)
+            assert row.q_lower == sm.q_lower(model, row.beta, ts, kl_star)
+            assert row.q_upper_min == sm.q_upper_min(
+                model, row.beta, grid, _kl(model, row.beta, n, seed))
+            assert row.q_upper_cap == row.limit == sm.limit_pressure(row.beta)
             p = sm.mc_estimate(model.ensemble, sm.REM_PRESSURE, row.beta, n, seed)
             assert row.p_hat.mean == p.mean
             assert row.p_hat.std_error == p.std_error
@@ -278,13 +349,8 @@ class TestSweepPasses:
                 passes.append((beta, np.shape(x), sorted(k for k, _ in keys)))
             return real(x, beta, keys, ens)
 
-        def fail(*args, **kwargs):
-            raise AssertionError("the sweep called a public upper curve")
-
         monkeypatch.setattr(gibbs, "log_partition", lam)
         monkeypatch.setattr(gibbs, "_observe", observe)
-        monkeypatch.setattr(rem, "q_upper_min", fail)
-        monkeypatch.setattr(rem, "q_upper", fail)
         model = sm.rem_model(n_spins)
         curve = sm.pressure_sweep(model, grid, n, seed)
         batch = (n, model.size)
