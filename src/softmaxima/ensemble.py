@@ -222,7 +222,13 @@ def build_from_covariance(labels: Sequence[str], sigma_matrix) -> IndexedEnsembl
             f"invalid-input: covariance has negative eigenvalue {eigvals.min():.6e}")
 
     v = np.diag(cov)
-    d2 = v[:, None] + v[None, :] - 2.0 * cov
+    with np.errstate(over="ignore"):
+        d2 = v[:, None] + v[None, :] - 2.0 * cov
+    if not np.isfinite(d2).all():
+        i, j = np.unravel_index(np.argmin(np.isfinite(d2)), d2.shape)
+        raise ValueError(
+            f"scale: the canonical distance between labels {labels[i]!r} and "
+            f"{labels[j]!r} overflows; rescale the covariance")
     np.fill_diagonal(d2, np.inf)
     i, j = np.unravel_index(np.argmin(d2), d2.shape)
     if d2[i, j] <= 0.0:

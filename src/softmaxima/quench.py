@@ -7,16 +7,15 @@ error.  Three contracts shape everything here:
 * Determinism: sample i is Generator(Philox(counter=i * 2^128, key))
   .standard_normal(m), a pure function of (seed, i), and the reduction over
   samples is numpy's fixed-order pairwise sum, so results are bit-identical
-  whatever the order in which rows are filled.  The fill does not build those
-  generators one by one: it computes the Philox blocks of many samples as
-  whole-array numpy operations, takes numpy's ziggurat fast path on them,
-  and, in rows of up to 64 draws, decides the wedge tests of the draws it
-  declines in array ops too.  Such a row goes to numpy's own generator, set
+  whatever the order in which rows are filled.  A row wider than
+  _ZIG_MAX_WIDTH = 32 draws is drawn whole by numpy's own generator.
+  Narrower rows are filled by whole-array numpy operations: the Philox
+  blocks of many samples, numpy's ziggurat fast path on them, and the wedge
+  tests of the draws it declines.  Such a row goes to numpy's generator, set
   to the exact state, only at a tail draw, at a draw or a wedge test too
   close to numpy's bound to decide safely, and where its Philox words run
-  out; a wider row goes to numpy at its first declined draw or after 64.
-  tests/test_quench.py pins the result to the per-sample definition bit for
-  bit.
+  out.  tests/test_quench.py pins the result to the per-sample definition
+  bit for bit.
 * Common random numbers: identical (ensemble, n, seed) always yields the
   identical realization batch, so comparisons across beta or across the two
   sides of an identity are per-sample comparisons.  A few recent batches are
@@ -264,8 +263,8 @@ _ZIG_FI = _zig_densities(_ZIG_WI)
 # A wedge test whose two sides lie closer than this is left to numpy: the
 # tables, exp and the rounding of the test may differ from numpy's by ulps.
 _ZIG_TIE = 1e-12
-_ZIG_PREFIX = 64        # draws per row taken by the vectorised path
-_ZIG_EXTRA_BLOCKS = 2   # Philox blocks past the prefix's read by wedge rows
+_ZIG_MAX_WIDTH = 32     # widest row the vectorised path fills; see _fill_block
+_ZIG_EXTRA_BLOCKS = 2   # Philox blocks past a row's own read by wedge rows
 _CHUNK_BLOCKS = 1 << 14  # Philox blocks per vectorised chunk (bounds memory)
 
 
@@ -323,8 +322,8 @@ def _resume(rng, state, i, cursor, words, out):
     """Fill out with numpy's own generator at word cursor of sample i's stream.
 
     words is the Philox block holding the cursor's word; the state resumes
-    inside that block with its buffer loaded, or at a block boundary with
-    the buffer spent.
+    inside that block with its buffer loaded, or at a block boundary, where
+    words is not read, with the buffer spent.
     """
     q, s = divmod(cursor, 4)
     state["state"]["counter"] = [q + 1 if s else q, 0, i, 0]
@@ -397,46 +396,44 @@ def _wedges(raw, x, declined, p):
 def _fill_block(out, key):
     """Every row of out, row i being sample i's stream (see above).
 
-    numpy's ziggurat (Marsaglia & Tsang 2000) is applied to the first
-    _ZIG_PREFIX draws of every row at once: the fast path to whole blocks of
-    Philox words and, in rows no wider than the prefix, the wedge tests of
-    the rows where it declines a draw (_wedges), read _ZIG_EXTRA_BLOCKS
-    blocks further.  Where _wedges stops a row, and in a wider row at its
-    first declined draw or after the prefix, numpy's own generator, set to
-    the exact state the stream has there, draws the rest of the row (_resume).
+    A row wider than _ZIG_MAX_WIDTH draws is drawn whole by numpy's own
+    generator from the start of its stream (_resume at word 0).  Narrower
+    rows take numpy's ziggurat (Marsaglia & Tsang 2000) in array ops: the
+    fast path on whole blocks of Philox words and, where it declines a draw,
+    the wedge tests (_wedges), read _ZIG_EXTRA_BLOCKS blocks further.  Where
+    _wedges stops a row, numpy's generator, set to the exact state there,
+    draws the rest.
+
+    32 is where the two cost the same on 1.28e6 draws (one thread): numpy
+    per row is 1.8x slower at 16 and 1.5-1.7x faster at 64.
     """
-    m = out.shape[1]
+    n, m = out.shape
     if m == 0:
         return
-    p = min(m, _ZIG_PREFIX)
-    n_blocks = -(-p // 4)
     rng = np.random.Generator(np.random.Philox(key=key))
     state = rng.bit_generator.state
-    n = out.shape[0]
+    if m > _ZIG_MAX_WIDTH:
+        for i in range(n):
+            _resume(rng, state, i, 0, None, out[i])
+        return
+    n_blocks = -(-m // 4)
     step = _CHUNK_BLOCKS // n_blocks
     for start in range(0, n, step):
         stop = min(start + step, n)
         raw = _philox_blocks(key, np.arange(start, stop), 0, n_blocks)
         x, declined = _zig_draws(raw)
-        out[start:stop, :p] = x[:, :p]
-        wedged = declined[:, :p].any(axis=1)
-        if m > p:
-            # numpy draws every row past the prefix anyway, so it takes a
-            # row over from its first declined draw.
-            k_stop = cursor = np.where(wedged, declined[:, :p].argmax(axis=1), p)
-            rows = np.arange(stop - start)
-        else:
-            rows = np.flatnonzero(wedged)
-            if not rows.size:
-                continue
-            extra = _philox_blocks(key, start + rows, n_blocks,
-                                   n_blocks + _ZIG_EXTRA_BLOCKS)
-            x_extra, declined_extra = _zig_draws(extra)
-            raw = np.concatenate([raw[rows], extra], axis=1)
-            x = np.concatenate([x[rows], x_extra], axis=1)
-            declined = np.concatenate([declined[rows], declined_extra], axis=1)
-            word, k_stop, cursor = _wedges(raw, x, declined, p)
-            out[start + rows, :p] = np.take_along_axis(x, word, axis=1)
+        out[start:stop] = x[:, :m]
+        rows = np.flatnonzero(declined[:, :m].any(axis=1))
+        if not rows.size:
+            continue
+        extra = _philox_blocks(key, start + rows, n_blocks,
+                               n_blocks + _ZIG_EXTRA_BLOCKS)
+        x_extra, declined_extra = _zig_draws(extra)
+        raw = np.concatenate([raw[rows], extra], axis=1)
+        x = np.concatenate([x[rows], x_extra], axis=1)
+        declined = np.concatenate([declined[rows], declined_extra], axis=1)
+        word, k_stop, cursor = _wedges(raw, x, declined, m)
+        out[start + rows] = np.take_along_axis(x, word, axis=1)
         resumed = np.flatnonzero(k_stop < m)
         for h, i, k, c in zip(resumed.tolist(), (start + rows[resumed]).tolist(),
                               k_stop[resumed].tolist(), cursor[resumed].tolist()):
@@ -662,10 +659,11 @@ def beta_star(ens: IndexedEnsemble, c: float, n: int, seed: int,
 
     a = ens.min_separation
     delta = ens.diameter
-    target = (c * a) ** 2 / (2.0 * delta ** 2)
+    # The ratio first: c^2 a^2 and Delta^2 alone underflow or overflow.
+    target = (c * a / delta) ** 2 / 2.0
     if not (math.isfinite(target) and target > 0.0):
         raise ValueError(
-            f"scale: the participation target c^2 a^2 / (2 Delta^2) = {target!r} "
+            f"scale: the participation target (c a / Delta)^2 / 2 = {target!r} "
             f"is not positive and finite at a = {a:.6g}, Delta = {delta:.6g}, "
             f"c = {c:.6g}; rescale the covariance")
     x = realization_batch(ens, n, seed)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import softmaxima as sm
@@ -486,6 +486,7 @@ class TestProperties:
 
     @settings(max_examples=25, deadline=None)
     @given(ens=_psd_ensembles(), seed=st.integers(0, 2 ** 32))
+    @example(ens=sm.build_iid(2, 5e-324), seed=0)  # c^2 a^2 underflows
     def test_beta_star_matches_grid_scan(self, ens, seed):
         # A resolution that leaves K <= 2000 grid points, so that every one
         # can be scanned.

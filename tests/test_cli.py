@@ -431,7 +431,6 @@ class TestExitCodes:
         assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("spec", [
-        '{"iid":{"n":2,"variance":1e-323}}',
         '{"iid":{"n":2,"variance":6e307}}',
         '{"iid":{"n":2,"variance":1e308}}',
         '{"labels":["a","b"],"covariance":[[1e308,0],[0,1e308]]}'])
@@ -441,7 +440,32 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error:") and "\n" not in err.strip()
-        assert "scale: " in err and "rescale the covariance" in err
+        if "6e307" in spec:
+            # beta_star's target is in range there, but the sample variance
+            # of values near 1e154 overflows.
+            assert err.startswith("error: run: non-finite: ")
+        else:
+            assert "scale: " in err and "rescale the covariance" in err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_tiny_variance_runs(self, tmp_path):
+        # c^2 a^2 underflows at this variance; the target (c a / Delta)^2 / 2
+        # does not.
+        code = run_main(["bounds", "--ensemble", '{"iid":{"n":2,"variance":1e-323}}',
+                         "--beta", "1", "--n", "50", "--out", str(tmp_path / "x")])
+        assert code == EXIT_OK
+        assert (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("command", ["estimate", "bounds"])
+    def test_infinite_distance_is_one_scale_line(self, tmp_path, capsys, command):
+        # Finite symmetrised entries whose canonical distance overflows.
+        spec = '{"labels":["a","b"],"covariance":[[8e307,-8e307],[-8e307,8e307]]}'
+        code = run_main([command, "--ensemble", spec, "--beta", "1", "--n", "50",
+                         "--out", str(tmp_path / "x")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: bad ensemble spec: scale: ")
+        assert "\n" not in err.strip() and "'a' and 'b'" in err
         assert not (tmp_path / "x.csv").exists()
 
     def test_exit_code_constants_distinct(self):

@@ -104,6 +104,16 @@ class TestBuildFromCovariance:
         with pytest.raises(ValueError, match="scale: .*1e\\+308"):
             build_from_covariance(["a", "b"], [[1e308, 0.0], [0.0, 1e308]])
 
+    def test_distance_overflow_is_scale_error(self):
+        # A finite symmetrised covariance whose canonical distance
+        # 8e307 + 8e307 + 2 * 8e307 overflows to inf.
+        with pytest.raises(ValueError, match="^scale: .*'a' and 'b' overflows"):
+            build_from_covariance(["a", "b"], [[8e307, -8e307], [-8e307, 8e307]])
+        with pytest.raises(ValueError, match="^scale: .*'b' and 'c' overflows"):
+            build_from_covariance(["a", "b", "c"], [[1.0, 0.0, 0.0],
+                                                    [0.0, 8e307, -8e307],
+                                                    [0.0, -8e307, 8e307]])
+
     def test_extreme_entries_below_overflow_kept(self):
         ens = build_from_covariance(["a", "b"], [[8e307, 0.0], [0.0, 8e307]])
         assert ens.min_separation == math.sqrt(1.6e308)

@@ -99,23 +99,23 @@ class TestStreamDefinition:
     """The fill against Generator(Philox(counter=i << 128, key)).standard_normal.
 
     The widths 1, 3, 4, 5 and 8 cross the 4-word Philox block boundaries;
-    63, 64 and 65 cross the end of the vectorised prefix; 200 and 1024 are
-    mostly drawn by numpy after the prefix.
+    31, 32 and 33 sit on either side of _ZIG_MAX_WIDTH, the widest row the
+    vectorised path fills; 63, 64, 65, 200 and 1024 are drawn whole by numpy.
     """
 
     @pytest.mark.parametrize("seed", [0, 2 ** 63, -1])
-    @pytest.mark.parametrize("m", [1, 3, 4, 5, 8, 63, 64, 65, 200, 1024])
+    @pytest.mark.parametrize("m", [1, 3, 4, 5, 8, 31, 32, 33, 63, 64, 65, 200, 1024])
     def test_standard_batch_matches_definition(self, m, seed):
         n = min(2000, max(16, 16_384 // m))
         got = sm.standard_normal_batch(m, n, seed)
         assert np.array_equal(got, reference_batch(seed, n, m))
 
-    @pytest.mark.parametrize("m, n", [(8, 8200), (64, 1100), (200, 2100)])
+    @pytest.mark.parametrize("m, n", [(8, 8200), (32, 2100)])
     def test_fill_chunks_match_definition(self, m, n):
         # Rows past the first chunk of _CHUNK_BLOCKS Philox blocks start a
         # fill at a nonzero row; each n here crosses at least one chunk.
-        rows_per_chunk = quench._CHUNK_BLOCKS // -(-min(m, quench._ZIG_PREFIX) // 4)
-        assert n > rows_per_chunk
+        assert m <= quench._ZIG_MAX_WIDTH
+        assert n > quench._CHUNK_BLOCKS // -(-m // 4)
         got = sm.standard_normal_batch(m, n, 9)
         assert np.array_equal(got, reference_batch(9, n, m))
 
@@ -213,7 +213,9 @@ class TestWedgeFill:
         firsts = [(i, first_decline(3, i, 8)[1]) for i in range(3000)]
         assert sorted(calls) == [(i, d) for i, d in firsts if d is not None]
 
-    @pytest.mark.parametrize("m", [3, 5, 8, 64])
+    # 32 is the widest vectorised row; 64 checks that a wider row reads
+    # none of the blocks.
+    @pytest.mark.parametrize("m", [3, 5, 8, 32, 64])
     def test_no_extra_blocks(self, monkeypatch, m):
         monkeypatch.setattr(quench, "_ZIG_EXTRA_BLOCKS", 0)
         n = 16_384 // m
@@ -248,13 +250,22 @@ class TestWedgeFill:
         assert np.array_equal(got, reference_batch(6, i + 1, 8))
         assert all(c >= d + 2 for j, c in calls if j == i)
 
-    @pytest.mark.parametrize("m", [5, 8, 64])
+    @pytest.mark.parametrize("m", [5, 8, 32, 64])
     def test_chunk_boundaries(self, monkeypatch, m):
         # Chunks of a few rows: the wedge rows of every chunk after the
-        # first sit at a nonzero row offset.
+        # first sit at a nonzero row offset.  A row of 64 is never chunked.
         monkeypatch.setattr(quench, "_CHUNK_BLOCKS", 48)
         n = 30 * (48 // -(-m // 4)) + 7
         assert np.array_equal(quench._standard_batch(m, n, 10), reference_batch(10, n, m))
+
+    @pytest.mark.parametrize("m", [quench._ZIG_MAX_WIDTH + 1, 64, 200])
+    def test_wide_rows_resume_once_at_word_zero(self, monkeypatch, m):
+        # A row wider than _ZIG_MAX_WIDTH is drawn whole by numpy, from the
+        # start of its stream, and nothing of it is vectorised.
+        calls = resumed(monkeypatch)
+        got = quench._standard_batch(m, 300, 11)
+        assert np.array_equal(got, reference_batch(11, 300, m))
+        assert calls == [(i, 0) for i in range(300)]
 
     def test_few_rows_resume_numpy(self, monkeypatch):
         # Handing every row with a declined draw to numpy resumed 11% of
@@ -602,9 +613,18 @@ class TestBetaStar:
         with pytest.raises(ValueError, match="invalid-parameter: resolution"):
             sm.beta_star(iid2, 1 / 17, 100, 0, resolution=1e-320)
 
+    @pytest.mark.parametrize("variance", [1e-323, 6e307])
+    def test_extreme_variance_keeps_unit_grid_index(self, variance):
+        # c^2 a^2 underflows at 1e-323 and 2 Delta^2 overflows at 6e307, but
+        # the target (c a / Delta)^2 / 2 does not: the grid, in units of
+        # 1 / sigma, and its answer are those of unit variance.
+        def index(ens):
+            ts = sm.beta_star(ens, 1 / 17, 64, seed=0)
+            return ts.beta_star / (quench.DEFAULT_RESOLUTION / ens.sigma_max)
+
+        assert round(index(sm.build_iid(2, variance))) == round(index(sm.build_iid(2, 1.0)))
+
     @pytest.mark.parametrize("variance, target", [
-        (1e-323, "0.0"),   # c^2 a^2 underflows
-        (6e307, "0.0"),    # 2 Delta^2 overflows
         (1e308, "nan")])   # a = Delta = inf
     def test_target_out_of_range_is_scale_error(self, monkeypatch, variance,
                                                 target):
