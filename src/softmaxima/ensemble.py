@@ -16,6 +16,7 @@ dense views are available up to ``DENSE_CAP`` coordinates.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -175,6 +176,11 @@ def build_iid(n: int, variance: float, labels: Sequence[str] | None = None) -> I
         labels = [str(i) for i in range(n)]
     elif len(labels) != n:
         raise ValueError(f"invalid-size: {len(labels)} labels for {n} coordinates")
+    if not math.isfinite(2.0 * float(variance)):
+        raise ValueError(
+            f"scale: the canonical distance sqrt(2 * {variance:.6g}) between "
+            f"labels {labels[0]!r} and {labels[1]!r} overflows; rescale the "
+            "covariance")
     return IndexedEnsemble(labels, iid_variance=float(variance))
 
 

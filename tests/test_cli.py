@@ -4,6 +4,7 @@ import ast
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -437,15 +438,23 @@ class TestExitCodes:
     def test_extreme_scale_is_one_error_line(self, tmp_path, capsys, spec):
         code = run_main(["bounds", "--ensemble", spec, "--beta", "1",
                          "--n", "50", "--out", str(tmp_path / "x")])
-        assert code == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "\n" not in err.strip()
         if "6e307" in spec:
-            # beta_star's target is in range there, but the sample variance
-            # of values near 1e154 overflows.
-            assert err.startswith("error: run: non-finite: ")
-        else:
-            assert "scale: " in err and "rescale the covariance" in err
+            # Every distance and standard error is finite there, so the run
+            # writes its rows.  g_upper alone reads violated: E KL reads 0
+            # because log m + beta <X> - Lambda cancels at values near 1e154
+            # (the KL form of ROADMAP item 1); mended, this run exits 0.
+            assert code == EXIT_VIOLATION and err == ""
+            rows = list(csv.DictReader(
+                (tmp_path / "x.csv").read_text().splitlines()[1:]))
+            assert [r["name"] for r in rows if r["verdict"] == "violated"] == [
+                "g_upper"]
+            assert all(math.isfinite(float(r[k])) for r in rows
+                       for k in ("lhs_mean", "lhs_se", "rhs_mean", "rhs_se"))
+            return
+        assert code == EXIT_CONFIG
+        assert err.startswith("error:") and "\n" not in err.strip()
+        assert "scale: " in err and "rescale the covariance" in err
         assert not (tmp_path / "x.csv").exists()
 
     def test_tiny_variance_runs(self, tmp_path):
@@ -466,6 +475,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: config: bad ensemble spec: scale: ")
         assert "\n" not in err.strip() and "'a' and 'b'" in err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("command", ["estimate", "bounds"])
+    def test_infinite_iid_distance_is_one_scale_line(self, tmp_path, capsys,
+                                                     command):
+        # sqrt(2 v) overflows although v is finite.
+        code = run_main([command, "--ensemble", '{"iid":{"n":2,"variance":1e308}}',
+                         "--beta", "1", "--n", "50", "--out", str(tmp_path / "x")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "\n" not in err.strip()
+        assert "scale: " in err and "canonical distance" in err
         assert not (tmp_path / "x.csv").exists()
 
     def test_exit_code_constants_distinct(self):
@@ -546,6 +567,23 @@ class TestModuleEntry:
 
 
 class TestDeterminism:
+    def test_oracle_check_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        src = str(Path(sm.__file__).resolve().parents[1])
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"oc{threads}"
+            env = {k: v for k, v in os.environ.items()
+                   if not k.endswith("_NUM_THREADS")}
+            env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=src)
+            proc = subprocess.run(
+                [sys.executable, "-m", "softmaxima", "oracle-check", "--n", "2000",
+                 "--seed", "3", "--out", str(out)],
+                env=env, capture_output=True, text=True)
+            assert proc.returncode == EXIT_OK, proc.stderr
+            outs.append(out.with_suffix(".csv").read_bytes())
+        assert outs[0] == outs[1]
+
     def test_same_config_same_bytes(self, tmp_path):
         outs = []
         for tag in ("a", "b"):

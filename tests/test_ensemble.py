@@ -35,6 +35,12 @@ class TestBuildIid:
         with pytest.raises(ValueError, match="invalid-parameter"):
             build_iid(4, -1.0)
 
+    def test_infinite_distance_rejected(self):
+        # 2 v overflows at v = 1e308, so the canonical distance is infinite.
+        with pytest.raises(ValueError, match="scale: the canonical distance"):
+            build_iid(2, 1e308)
+        assert math.isfinite(build_iid(2, 8e307).min_separation)
+
     def test_scalar_geometry_property(self):
         # a = diameter = sqrt(2v), sigma = sqrt(v), for every (n, v).
         for n, v in [(2, 1.0), (5, 0.25), (16, 3.0)]:

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import softmaxima as sm
 from softmaxima import cli, gibbs, quench
+from softmaxima.ensemble import IndexedEnsemble
 from softmaxima.quench import BATCH_ELEMENT_CAP
 from tests.test_bounds import _ALL_OBSERVABLES
 
@@ -298,6 +299,15 @@ class TestMcEstimate:
         vals = sm.per_sample_values(corr3, sm.PARTICIPATION_RATIO, 1.0, 5000, seed=9)
         assert est.std_error == pytest.approx(vals.std(ddof=1) / math.sqrt(5000), rel=1e-12)
         assert est.n_samples == 5000 and est.seed == 9 and est.beta == 1.0
+
+    def test_se_at_spread_1e200_is_scaled_exactly(self):
+        # The squares of values spread by about 1e200 overflow; the standard
+        # error scales with the values, exactly for a power of two.
+        values = np.random.default_rng(4).standard_normal(50)
+        mean, se = quench._mean_se(values)
+        assert quench._mean_se(values * 2.0 ** 664) == (mean * 2.0 ** 664,
+                                                        se * 2.0 ** 664)
+        assert 1e199 < se * 2.0 ** 664 < math.inf
 
     def test_seed_matters(self, iid2):
         a = sm.mc_estimate(iid2, sm.GIBBS_AVERAGE, 1.0, 1000, seed=0)
@@ -632,7 +642,9 @@ class TestBetaStar:
             raise AssertionError("batch drawn")
 
         monkeypatch.setattr(quench, "realization_batch", unreachable)
-        ens = sm.build_iid(2, variance)
+        # build_iid refuses this variance; an ensemble made directly still
+        # meets beta_star's own check.
+        ens = IndexedEnsemble(["0", "1"], iid_variance=variance)
         with pytest.raises(ValueError, match=(
                 rf"^scale: .* = {target} is not positive and finite at "
                 rf"a = .*, Delta = .*, c = 0\.0588235")):
@@ -865,23 +877,82 @@ def _frozen_values(ens, obs, x, beta):
     return np.log(m) + beta * mean - log_z
 
 
-def _frozen_oracles(ens, pairs, nodes_per_dim):
-    """Each pair on each 2^18-node chunk of the grid in turn, frozen."""
-    m = ens.size
-    z, w = quench._oracle_rule(m, nodes_per_dim)
-    k = z.size
+def _frozen_grid(w, m, floor):
+    """(weights, digit index matrix, kept mask) of each 2^18-node chunk of
+    the k^m grid, from the radix index build: node t has digit
+    (t // k^(m-1-d)) % k in dimension d.  A node is kept when its weight is
+    at least floor * pi^(m/2)."""
+    k = w.size
     total = k ** m
     radix = k ** np.arange(m - 1, -1, -1, dtype=np.int64)
-    acc = [0.0] * len(pairs)
+    cut = floor * np.pi ** (m / 2.0)
     for start in range(0, total, 1 << 18):
         flat = np.arange(start, min(start + (1 << 18), total), dtype=np.int64)
         idx = (flat[:, None] // radix[None, :]) % k
         weight = np.prod(w[idx], axis=1)
-        x = (np.sqrt(2.0) * z)[idx] @ ens.sampling_factor.T
-        for i, (obs, beta) in enumerate(pairs):
-            values = _frozen_values(ens, obs, x, float(beta))
-            acc[i] += float(np.dot(weight, values))
+        yield weight, idx, weight >= cut
+
+
+def _frozen_x(points, idx, factor):
+    """x = g F^T of the nodes idx, each column g[:, 0] F[j, 0] + ... left
+    to right, row-major."""
+    g = points[idx]
+    columns = []
+    for row in factor:
+        col = g[:, 0] * row[0]
+        for d in range(1, len(row)):
+            col = col + g[:, d] * row[d]
+        columns.append(col)
+    return np.stack(columns, axis=1)
+
+
+def _regroup(pieces, size):
+    """(weights, idx) pieces regrouped in order into chunks of `size` rows,
+    the last one short."""
+    held_w, held_i, held = [], [], 0
+    for weight, idx in pieces:
+        held_w.append(weight)
+        held_i.append(idx)
+        held += weight.size
+        while held >= size:
+            weight, idx = np.concatenate(held_w), np.concatenate(held_i)
+            yield weight[:size], idx[:size]
+            held_w, held_i, held = [weight[size:]], [idx[size:]], held - size
+    if held:
+        yield np.concatenate(held_w), np.concatenate(held_i)
+
+
+def _grid_sums(ens, nodes_per_dim, floor, evaluate, chunk=1 << 18):
+    """The weighted sums of evaluate(x), one value array per pair, over
+    chunks of `chunk` kept nodes of the radix build, each chunk reduced by
+    numpy's pairwise sum of weight * value."""
+    m = ens.size
+    z, w = quench._oracle_rule(m, nodes_per_dim)
+    points = np.sqrt(2.0) * z
+    kept = ((weight[keep], idx[keep])
+            for weight, idx, keep in _frozen_grid(w, m, floor))
+    acc = []
+    for weight, idx in _regroup(kept, chunk):
+        sums = [float(np.add.reduce(weight * v)) for v in
+                evaluate(_frozen_x(points, idx, ens.sampling_factor))]
+        acc = [a + b for a, b in zip(acc or [0.0] * len(sums), sums)]
     return [a / np.pi ** (m / 2.0) for a in acc]
+
+
+def _frozen_oracles(ens, pairs, nodes_per_dim, chunk=1 << 18):
+    """Each pair on each chunk of the nodes the oracle keeps, frozen."""
+    return _grid_sums(
+        ens, nodes_per_dim, quench.ORACLE_WEIGHT_FLOOR,
+        lambda x: [_frozen_values(ens, obs, x, float(beta)) for obs, beta in pairs],
+        chunk)
+
+
+def _full_grid_oracles(ens, pairs, nodes_per_dim):
+    """The oracle values on every node of the grid, by the shared pass."""
+    def evaluate(x):
+        values = dict(gibbs._evaluate(x, pairs, ens))
+        return [values[i] for i in range(len(pairs))]
+    return _grid_sums(ens, nodes_per_dim, 0.0, evaluate)
 
 
 def _bits(values):
@@ -904,28 +975,51 @@ _EDGE_PAIRS = (
 
 
 class TestGridChunk:
-    """_grid_chunk equals the radix index build it replaced, bit for bit."""
+    """_kept_nodes and _node_values equal the masked radix index build,
+    bit for bit."""
 
     @pytest.mark.parametrize("k, m", [(200, 3), (64, 4), (128, 2), (32, 1)])
     def test_equals_frozen_index_build(self, k, m):
-        # At k = 200 the chunk edges fall inside a leading digit.
+        # At k = 200 a 2^18-node radix chunk edge falls inside a leading
+        # digit, so the kept nodes of one prefix come from two chunks.
         z, w = quench._oracle_rule(m, k)
         points = np.sqrt(2.0) * z
         factor = np.random.default_rng(k + m).standard_normal((m, m))
-        total = k ** m
-        radix = k ** np.arange(m - 1, -1, -1, dtype=np.int64)
-        chunk = min(total, 1 << 18)
-        for start in range(0, total, chunk):
-            stop = min(start + chunk, total)
-            flat = np.arange(start, stop, dtype=np.int64)
-            idx = (flat[:, None] // radix[None, :]) % k
-            weight, x = quench._grid_chunk(points, w, factor, start, stop)
-            frozen = np.prod(w[idx], axis=1)
-            assert np.array_equal(weight.view(np.uint64), frozen.view(np.uint64))
-            frozen = points[idx] @ factor.T
-            assert frozen.flags.c_contiguous
+        weight, digits = quench._kept_nodes(w, m)
+        assert len(digits) == m
+        start = 0
+        for frozen_w, idx, keep in _frozen_grid(w, m, quench.ORACLE_WEIGHT_FLOOR):
+            stop = start + int(keep.sum())
+            assert np.array_equal(weight[start:stop].view(np.uint64),
+                                  frozen_w[keep].view(np.uint64))
+            for d in range(m):
+                assert np.array_equal(digits[d][start:stop], idx[keep, d])
+            x = quench._node_values(points, [c[start:stop] for c in digits], factor)
+            frozen = _frozen_x(points, idx[keep], factor)
             assert np.array_equal(x.view(np.uint64), frozen.view(np.uint64))
             assert x.flags.f_contiguous
+            start = stop
+        assert start == weight.size
+
+    @pytest.mark.parametrize("k, m", [(128, 3), (64, 4), (370, 2)])
+    def test_dropped_mass_is_below_the_bound(self, k, m):
+        # Every dropped node weighs less than the floor and a grid has at
+        # most ORACLE_MAX_NODES nodes, so the dropped mass is below their
+        # product: far below a double's resolution of the unit total.
+        z, w = quench._oracle_rule(m, k)
+        scale = np.pi ** (m / 2.0)
+        dropped = kept = 0.0
+        for weight, _, keep in _frozen_grid(w, m, quench.ORACLE_WEIGHT_FLOOR):
+            assert np.all(weight[~keep] / scale < quench.ORACLE_WEIGHT_FLOOR * (1 + 1e-15))
+            dropped += float(np.sum(weight[~keep])) / scale
+            kept += float(np.sum(weight[keep])) / scale
+        assert 0.0 < dropped <= quench.ORACLE_MAX_NODES * quench.ORACLE_WEIGHT_FLOOR
+        assert kept == pytest.approx(1.0, rel=1e-13)
+
+    def test_corr3_grid_keeps_an_eighth(self):
+        z, w = quench._oracle_rule(3, quench.ORACLE_NODES)
+        weight, _ = quench._kept_nodes(w, 3)
+        assert weight.size == 255_376 <= quench.ORACLE_NODES ** 3 // 8
 
 
 class TestFusedOracle:
@@ -933,7 +1027,7 @@ class TestFusedOracle:
 
     @pytest.mark.parametrize("name", ["iid2", "corr3"])
     def test_equals_one_call_per_pair(self, name):
-        # iid2 fits one 2^18-node chunk; corr3 at 128 nodes spans 8.
+        # At 128 nodes iid2 keeps 4 952 nodes and corr3 255 376: one chunk each.
         ens = dict(cli._check_fixtures())[name]
         pairs = cli._CHECK_PAIRS
         assert len(pairs) == 19
@@ -942,26 +1036,44 @@ class TestFusedOracle:
         assert all(type(v) is float for v in fused)
 
     @pytest.mark.parametrize("name", ["iid2", "corr3"])
-    def test_edge_pairs_equal_frozen_route(self, name):
-        # corr3 at 66 nodes spans two chunks, the second one short.
+    def test_edge_pairs_equal_frozen_route(self, name, monkeypatch):
+        # corr3 at 66 nodes keeps 89 984 nodes: in chunks of 2^16 it spans
+        # two, the second one short.
+        monkeypatch.setattr(quench, "_ORACLE_CHUNK", 1 << 16)
         ens = dict(cli._check_fixtures())[name]
         with np.errstate(over="ignore", invalid="ignore"):
             fused = sm.quadrature_oracles(ens, _EDGE_PAIRS, 66)
-            frozen = _frozen_oracles(ens, _EDGE_PAIRS, 66)
+            frozen = _frozen_oracles(ens, _EDGE_PAIRS, 66, chunk=1 << 16)
         assert _bits(fused) == _bits(frozen)
+
+    @pytest.mark.parametrize("name", ["iid2", "corr3"])
+    @pytest.mark.parametrize("nodes, pairs", [
+        (128, cli._CHECK_PAIRS), (200, cli._CHECK_PAIRS), (66, _EDGE_PAIRS)],
+        ids=["check-128", "check-200", "edge-66"])
+    def test_pruned_grid_equals_full_grid(self, name, nodes, pairs):
+        # Only the order of the sum and the dropped mass (below 1.7e-23)
+        # separate the two.
+        ens = dict(cli._check_fixtures())[name]
+        with np.errstate(over="ignore", invalid="ignore"):
+            pruned = sm.quadrature_oracles(ens, pairs, nodes)
+            full = _full_grid_oracles(ens, pairs, nodes)
+        for a, b in zip(pruned, full):
+            if math.isfinite(b):
+                assert abs(a - b) <= 1e-14 * max(1.0, abs(b)), (a, b)
+            else:
+                assert _bits([a]) == _bits([b])
 
     @pytest.mark.parametrize("name, passes, blocks", [
         ("iid2", 3, 3),
-        # Each 2^18-node chunk of corr3 is cut into blocks of
+        # corr3's one chunk of 255 376 kept nodes is cut into blocks of
         # _BLOCK_ELEMENTS // 3 rows, and each block is shifted once.
-        ("corr3", 24, 24 * -(-(1 << 18) // (gibbs._BLOCK_ELEMENTS // 3)))],
-        ids=["iid2-3", "corr3-24"])
+        ("corr3", 3, 3 * -(-255_376 // (gibbs._BLOCK_ELEMENTS // 3)))],
+        ids=["iid2-3", "corr3-3"])
     def test_one_shifted_pass_per_chunk_and_beta(self, monkeypatch, name,
                                                  passes, blocks):
-        # Three betas; iid2 is one chunk (and one block) at 128 nodes, corr3
-        # eight.  The per-pair route took 18 and 144 passes.  The grid is
-        # finite by construction, so no chunk is scanned (the max did it per
-        # chunk).
+        # Three betas; at 128 nodes iid2 is one chunk (and one block) and
+        # corr3 one chunk.  The grid is finite by construction, so no chunk
+        # is scanned (the max did it per chunk).
         ens = dict(cli._check_fixtures())[name]
         calls = []
         shifts = []
