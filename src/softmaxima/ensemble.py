@@ -178,9 +178,8 @@ def build_iid(n: int, variance: float, labels: Sequence[str] | None = None) -> I
         raise ValueError(f"invalid-size: {len(labels)} labels for {n} coordinates")
     if not math.isfinite(2.0 * float(variance)):
         raise ValueError(
-            f"scale: the canonical distance sqrt(2 * {variance:.6g}) between "
-            f"labels {labels[0]!r} and {labels[1]!r} overflows; rescale the "
-            "covariance")
+            f"scale: the canonical distance sqrt(2 * {variance:.6g}) "
+            "overflows; rescale the variance")
     return IndexedEnsemble(labels, iid_variance=float(variance))
 
 

@@ -26,7 +26,8 @@ import numpy as np
 from . import gibbs
 from .ensemble import IndexedEnsemble, build_iid
 from .quench import (SUDAKOV_C, Z_MARGIN, QuenchedEstimate, ThresholdResult,
-                     _check_threshold, beta_star, mc_estimates)
+                     _check_kl_terms, _check_threshold, beta_star,
+                     mc_estimates)
 
 MAX_SPINS = 16   # 2^16 states is the desk-scale ceiling
 BETA_C = 2.0 * math.sqrt(math.log(2.0))  # critical beta of the limit pressure
@@ -144,7 +145,9 @@ def pressure_sweep(model: RemModel, beta_grid, n: int, seed: int,
 
     Each row compares the pressure estimate against the lower curve (at the
     ensemble's own participation threshold) and the grid-minimized upper
-    curve, allowing Z_MARGIN standard errors.
+    curve, allowing Z_MARGIN standard errors.  A grid beta where E KL's
+    terms are too large to cancel accurately (quench._check_kl_terms) raises
+    a `scale:` error rather than a verdict.
     """
     grid = [float(b) for b in np.atleast_1d(np.asarray(beta_grid, dtype=float))]
     if len(grid) == 0:
@@ -168,6 +171,8 @@ def pressure_sweep(model: RemModel, beta_grid, n: int, seed: int,
     rows = []
     for k, beta in enumerate(grid):
         p_hat, kl = estimates[2 * k:2 * k + 2]
+        # E KL(beta) cancels terms of about Lambda = N p.
+        _check_kl_terms(model.n_spins * p_hat.mean)
         low = q_lower(model, beta, threshold, div_star)
         up = q_upper_min(model, beta, grid, kl.mean)
         limit = limit_pressure(beta)

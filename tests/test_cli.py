@@ -438,23 +438,28 @@ class TestExitCodes:
     def test_extreme_scale_is_one_error_line(self, tmp_path, capsys, spec):
         code = run_main(["bounds", "--ensemble", spec, "--beta", "1",
                          "--n", "50", "--out", str(tmp_path / "x")])
-        err = capsys.readouterr().err
-        if "6e307" in spec:
-            # Every distance and standard error is finite there, so the run
-            # writes its rows.  g_upper alone reads violated: E KL reads 0
-            # because log m + beta <X> - Lambda cancels at values near 1e154
-            # (the KL form of ROADMAP item 1); mended, this run exits 0.
-            assert code == EXIT_VIOLATION and err == ""
-            rows = list(csv.DictReader(
-                (tmp_path / "x.csv").read_text().splitlines()[1:]))
-            assert [r["name"] for r in rows if r["verdict"] == "violated"] == [
-                "g_upper"]
-            assert all(math.isfinite(float(r[k])) for r in rows
-                       for k in ("lhs_mean", "lhs_se", "rhs_mean", "rhs_se"))
-            return
         assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
         assert err.startswith("error:") and "\n" not in err.strip()
-        assert "scale: " in err and "rescale the covariance" in err
+        # At 6e307 every distance and standard error is finite, but E KL
+        # would cancel terms near 1e154 to rounding, so no verdict is made.
+        reason = ("E KL" if "6e307" in spec else
+                  "rescale the variance" if "iid" in spec else
+                  "rescale the covariance")
+        assert "scale: " in err and reason in err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("command", [
+        ["bounds", "--ensemble", IID8, "--beta", "1e17"],
+        ["rem-sweep", "--n-spins", "4", "--beta", "1e200"]],
+        ids=["bounds", "rem-sweep"])
+    def test_unresolved_kl_is_one_scale_line(self, tmp_path, capsys, command):
+        # E KL cancels to rounding at these beta; a verdict on it would read
+        # the bounds as violated.
+        code = run_main(command + ["--n", "200", "--out", str(tmp_path / "x")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: run: scale: E KL") and "\n" not in err.strip()
         assert not (tmp_path / "x.csv").exists()
 
     def test_tiny_variance_runs(self, tmp_path):

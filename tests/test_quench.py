@@ -309,6 +309,14 @@ class TestMcEstimate:
                                                         se * 2.0 ** 664)
         assert 1e199 < se * 2.0 ** 664 < math.inf
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_kl_terms_refused_from_2_23(self, sign):
+        # Doubles at 2^23 lie 2^-29 > KL_RESOLUTION apart; just below, 2^-30.
+        quench._check_kl_terms(sign * np.nextafter(2.0 ** 23, 0.0))
+        quench._check_kl_terms(0.0)
+        with pytest.raises(ValueError, match="scale: E KL"):
+            quench._check_kl_terms(sign * 2.0 ** 23)
+
     def test_seed_matters(self, iid2):
         a = sm.mc_estimate(iid2, sm.GIBBS_AVERAGE, 1.0, 1000, seed=0)
         b = sm.mc_estimate(iid2, sm.GIBBS_AVERAGE, 1.0, 1000, seed=1)
