@@ -7,15 +7,25 @@ Given a vector x in R^m and inverse temperature beta >= 0, the Gibbs measure
 interpolates between the uniform measure (beta = 0) and the point mass at the
 argmax (beta -> infinity).  Everything here is a deterministic function of
 (x, beta) routed through one max-shifted primitive, so nothing overflows
-even when beta * max|x| reaches 1e6.  One pass (_observe) forms the shift,
-its exp and the exp's row sum once per (batch, beta) and takes from them every
-value a caller wants at that beta, each by its own formula.  It runs over
-blocks of whole rows, at most _BLOCK_ELEMENTS (512 KB) unless one row is
-wider, so only one block's shift and exp are alive at a time, in cache,
+even when beta * max|x| reaches 1e6.  One pass (_pass) takes the exponents
+z = beta (x - max x), their exp e and its row sum s once per (batch, beta),
+and every value a caller wants at that beta from them, each by its own
+formula.  A call (_observe) runs its passes over blocks of whole rows, at
+most _BLOCK_ELEMENTS (512 KB) unless one row is wider: each block's max and
+shift x - max x (_shift) are formed once for every beta of the call, so only
+one block's shift and one pass's arrays are alive at a time, in cache,
 beside one output per value; a row's values depend on that row alone, so
-the bits are those of one pass over the whole batch.  _evaluate, the one router of observable
-kinds, groups (observable, beta) pairs into passes; Observable.evaluate and
-the kernels below are its one-pair cases.  Every exp
+the bits are those of one pass over the whole batch.  _evaluate, the one
+router of observable kinds, groups (observable, beta) pairs into passes,
+and passes into calls while their outputs fit in a quarter of the batch;
+Observable.evaluate and the kernels below are its one-pair cases.
+
+KL(nu_beta || uniform) = log m + beta <X> - Lambda(beta) is taken with the
+shift out of both terms, as log m + sum e z / s - log s: each term lies in
+[-log m, log m], so nothing large cancels and no second exp is taken (the
+accurate log-sum-exp of Blanchard, Higham & Higham, IMA J. Numer. Anal.
+41, 2021).  The free energy and the softmax are (Lambda - c) / beta, and
+x_max + (log s - c) / beta, about max x, where Lambda overflows.  Every exp
 of log-weights skips the exponents below -746, whose exp is an exact 0, when
 those are most of them; the result is the same bit for bit.  Row reductions
 give numpy's own bits by the faster form for the row width: a fold over the
@@ -61,7 +71,7 @@ _ROW_SUM_FOLD_WIDTH = 7
 # numpy's pairwise order for 8 elements, in blocks of _BLOCK_ELEMENTS / 8
 # rows, so no temporary is larger than one block.
 _ROW_TREE_WIDTH = 8
-# Float64 elements per block (512 KB) of a shifted pass and of the row tree.
+# Float64 elements per block (512 KB) of a call's passes and of the row tree.
 # Each block's z and e then stay in a 2 MB L2 cache; in-process medians on
 # the four benchmark workloads were lowest at 2^16 among 2^13 to 2^18 and
 # the whole batch.
@@ -147,18 +157,18 @@ def _row_sum(x):
     return _fold(np.add, x, 0.0)
 
 
-def _shifted(x, beta):
-    """max x and the shifted exponents beta * (x - max x).
+def _shift(x):
+    """max x and the shift d = x - max x, formed once per row block for every
+    beta of a call.
 
-    Shifts by max x before scaling by beta, so no exponent is positive.  A
-    shifted exponent that overflows is -inf, whose exp is an exact 0, so that
-    overflow is not reported.
+    Each beta's exponents are then z = beta d, the same bits as beta (x - max
+    x) formed anew, and no exponent is positive.  A shift or an exponent that
+    overflows is -inf, whose exp is an exact 0, so that overflow is not
+    reported.
     """
     x_max = _row_max(x)
     with np.errstate(over="ignore"):
-        z = x - x_max[..., None]
-        z *= beta
-    return x_max, z
+        return x_max, x - x_max[..., None]
 
 
 def _exp(z, out=None):
@@ -183,9 +193,11 @@ def _exp(z, out=None):
 
 
 # Keys of the values _observe takes: (kind, alpha) of an observable (see
-# _pass_key), or one of these two for Lambda(beta) and the log-weights.
+# _pass_key), or one of these three for Lambda(beta), the log-weights and the
+# softmax over every coordinate.
 _LOG_PARTITION = ("log_partition", None)
 _LOG_WEIGHTS = ("log_weights", None)
+_SOFT_MAX = ("soft_max", None)
 
 
 def _pass_key(obs, beta):
@@ -209,9 +221,13 @@ def _evaluate(x, pairs, ens=None):
 
     x and the betas are checked by the caller; ens gives replica_gibbs its
     geometry.  Pairs whose passes (_pass_key) fall at one beta share one
-    _observe pass (-0.0 joins 0.0, where every pass value is the same);
-    soft_max and expected_max run their own kernels first.  No value
-    depends on the other pairs.
+    pass (-0.0 joins 0.0, where every pass value is the same); soft_max and
+    expected_max run their own kernels first.  Consecutive passes share one
+    _observe call, and so one shift per row block, while their outputs,
+    which are held until its last block, fit in a quarter of the batch; a
+    pass that does not fit starts the next call.  So a narrow batch with
+    many values runs one pass per call, and a wide one every pass in one.
+    No value depends on the other pairs or on the grouping.
     """
     passes = {}  # beta of the pass -> (pair indices, pass keys)
     for i, (obs, beta) in enumerate(pairs):
@@ -228,57 +244,78 @@ def _evaluate(x, pairs, ens=None):
             yield i, _row_max(x)
         else:
             yield i, _soft_max(x, _check_beta(beta, positive=True), obs.subset)
+    groups, held = [], 0
     for beta, (index, keys) in passes.items():
-        for j, values in _observe(x, beta, keys, ens):
-            yield index[j], values
-            del values  # gone before the next pass forms its values
+        size = sum(x.size if key == _LOG_WEIGHTS else x.size // x.shape[-1]
+                   for key in set(keys))
+        if groups and 4 * (held + size) <= x.size:
+            groups[-1].append((beta, index, keys))
+            held += size
+        else:
+            groups.append([(beta, index, keys)])
+            held = size
+    for group in groups:
+        for p, j, values in _observe(x, [(beta, keys) for beta, _, keys in group],
+                                     ens):
+            yield group[p][1][j], values
+            del values  # gone before the next value is formed
 
 
-def _observe(x, beta, keys, ens=None):
-    """Yield (i, value of keys[i]) on the batch x at beta from one shifted pass.
+def _observe(x, passes, ens=None):
+    """Yield (p, i, value of keys[i]) on the batch x for each pass p =
+    (beta, keys) of passes, in order.
 
-    x and beta are checked by the caller; ens, read for replica_gibbs only,
-    gives the geometry.  The pass (_pass) runs over blocks of
-    _BLOCK_ELEMENTS // m rows, so its arrays stay in cache; every value of a
-    row depends on that row alone, so the bits are those of one pass over
-    the whole batch.  Each key's values fill one output array, yielded once
-    the last block is done.  Beside those outputs (one n-vector per key, or
-    n x m for log_weights) only one block's z and e are alive at a time.
+    x and the betas are checked by the caller; ens, read for replica_gibbs
+    only, gives the geometry.  The passes run over blocks of
+    _BLOCK_ELEMENTS // m rows, so their arrays stay in cache: each block's
+    max and shift (_shift) are formed once, and every pass (_pass) takes its
+    exponents from them.  Every value of a row depends on that row alone,
+    so the bits are those of one pass over the whole batch.  Each key's
+    values fill one output array, yielded once the last block is done.
+    Beside those outputs (one n-vector per key, or n x m for log_weights)
+    only one block's shift and one pass's arrays are alive at a time.
     rem_pressure, Lambda / N for m = 2^N, refuses other m first.
     """
     lead, m = x.shape[:-1], x.shape[-1]
+    if (m < 2 or m & (m - 1)) and any(
+            kind == "rem_pressure" for _, keys in passes for kind, _ in keys):
+        raise ValueError(
+            f"invalid-size: rem_pressure needs 2^N coordinates, N >= 1, got {m}")
     rows = x.reshape(-1, m)
     n = rows.shape[0]
     step = max(1, _BLOCK_ELEMENTS // m)
-    out = {}
+    out = [{} for _ in passes]
     for a in range(0, max(n, 1), step):
-        for i, values in _pass(rows[a:a + step], beta, keys, ens):
-            if keys[i] not in out:
-                out[keys[i]] = np.empty((n,) + values.shape[1:])
-            out[keys[i]][a:a + step] = values
-    for i, key in enumerate(keys):
-        yield i, out[key].reshape(lead + out[key].shape[1:])[()]
+        block = rows[a:a + step]
+        x_max, d = _shift(block)
+        for (beta, keys), held in zip(passes, out):
+            for i, values in _pass(block, x_max, d, beta, keys, ens):
+                if keys[i] not in held:
+                    held[keys[i]] = np.empty((n,) + values.shape[1:])
+                held[keys[i]][a:a + step] = values
+    for p, (_, keys) in enumerate(passes):
+        held, out[p] = out[p], None  # each pass's outputs go once yielded
+        for i, key in enumerate(keys):
+            yield p, i, held[key].reshape(lead + held[key].shape[1:])[()]
+        del held
 
 
-def _pass(x, beta, keys, ens=None):
-    """Yield (i, value of keys[i]) on the block x at beta from one shifted
-    pass.
+def _pass(x, x_max, d, beta, keys, ens=None):
+    """Yield (i, value of keys[i]) on the block x at beta, from the block's
+    max x_max and shift d = x - x_max (_shift).
 
-    The shift z = beta (x - max x), its exp e and the row sum s of e are
-    formed once, and each value from them by its kernel's own formula in its
-    own order, so the values do not depend on which others are taken.  At
-    most two block-sized arrays are alive at a time (three while
-    shannon_entropy is formed), and one when neither Gibbs weights nor
-    log-weights are wanted.
+    The exponents z = beta d, their exp e and the row sum s of e are formed
+    once, and each value from them by its kernel's own formula in its own
+    order, so the values do not depend on which others are taken.  Beside d
+    at most two block-sized arrays are alive at a time (three while
+    shannon_entropy is formed, or KL beside the participation ratio and the
+    Gibbs weights), and one when e is all that is read.
     """
     def emit(key, values):
         return ((i, values) for i, k in enumerate(keys) if k == key)
 
     kinds = {kind for kind, _ in keys}
     m = x.shape[-1]
-    if "rem_pressure" in kinds and (m < 2 or m & (m - 1)):
-        raise ValueError(
-            f"invalid-size: rem_pressure needs 2^N coordinates, N >= 1, got {m}")
     if beta == 0.0:
         # The free energy's 1/beta and the replica statistic's beta factor
         # are taken at their limits.
@@ -290,29 +327,36 @@ def _pass(x, beta, keys, ens=None):
         return
     iid_replica = "replica_gibbs" in kinds and ens.is_iid
     want_pr = bool(kinds & {"participation_ratio", "renyi_half"}) or iid_replica
-    want_mean = bool(kinds & {"gibbs_average", "kl_to_uniform"})
-    want_w = (want_mean or "shannon_entropy" in kinds
-              or ("replica_gibbs" in kinds and not iid_replica))
+    want_kl = "kl_to_uniform" in kinds
+    want_w = bool(kinds & {"gibbs_average", "shannon_entropy"}
+                  or ("replica_gibbs" in kinds and not iid_replica))
     keep_z = want_w or "log_weights" in kinds
     log_m = np.log(m)
-    x_max, z = _shifted(x, beta)
-    # The Renyi sums run where z alone is alive: before e when e takes z's
-    # buffer, else once e is dropped.
-    if not keep_z:
-        log_s_alpha = _renyi_sums(x, x_max, z, beta, keys)
-    # Every array is dropped once nothing reads it any more, so beside z and
-    # e only a few row vectors are alive.
-    e = _exp(z, out=None if keep_z else z)
-    if not keep_z:
-        z = None  # e is z's buffer now
+    with np.errstate(over="ignore"):
+        z = np.multiply(d, beta)
+    # Every array is dropped once nothing reads it any more, so beside d, z
+    # and e only a few row vectors are alive.
+    e = _exp(z, out=None if keep_z or want_kl else z)
     s = _row_sum(e)
+    if want_kl:
+        # e z goes into the buffer of z or e that nothing reads after it.
+        sum_ez = _sum_e_z(e, z, out=(z if not keep_z else
+                                     None if want_pr else e))
+    if not keep_z:
+        z = None  # e or e z is z's buffer now
     if want_pr:
         e *= e
         pr = _row_sum(e)
+    # Nothing reads e any more: the Renyi sums take its buffer.
+    log_s_alpha = _renyi_sums(d, beta, keys, e)
     del e
-    if keep_z:
-        log_s_alpha = _renyi_sums(x, x_max, z, beta, keys)
     log_s = np.log(s)
+    if want_kl:
+        # KL(nu_beta || uniform) = log m + beta <X>_beta - Lambda(beta), with
+        # the shift taken out of both terms: log m + sum e z / s - log s.
+        # Each term lies in [-log m, log m], so nothing large cancels.
+        yield from emit(("kl_to_uniform", None), log_m + sum_ez / s - log_s)
+        del sum_ez
     if want_pr:
         pr /= s * s  # once e is dropped, so s * s never meets z and e
         yield from emit(("participation_ratio", None), pr)
@@ -327,17 +371,29 @@ def _pass(x, beta, keys, ens=None):
     for alpha in list(log_s_alpha):
         yield from emit(("renyi_to_uniform", alpha), log_m + (
             log_s_alpha.pop(alpha) - alpha * log_s) / (alpha - 1.0))
-    if kinds & {"log_partition", "free_energy", "kl_to_uniform", "rem_pressure"}:
-        # Beside the Gibbs weights Lambda may overflow to inf silently, while
-        # <X>_beta stays exact.
-        with np.errstate(over="ignore" if want_w else None):
+    divided = kinds & {"free_energy", "soft_max"}
+    if divided or kinds & {"log_partition", "rem_pressure"}:
+        # Beside a value divided by beta, Lambda may overflow silently.
+        with np.errstate(over="ignore" if divided else None):
             log_z = beta * x_max + log_s
         yield from emit(_LOG_PARTITION, log_z)
-        if "free_energy" in kinds:
-            yield from emit(("free_energy", None), (log_z - log_m) / beta)
         if "rem_pressure" in kinds:
             yield from emit(("rem_pressure", None), log_z / (m.bit_length() - 1))
-    del x_max
+    if divided:
+        finite = np.isfinite(log_z)
+
+        def over_beta(c):
+            # (Lambda - c) / beta; where Lambda overflowed, the same as
+            # x_max + (log s - c) / beta, which stays near max x.
+            out = (log_z - c) / beta
+            if not finite.all():
+                out = np.where(finite, out, x_max + (log_s - c) / beta)
+            return out
+
+        if "free_energy" in kinds:
+            yield from emit(("free_energy", None), over_beta(log_m))
+        if "soft_max" in kinds:
+            yield from emit(_SOFT_MAX, over_beta(0.0))
     if not keep_z:
         return
     z -= log_s[..., None]
@@ -353,13 +409,27 @@ def _pass(x, beta, keys, ens=None):
         # At beta = 0 from exactly uniform weights, as gibbs_measure has them.
         yield from emit(("shannon_entropy", None), _entropy(
             np.broadcast_to(1.0 / m, x.shape) if beta == 0.0 else w))
-    if not want_mean:
-        return
-    mean = _row_sum(np.multiply(w, x, out=w))
-    yield from emit(("gibbs_average", None), mean)
-    if "kl_to_uniform" in kinds:
-        # KL(nu_beta || uniform) = log m + beta <X>_beta - Lambda(beta).
-        yield from emit(("kl_to_uniform", None), log_m + beta * mean - log_z)
+    if "gibbs_average" in kinds:
+        yield from emit(("gibbs_average", None),
+                        _row_sum(np.multiply(w, x, out=w)))
+
+
+def _sum_e_z(e, z, out=None):
+    """Row sums of e z for e = exp(z), into out when given.
+
+    An exponent that overflowed is -inf, with e = 0: its term is taken as 0,
+    the limit of e z, where the product is nan.  Only rows whose sum is nan
+    are summed again.
+    """
+    with np.errstate(invalid="ignore"):
+        terms = np.multiply(e, z, out=out)
+    sums = _row_sum(terms)
+    bad = np.isnan(sums)
+    if bad.any():
+        terms = terms[bad]
+        terms[np.isnan(terms)] = 0.0
+        sums[bad] = _row_sum(terms)
+    return sums
 
 
 def _replica_sum(w, d2):
@@ -379,16 +449,15 @@ def _replica_sum(w, d2):
     return out
 
 
-def _renyi_sums(x, x_max, z, beta, keys):
-    """{alpha: log s(alpha z)} for the Renyi orders in keys, in z's buffer,
-    forming z = beta (x - x_max) again after each as _shifted forms it."""
+def _renyi_sums(d, beta, keys, buf):
+    """{alpha: log s(alpha z)} for the Renyi orders in keys, z = beta d,
+    each formed in buf as beta d, then times alpha, as _pass forms z."""
     out = {}
     with np.errstate(over="ignore"):
         for alpha in dict.fromkeys([a for k, a in keys if k == "renyi_to_uniform"]):
-            z *= alpha
-            out[alpha] = np.log(_row_sum(_exp(z, out=z)))
-            np.subtract(x, x_max[..., None], out=z)
-            z *= beta
+            np.multiply(d, beta, out=buf)
+            buf *= alpha
+            out[alpha] = np.log(_row_sum(_exp(buf, out=buf)))
     return out
 
 
@@ -398,10 +467,9 @@ def _lse(x, beta, log_weights=False):
     With log_weights=True also returns beta * x - Lambda(beta), formed from
     the shifted exponents, so it is finite for every finite beta.
     """
-    if not log_weights:
-        return next(_observe(x, beta, [_LOG_PARTITION]))[1]
-    values = dict(_observe(x, beta, [_LOG_PARTITION, _LOG_WEIGHTS]))
-    return values[0], values[1]
+    keys = [_LOG_PARTITION, _LOG_WEIGHTS] if log_weights else [_LOG_PARTITION]
+    values = [v for _, _, v in _observe(x, [(beta, keys)])]
+    return tuple(values) if log_weights else values[0]
 
 
 def _check_x(x):
@@ -474,6 +542,8 @@ def free_energy(x, beta) -> np.ndarray | float:
 
     The beta -> 0 limit is 0 (Lambda(0) = log m and Lambda'(0) is the mean
     of a centered vector only in expectation); beta = 0 returns 0 exactly.
+    Where Lambda overflows the value is max x + (log s - log m) / beta, s
+    the sum of exp(beta (x - max x)), about max x.
     """
     return FREE_ENERGY.evaluate(x, beta)
 
@@ -483,7 +553,8 @@ def soft_max(x, beta, subset=None) -> np.ndarray | float:
 
     subset defaults to all coordinates.  Monotone under subset inclusion and
     sandwiched between max x and max x + log|subset| / beta on the subset.
-    A singleton subset returns that coordinate exactly.
+    A singleton subset returns that coordinate exactly.  Where Lambda over
+    the subset overflows, the value is its max x + log s / beta.
     """
     beta = _check_beta(beta, positive=True)
     x = _check_x(x)
@@ -505,7 +576,7 @@ def _soft_max(x, beta, subset):
         return x[..., idx][..., 0]
     # Every position in order: x itself, not a fancy-index copy of it.
     sub = x if np.array_equal(idx, np.arange(m)) else x[..., idx]
-    return _lse(sub, beta) / beta
+    return next(_observe(sub, [(beta, [_SOFT_MAX])]))[2]
 
 
 def _check_subset(subset):
@@ -550,7 +621,11 @@ def participation_derivative(x, beta) -> np.ndarray | float:
 def kl_to_uniform(x, beta) -> np.ndarray | float:
     """KL(nu_beta || uniform) = log m + beta <X>_beta - Lambda(beta).
 
-    Nonnegative, at most log m, increasing in beta, and equal to
+    Taken with the shift z = beta (x - max x) out of both terms, as log m +
+    sum e z / s - log s with e = exp(z) and s its sum, so no term exceeds
+    log m and the value is finite at every finite beta; an exponent that
+    overflows to -inf adds 0.  Nonnegative up to rounding, at most log m,
+    increasing in beta, and equal to
     log m - H(nu_beta); that identity is checked in the test suite via the
     weights-based entropy route.
     """
@@ -576,7 +651,7 @@ def renyi_half_via_participation(x, beta) -> np.ndarray | float:
     Algebraically identical to renyi_to_uniform(x, beta, 0.5), but taken
     from the participation ratio of the shifted pass at beta / 2, where the
     generic formula reads two sums of the pass at beta: the routes share
-    only the max shift (_shifted), so their agreement is a real consistency
+    only the max shift (_shift), so their agreement is a real consistency
     check.
     """
     return RENYI_HALF.evaluate(x, beta)

@@ -33,8 +33,12 @@ to four points, takes them on each chunk of the grid nodes it keeps
 built column-major (_node_values), so every row reduction on it reads
 contiguous columns.  Both hand the pairs to gibbs._evaluate, the
 one place that routes an observable kind, and reduce each value as soon as it
-is formed.  mc_estimate, per_sample_values, evaluate_values and
-quadrature_oracle are one-pair cases.
+is yielded.  It runs passes at several betas on one shift of each row block
+while their outputs fit in a quarter of the batch, so a wide batch (REM's
+2000 x 1024) shifts once for every beta, while a narrow one (2e5 x 8) and a
+quadrature chunk run one pass at a time and hold one pass's values.
+mc_estimate, per_sample_values, evaluate_values and quadrature_oracle are
+one-pair cases.
 
 SUDAKOV_C, the default Sudakov constant c, and Z_MARGIN, the standard errors
 that every statistical verdict and tolerance allows, are defined here once.
@@ -63,7 +67,6 @@ ORACLE_WEIGHT_FLOOR = 1e-30  # oracle drops nodes of normalised weight below
 BATCH_ELEMENT_CAP = 250_000_000  # refuse batches above this many floats
 SUDAKOV_C = 1.0 / 17.0       # default Sudakov minoration constant c
 Z_MARGIN = 3.0               # standard errors allowed to every statistical check
-KL_RESOLUTION = 1e-9         # coarsest rounding a verdict may read E KL with
 
 
 class UnboundedThresholdError(RuntimeError):
@@ -111,22 +114,6 @@ def _check_threshold(threshold, ens: IndexedEnsemble) -> None:
         raise ValueError("invalid-input: threshold must be a ThresholdResult")
     if threshold.ensemble_key != ens.cache_key:
         raise ValueError("invalid-input: threshold was computed on a different ensemble")
-
-
-def _check_kl_terms(size) -> None:
-    """Refuse a verdict on E KL whose cancelling terms are near `size`.
-
-    KL = log m + beta <X> - Lambda leaves a value in [0, log m] from terms of
-    about beta max x.  Once doubles at that size lie more than KL_RESOLUTION
-    apart (size >= 2^23), the difference is rounding: near 1e154 it reads 0,
-    and a bound resting on it would be called violated.
-    """
-    size = abs(float(size))
-    if np.spacing(size) > KL_RESOLUTION:
-        raise ValueError(
-            f"scale: E KL = log m + beta <X> - Lambda cancels terms near "
-            f"{size:.3g}, where doubles lie {np.spacing(size):.3g} apart; "
-            "lower beta or rescale the process")
 
 
 # -- deterministic sample streams ---------------------------------------------

@@ -420,19 +420,21 @@ class TestExitCodes:
             "participation_ratio": 1.0, "renyi_half": math.log(4.0),
             "replica_gibbs": 0.0}
 
-    def test_free_energy_overflow_is_an_error(self, tmp_path, capsys):
-        # Lambda(1e308) overflows, so the free energy is inf: an error line,
-        # never a silent inf in the CSV.
+    def test_free_energy_past_overflow_reads_the_max(self, tmp_path):
+        # Lambda(1e308) overflows; the free energy and the softmax take the
+        # shift out of Lambda there, so each sample reads about its max.
+        out = tmp_path / "x"
         code = run_main(["estimate", "--ensemble", IID2, "--beta", "1e308",
-                         "--n", "100", "--observables", "free_energy",
-                         "--out", str(tmp_path / "x")])
-        assert code == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert err.startswith("error: run:") and "\n" not in err.strip()
-        assert not (tmp_path / "x.csv").exists()
+                         "--n", "100", "--observables",
+                         "free_energy,soft_max(0,1),expected_max",
+                         "--out", str(out)])
+        assert code == EXIT_OK
+        rows = list(csv.reader(out.with_suffix(".csv").read_text().splitlines()[2:]))
+        means = {r[0]: float(r[2]) for r in rows}
+        top = means.pop("expected_max")
+        assert all(v == pytest.approx(top, rel=1e-15) for v in means.values())
 
     @pytest.mark.parametrize("spec", [
-        '{"iid":{"n":2,"variance":6e307}}',
         '{"iid":{"n":2,"variance":1e308}}',
         '{"labels":["a","b"],"covariance":[[1e308,0],[0,1e308]]}'])
     def test_extreme_scale_is_one_error_line(self, tmp_path, capsys, spec):
@@ -441,26 +443,33 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error:") and "\n" not in err.strip()
-        # At 6e307 every distance and standard error is finite, but E KL
-        # would cancel terms near 1e154 to rounding, so no verdict is made.
-        reason = ("E KL" if "6e307" in spec else
-                  "rescale the variance" if "iid" in spec else
-                  "rescale the covariance")
+        reason = "rescale the variance" if "iid" in spec else "rescale the covariance"
         assert "scale: " in err and reason in err
         assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("command", [
+        ["bounds", "--ensemble", '{"iid":{"n":2,"variance":6e307}}', "--beta", "1"],
         ["bounds", "--ensemble", IID8, "--beta", "1e17"],
         ["rem-sweep", "--n-spins", "4", "--beta", "1e200"]],
-        ids=["bounds", "rem-sweep"])
-    def test_unresolved_kl_is_one_scale_line(self, tmp_path, capsys, command):
-        # E KL cancels to rounding at these beta; a verdict on it would read
-        # the bounds as violated.
-        code = run_main(command + ["--n", "200", "--out", str(tmp_path / "x")])
-        assert code == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert err.startswith("error: run: scale: E KL") and "\n" not in err.strip()
-        assert not (tmp_path / "x.csv").exists()
+        ids=["bounds-6e307", "bounds-1e17", "rem-sweep-1e200"])
+    def test_kl_past_cancellation_scale_gives_verdicts(self, tmp_path, command):
+        # log m + beta <X> - Lambda cancelled terms near 1e154, 1e17 and
+        # 1e200 here to rounding and read a divergence of about 0, which
+        # called g_upper violated; without the shift E KL keeps its value
+        # (log 8 on iid8 at 1e17), and every claim holds.
+        out = tmp_path / "x"
+        code = run_main(command + ["--n", "200", "--out", str(out)])
+        assert code == EXIT_OK
+        lines = out.with_suffix(".csv").read_text().splitlines()[1:]
+        header, *rows = list(csv.reader(lines))
+        assert rows and all(r[-1] == "holds" for r in rows)
+        for r in rows:
+            assert all(math.isfinite(float(v)) for col, v in zip(header, r)
+                       if col not in (header[0], "beta", "z", header[-1])), r
+        if "1e17" in command:
+            g_upper = next(r for r in rows if r[0] == "g_upper")
+            assert float(g_upper[header.index("rhs_mean")]) == pytest.approx(
+                math.sqrt(2.0 * math.log(8.0)), rel=1e-15)
 
     def test_tiny_variance_runs(self, tmp_path):
         # c^2 a^2 underflows at this variance; the target (c a / Delta)^2 / 2

@@ -4,6 +4,7 @@ Expected numbers come from hand evaluation on x = (ln 2, 0), where every
 partition function is a small integer: Z(1) = 3, Z(2) = 5.
 """
 
+import functools
 import math
 import subprocess
 import sys
@@ -12,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 import softmaxima as sm
@@ -135,23 +138,34 @@ class TestLogSumExpPrimitive:
 
 
 class TestShiftedPasses:
-    """One max-shifted pass per beta that a kernel needs."""
+    """One pass per beta that a kernel needs, and one shift per row block
+    per call."""
 
     @pytest.mark.parametrize("kernel, passes", [
         (sm.kl_to_uniform, 1), (sm.participation_ratio, 1),
         (sm.renyi_half_via_participation, 1), (sm.GIBBS_AVERAGE.evaluate, 1),
         (sm.participation_derivative, 2)])
     def test_passes_per_call(self, monkeypatch, kernel, passes):
-        calls = []
-        real = gibbs._shifted
+        calls = {"_pass": [], "_shift": 0}
+        real_pass, real_shift = gibbs._pass, gibbs._shift
 
-        def shifted(x, beta):
-            calls.append(beta)
-            return real(x, beta)
+        def counted_pass(x, x_max, d, beta, keys, ens=None):
+            calls["_pass"].append(beta)
+            return real_pass(x, x_max, d, beta, keys, ens)
 
-        monkeypatch.setattr(gibbs, "_shifted", shifted)
-        kernel(random_x(6, 30), 1.5)
-        assert len(calls) == passes
+        def counted_shift(x):
+            calls["_shift"] += 1
+            return real_shift(x)
+
+        monkeypatch.setattr(gibbs, "_pass", counted_pass)
+        monkeypatch.setattr(gibbs, "_shift", counted_shift)
+        # On 6 coordinates each pass's outputs exceed a quarter of the batch,
+        # so each pass shifts on its own; on 64 the passes share one shift.
+        for m, shifts in ((6, passes), (64, 1)):
+            calls["_pass"], calls["_shift"] = [], 0
+            kernel(random_x(m, 30), 1.5)
+            assert len(calls["_pass"]) == passes
+            assert calls["_shift"] == shifts
 
 
 def _same_bits(a, b):
@@ -194,10 +208,10 @@ class TestBlockedPass:
         for n in (1, step - 1, step, step + 1, 2 * step + step // 3 + 1):
             x = self.batch(m, n, order, seed=m * n)
             for beta in (0.0, -0.0, 1.0, 300.0):
-                blocked = list(gibbs._observe(x, beta, keys, ens))
-                whole = dict(gibbs._pass(x, beta, keys, ens))
-                assert sorted(i for i, _ in blocked) == list(range(len(keys)))
-                for i, values in blocked:
+                blocked = list(gibbs._observe(x, [(beta, keys)], ens))
+                whole = dict(gibbs._pass(x, *gibbs._shift(x), beta, keys, ens))
+                assert sorted(i for _, i, _ in blocked) == list(range(len(keys)))
+                for _, i, values in blocked:
                     assert _same_bits(values, whole[i]), (n, beta, keys[i])
 
     def test_sparse_exp_in_some_blocks_only(self):
@@ -213,10 +227,106 @@ class TestBlockedPass:
         x = np.random.default_rng(3).standard_normal(shape)
         keys = [gibbs._LOG_PARTITION, gibbs._LOG_WEIGHTS]
         rows = x.reshape(-1, shape[-1])
-        whole = dict(gibbs._pass(rows, 1.5, keys))
-        for i, values in gibbs._observe(x, 1.5, keys):
+        whole = dict(gibbs._pass(rows, *gibbs._shift(rows), 1.5, keys))
+        for _, i, values in gibbs._observe(x, [(1.5, keys)]):
             assert _same_bits(values, whole[i].reshape(np.shape(values)))
             assert np.shape(values) == shape[:-1] + np.shape(whole[i])[1:]
+
+
+@functools.lru_cache(maxsize=None)
+def _ensemble(m, correlated):
+    """An i.i.d. or AR(1) ensemble of m points (None at m = 1)."""
+    if m == 1:
+        return None
+    if not correlated:
+        return sm.build_iid(m, 1.3)
+    idx = np.arange(m)
+    return sm.build_from_covariance([f"s{i}" for i in idx],
+                                    0.5 ** np.abs(idx[:, None] - idx[None, :]))
+
+
+class TestGroupedPasses:
+    """Passes that share one shift per row block equal each pass run alone,
+    bit for bit, signed zeros included."""
+
+    WIDTHS = [1, 7, 8, 9, 64, 1024]
+    OBSERVABLES = [sm.GIBBS_AVERAGE, sm.FREE_ENERGY, sm.PARTICIPATION_RATIO,
+                   sm.KL_TO_UNIFORM, sm.renyi_observable(0.5),
+                   sm.renyi_observable(3.0), sm.renyi_observable(1.0 + 1e-9),
+                   sm.RENYI_HALF, sm.SHANNON_ENTROPY, sm.REPLICA_GIBBS,
+                   sm.EXPECTED_MAX, sm.soft_max_observable((0,))]
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.sampled_from(WIDTHS), blocks=st.integers(0, 1),
+           rest=st.integers(0, 2000), correlated=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1),
+           betas=st.lists(st.sampled_from(
+               [0.0, -0.0, 0.3, 1.0, 2.5, 300.0, 1e308]), min_size=1, max_size=5),
+           kinds=st.lists(st.integers(0, len(OBSERVABLES) - 1), min_size=1,
+                          max_size=6, unique=True))
+    def test_grouped_equals_pass_major(self, m, blocks, rest, correlated, seed,
+                                       betas, kinds):
+        # n is never a multiple of the block rows.
+        step = gibbs._BLOCK_ELEMENTS // m
+        n = blocks * step + 1 + rest % (step - 1)
+        ens = _ensemble(m, correlated)
+        if ens is None:
+            x = np.random.default_rng(seed).standard_normal((n, 1))
+        else:
+            x = sm.realization_batch(ens, max(n, 2), seed % 1000)[:n]
+        # The correlated replica statistic adds m^2 columns: narrow sets only.
+        observables = [obs for k in kinds for obs in [self.OBSERVABLES[k]]
+                       if obs.kind != "replica_gibbs" or (ens is not None and
+                                                          (ens.is_iid or m <= 9))]
+        pairs = [(obs, beta) for beta in betas for obs in observables
+                 if obs.kind != "soft_max" or beta > 0.0]
+        grouped = dict(gibbs._evaluate(x, pairs, ens))
+        assert sorted(grouped) == list(range(len(pairs)))
+        for i, pair in enumerate(pairs):
+            alone = next(gibbs._evaluate(x, [pair], ens))[1]
+            assert _same_bits(grouped[i], alone), (pair, n)
+        # Log-weights and Lambda, which is inf where beta max x overflows:
+        # every beta's pass in one call against each pass in its own.
+        keys = [gibbs._LOG_WEIGHTS, gibbs._LOG_PARTITION]
+        passes = [(beta, keys) for beta in dict.fromkeys(betas)]
+        with np.errstate(over="ignore"):
+            together = list(gibbs._observe(x, passes))
+            for p, i, values in together:
+                alone = dict((j, v) for _, j, v in gibbs._observe(x, [passes[p]]))
+                assert _same_bits(values, alone[i]), (passes[p][0], keys[i])
+
+    @pytest.mark.parametrize("shape, betas, kinds, calls", [
+        # The rem-sweep shape: 35 outputs of 2000 rows fit in a quarter of
+        # 2000 x 1024, so the 18 passes share one call.
+        ((2000, 1024), [0.25 * k for k in range(17)] + [1.7],
+         [sm.REM_PRESSURE, sm.KL_TO_UNIFORM], 1),
+        # The estimate-iid8 shape: each pass's 4 outputs fill half of
+        # 2e5 x 8, so none shares a call.
+        ((200_000, 8), [0.0, 0.5, 1.0, 1.5, 2.0],
+         [sm.GIBBS_AVERAGE, sm.FREE_ENERGY, sm.renyi_observable(0.5),
+          sm.PARTICIPATION_RATIO], 5)],
+        ids=["2000x1024-35-pairs", "2e5x8-20-pairs"])
+    def test_grouping_by_outputs(self, monkeypatch, shape, betas, kinds, calls):
+        counts = {"_observe": 0, "_shift": 0, "_pass": 0}
+
+        def counted(name):
+            real = getattr(gibbs, name)
+
+            def wrapper(*args):
+                counts[name] += 1
+                return real(*args)
+            return wrapper
+
+        for name in counts:
+            monkeypatch.setattr(gibbs, name, counted(name))
+        x = np.random.default_rng(5).standard_normal(shape)
+        pairs = [(obs, beta) for beta in betas for obs in kinds]
+        if len(betas) == 18:
+            pairs = pairs[:-1]  # E KL alone at the last beta
+        assert len(dict(gibbs._evaluate(x, pairs))) == len(pairs)
+        blocks = -(-shape[0] // (gibbs._BLOCK_ELEMENTS // shape[1]))
+        assert counts == {"_observe": calls, "_shift": calls * blocks,
+                          "_pass": len(betas) * blocks}
 
 
 class TestRowMax:
@@ -668,7 +778,7 @@ class TestParticipationDerivative:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert sm.participation_derivative(x, top) >= -1e-12
-            monkeypatch.setattr(gibbs, "_shifted", None)  # no pass may run
+            monkeypatch.setattr(gibbs, "_shift", None)  # no pass may run
             for beta in (1e308, np.nextafter(top, np.inf)):
                 with pytest.raises(ValueError, match="invalid-parameter"):
                     sm.participation_derivative(x, beta)

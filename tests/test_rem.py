@@ -263,17 +263,23 @@ class TestDivergenceEstimates:
 
     @pytest.fixture
     def kl_betas(self, monkeypatch):
-        # The beta of each shifted pass that forms KL values.
-        betas = []
-        real = gibbs._observe
+        # Per _observe call, the betas of its passes that form KL values, and
+        # the number of shifts (one per row block) over all calls.
+        calls = {"kl": [], "shifts": 0}
+        observe, shift = gibbs._observe, gibbs._shift
 
-        def counted(x, beta, keys, ens=None):
-            if ("kl_to_uniform", None) in keys:
-                betas.append(beta)
-            return real(x, beta, keys, ens)
+        def counted_observe(x, passes, ens=None):
+            calls["kl"].append([beta for beta, keys in passes
+                                if ("kl_to_uniform", None) in keys])
+            return observe(x, passes, ens)
 
-        monkeypatch.setattr(gibbs, "_observe", counted)
-        return betas
+        def counted_shift(x):
+            calls["shifts"] += 1
+            return shift(x)
+
+        monkeypatch.setattr(gibbs, "_observe", counted_observe)
+        monkeypatch.setattr(gibbs, "_shift", counted_shift)
+        return calls
 
     def test_curves_are_pure(self, monkeypatch):
         # The curves read the estimates they are given: no batch request
@@ -298,16 +304,23 @@ class TestDivergenceEstimates:
     def test_sweep_at_most_one_per_beta_and_threshold(self, kl_betas):
         # The rows read E KL(beta) off the sweep's one pass per grid beta;
         # the lower curve's E KL(beta_star) takes one more pass, and only
-        # past beta_star.
+        # past beta_star.  Every batch here is one row block, and each call
+        # shifts it once: on 64 coordinates the grid's passes share one call,
+        # on 16 their outputs fill a quarter of the batch every two passes.
         grid = [0.0, 0.5, 1.0, 1.5, 2.0]
         curve = sm.pressure_sweep(sm.rem_model(6), grid, 400, seed=42)
         assert grid[-1] <= curve.threshold.beta_star
-        assert kl_betas == grid
-        kl_betas.clear()
+        assert [betas for betas in kl_betas["kl"] if betas] == [grid]
+        assert kl_betas["shifts"] == len(kl_betas["kl"])
+        kl_betas["kl"].clear()
+        kl_betas["shifts"] = 0
         curve = sm.pressure_sweep(sm.rem_model(4), GRID_ACROSS, 400, seed=45)
         bs = curve.threshold.beta_star
         assert GRID_ACROSS[-1] > bs and bs not in GRID_ACROSS
-        assert sorted(kl_betas) == sorted(GRID_ACROSS + [bs])
+        kl = [betas for betas in kl_betas["kl"] if betas]
+        assert sorted(b for betas in kl for b in betas) == sorted(GRID_ACROSS + [bs])
+        assert max(len(betas) for betas in kl) == 2
+        assert kl_betas["shifts"] == len(kl_betas["kl"])
 
 
 # 0:1500:100 runs past beta_star of the N = 4 model at n = 400.
@@ -344,13 +357,22 @@ class TestSweepPasses:
         def lam(x, beta):
             raise AssertionError("the sweep called log_partition")
 
-        def observe(x, beta, keys, ens=None):
-            if keys != [("participation_ratio", None)]:  # a beta_star probe
-                passes.append((beta, np.shape(x), sorted(k for k, _ in keys)))
-            return real(x, beta, keys, ens)
+        def observe(x, group, ens=None):
+            calls.append(len(group))
+            for beta, keys in group:
+                if keys != [("participation_ratio", None)]:  # a beta_star probe
+                    passes.append((beta, np.shape(x), sorted(k for k, _ in keys)))
+            return real(x, group, ens)
 
+        def shift(x):
+            shifts.append(len(x))
+            return real_shift(x)
+
+        calls, shifts = [], []
+        real_shift = gibbs._shift
         monkeypatch.setattr(gibbs, "log_partition", lam)
         monkeypatch.setattr(gibbs, "_observe", observe)
+        monkeypatch.setattr(gibbs, "_shift", shift)
         model = sm.rem_model(n_spins)
         curve = sm.pressure_sweep(model, grid, n, seed)
         batch = (n, model.size)
@@ -361,6 +383,8 @@ class TestSweepPasses:
         if grid[-1] > bs:
             want.append((bs, batch, ["kl_to_uniform"]))
         assert sorted(passes) == sorted(want)
+        # One shift per call: each batch here is one row block.
+        assert shifts == [n] * len(calls)
 
 
 class TestFiniteSizeTrend:
