@@ -255,6 +255,9 @@ def _evaluate(x, pairs, ens=None):
             groups.append([(beta, index, keys)])
             held = size
     for group in groups:
+        # The pass with the most values runs last, where it may take the
+        # shift's buffer for its exponents.
+        group.sort(key=lambda routed: len(set(routed[2])))
         for p, j, values in _observe(x, [(beta, keys) for beta, _, keys in group],
                                      ens):
             yield group[p][1][j], values
@@ -288,8 +291,9 @@ def _observe(x, passes, ens=None):
     for a in range(0, max(n, 1), step):
         block = rows[a:a + step]
         x_max, d = _shift(block)
-        for (beta, keys), held in zip(passes, out):
-            for i, values in _pass(block, x_max, d, beta, keys, ens):
+        for p, ((beta, keys), held) in enumerate(zip(passes, out)):
+            last = p == len(passes) - 1
+            for i, values in _pass(block, x_max, d, beta, keys, ens, last):
                 if keys[i] not in held:
                     held[keys[i]] = np.empty((n,) + values.shape[1:])
                 held[keys[i]][a:a + step] = values
@@ -300,9 +304,10 @@ def _observe(x, passes, ens=None):
         del held
 
 
-def _pass(x, x_max, d, beta, keys, ens=None):
+def _pass(x, x_max, d, beta, keys, ens=None, last=False):
     """Yield (i, value of keys[i]) on the block x at beta, from the block's
-    max x_max and shift d = x - x_max (_shift).
+    max x_max and shift d = x - x_max (_shift).  The last pass of a block
+    forms its exponents in d's buffer when no Renyi sum reads d again.
 
     The exponents z = beta d, their exp e and the row sum s of e are formed
     once, and each value from them by its kernel's own formula in its own
@@ -332,8 +337,9 @@ def _pass(x, x_max, d, beta, keys, ens=None):
                   or ("replica_gibbs" in kinds and not iid_replica))
     keep_z = want_w or "log_weights" in kinds
     log_m = np.log(m)
+    spend_d = last and not any(kind == "renyi_to_uniform" for kind, _ in keys)
     with np.errstate(over="ignore"):
-        z = np.multiply(d, beta)
+        z = np.multiply(d, beta, out=d if spend_d else None)
     # Every array is dropped once nothing reads it any more, so beside d, z
     # and e only a few row vectors are alive.
     e = _exp(z, out=None if keep_z or want_kl else z)
