@@ -255,7 +255,7 @@ def _evaluate(x, pairs, ens=None):
             groups.append([(beta, index, keys)])
             held = size
     for group in groups:
-        # The pass with the most values runs last, where it may take the
+        # The pass with the most values runs last, where it takes the
         # shift's buffer for its exponents.
         group.sort(key=lambda routed: len(set(routed[2])))
         for p, j, values in _observe(x, [(beta, keys) for beta, _, keys in group],
@@ -297,6 +297,7 @@ def _observe(x, passes, ens=None):
                 if keys[i] not in held:
                     held[keys[i]] = np.empty((n,) + values.shape[1:])
                 held[keys[i]][a:a + step] = values
+        del x_max, d  # before the next block's shift is formed
     for p, (_, keys) in enumerate(passes):
         held, out[p] = out[p], None  # each pass's outputs go once yielded
         for i, key in enumerate(keys):
@@ -307,7 +308,7 @@ def _observe(x, passes, ens=None):
 def _pass(x, x_max, d, beta, keys, ens=None, last=False):
     """Yield (i, value of keys[i]) on the block x at beta, from the block's
     max x_max and shift d = x - x_max (_shift).  The last pass of a block
-    forms its exponents in d's buffer when no Renyi sum reads d again.
+    forms its exponents in d's buffer.
 
     The exponents z = beta d, their exp e and the row sum s of e are formed
     once, and each value from them by its kernel's own formula in its own
@@ -337,9 +338,8 @@ def _pass(x, x_max, d, beta, keys, ens=None, last=False):
                   or ("replica_gibbs" in kinds and not iid_replica))
     keep_z = want_w or "log_weights" in kinds
     log_m = np.log(m)
-    spend_d = last and not any(kind == "renyi_to_uniform" for kind, _ in keys)
     with np.errstate(over="ignore"):
-        z = np.multiply(d, beta, out=d if spend_d else None)
+        z = np.multiply(d, beta, out=d if last else None)
     # Every array is dropped once nothing reads it any more, so beside d, z
     # and e only a few row vectors are alive.
     e = _exp(z, out=None if keep_z or want_kl else z)
@@ -354,7 +354,7 @@ def _pass(x, x_max, d, beta, keys, ens=None, last=False):
         e *= e
         pr = _row_sum(e)
     # Nothing reads e any more: the Renyi sums take its buffer.
-    log_s_alpha = _renyi_sums(d, beta, keys, e)
+    log_s_alpha = _renyi_sums(x, x_max, beta, keys, e)
     del e
     log_s = np.log(s)
     if want_kl:
@@ -455,13 +455,14 @@ def _replica_sum(w, d2):
     return out
 
 
-def _renyi_sums(d, beta, keys, buf):
-    """{alpha: log s(alpha z)} for the Renyi orders in keys, z = beta d,
-    each formed in buf as beta d, then times alpha, as _pass forms z."""
+def _renyi_sums(x, x_max, beta, keys, buf):
+    """{alpha: log s(alpha z)} for the Renyi orders in keys, z = beta (x -
+    x_max), each formed in buf as _shift and _pass form z, then times alpha."""
     out = {}
     with np.errstate(over="ignore"):
         for alpha in dict.fromkeys([a for k, a in keys if k == "renyi_to_uniform"]):
-            np.multiply(d, beta, out=buf)
+            np.subtract(x, x_max[..., None], out=buf)
+            buf *= beta
             buf *= alpha
             out[alpha] = np.log(_row_sum(_exp(buf, out=buf)))
     return out
