@@ -312,10 +312,11 @@ def _pass(x, x_max, d, beta, keys, ens=None, last=False):
 
     The exponents z = beta d, their exp e and the row sum s of e are formed
     once, and each value from them by its kernel's own formula in its own
-    order, so the values do not depend on which others are taken.  Beside d
-    at most two block-sized arrays are alive at a time (three while
-    shannon_entropy is formed, or KL beside the participation ratio and the
-    Gibbs weights), and one when e is all that is read.
+    order, so the values do not depend on which others are taken.  Beside d,
+    which the last pass takes for z, at most two block-sized arrays are
+    alive at a time (three while shannon_entropy is formed, or KL beside the
+    participation ratio and the Gibbs weights), and one when e is all that
+    is read.
     """
     def emit(key, values):
         return ((i, values) for i, k in enumerate(keys) if k == key)
