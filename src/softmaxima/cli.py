@@ -83,7 +83,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--ensemble",
                    help="ensemble spec: inline JSON or a path to a JSON file")
     p.add_argument("--n", type=int, help="Monte Carlo samples per estimate")
-    p.add_argument("--seed", type=int, help="64-bit master seed")
+    p.add_argument("--seed", type=int,
+                   help="master seed in [-2^63, 2^64); a seed s < 0 draws the "
+                        "samples of s + 2^64")
     p.add_argument("--beta", type=float, help="single inverse temperature")
     p.add_argument("--beta-grid", dest="beta_grid",
                    help='inverse temperature grid "start:stop:step" (inclusive)')
@@ -206,6 +208,8 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"n_samples must be an integer >= 2, got {cfg.n_samples}")
     if type(cfg.seed) is not int:
         raise ConfigError(f"seed must be an integer, got {cfg.seed!r}")
+    if not quench.SEED_MIN <= cfg.seed <= quench.SEED_MAX:
+        raise ConfigError(f"seed must lie in [-2^63, 2^64), got {cfg.seed}")
     if not (type(cfg.c) in (int, float) and 0.0 < cfg.c < 1.0):
         raise ConfigError(f"c must lie in (0, 1), got {cfg.c}")
     if not isinstance(cfg.output, str):

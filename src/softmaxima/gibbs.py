@@ -10,7 +10,8 @@ argmax (beta -> infinity).  Everything here is a deterministic function of
 even when beta * max|x| reaches 1e6.  One pass (_pass) takes the exponents
 z = beta (x - max x), their exp e and its row sum s once per (batch, beta),
 and every value a caller wants at that beta from them, each by its own
-formula.  A call (_observe) runs its passes over blocks of whole rows, at
+formula; a pass that keeps z for the Gibbs weights or the log-weights also
+takes each Renyi order's exponents alpha z from it.  A call (_observe) runs its passes over blocks of whole rows, at
 most _BLOCK_ELEMENTS (512 KB) unless one row is wider: each block's max and
 shift x - max x (_shift) are formed once for every beta of the call, so only
 one block's shift and one pass's arrays are alive at a time, in cache,
@@ -312,7 +313,10 @@ def _pass(x, x_max, d, beta, keys, ens=None, last=False):
 
     The exponents z = beta d, their exp e and the row sum s of e are formed
     once, and each value from them by its kernel's own formula in its own
-    order, so the values do not depend on which others are taken.  Beside d,
+    order, so the values do not depend on which others are taken.  The
+    Renyi orders take alpha z from z where the pass keeps it for the
+    weights, and form z again from x and x_max where it does not; the bits
+    are the same.  Beside d,
     which the last pass takes for z, at most two block-sized arrays are
     alive at a time (three while shannon_entropy is formed, or KL beside the
     participation ratio and the Gibbs weights), and one when e is all that
@@ -354,8 +358,9 @@ def _pass(x, x_max, d, beta, keys, ens=None, last=False):
     if want_pr:
         e *= e
         pr = _row_sum(e)
-    # Nothing reads e any more: the Renyi sums take its buffer.
-    log_s_alpha = _renyi_sums(x, x_max, beta, keys, e)
+    # Nothing reads e any more: the Renyi sums take its buffer, and a z
+    # kept for the weights gives them their exponents.
+    log_s_alpha = _renyi_sums(x, x_max, beta, keys, e, z if keep_z else None)
     del e
     log_s = np.log(s)
     if want_kl:
@@ -456,15 +461,22 @@ def _replica_sum(w, d2):
     return out
 
 
-def _renyi_sums(x, x_max, beta, keys, buf):
+def _renyi_sums(x, x_max, beta, keys, buf, z=None):
     """{alpha: log s(alpha z)} for the Renyi orders in keys, z = beta (x -
-    x_max), each formed in buf as _shift and _pass form z, then times alpha."""
+    x_max), each exponent alpha z formed in buf.
+
+    z is the pass's own when it is given, and is otherwise formed again
+    from x and x_max as _shift and _pass form it: the same bits either way.
+    """
     out = {}
     with np.errstate(over="ignore"):
         for alpha in dict.fromkeys([a for k, a in keys if k == "renyi_to_uniform"]):
-            np.subtract(x, x_max[..., None], out=buf)
-            buf *= beta
-            buf *= alpha
+            if z is None:
+                np.subtract(x, x_max[..., None], out=buf)
+                buf *= beta
+                buf *= alpha
+            else:
+                np.multiply(z, alpha, out=buf)
             out[alpha] = np.log(_row_sum(_exp(buf, out=buf)))
     return out
 

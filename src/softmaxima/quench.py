@@ -10,12 +10,14 @@ error.  Three contracts shape everything here:
   whatever the order in which rows are filled.  A row wider than
   _ZIG_MAX_WIDTH = 32 draws is drawn whole by numpy's own generator.
   Narrower rows are filled by whole-array numpy operations: the Philox
-  blocks of many samples, numpy's ziggurat fast path on them, and the wedge
-  tests of the draws it declines.  Such a row goes to numpy's generator, set
-  to the exact state, only at a tail draw, at a draw or a wedge test too
-  close to numpy's bound to decide safely, and where its Philox words run
-  out.  tests/test_quench.py pins the result to the per-sample definition
-  bit for bit.
+  blocks of many samples (the first two rounds on the distinct counter
+  words only, the rest in place), numpy's ziggurat fast path on them, and
+  the wedge tests of the draws it declines, taken together for the rows of
+  several chunks.  Such a row goes to numpy's generator, set to the exact
+  state, only at a tail draw, at a draw or a wedge test too close to
+  numpy's bound to decide safely, and where its Philox words run out.
+  tests/test_quench.py pins the result to the per-sample definition bit
+  for bit.
 * Common random numbers: identical (ensemble, n, seed) always yields the
   identical realization batch, so comparisons across beta or across the two
   sides of an identity are per-sample comparisons.  A few recent batches are
@@ -118,9 +120,19 @@ def _check_threshold(threshold, ens: IndexedEnsemble) -> None:
 
 # -- deterministic sample streams ---------------------------------------------
 
+SEED_MIN, SEED_MAX = -(1 << 63), (1 << 64) - 1  # the seeds a key is made of
+
+
 def _master_key(seed) -> np.ndarray:
+    """The Philox key of a seed in [SEED_MIN, SEED_MAX].  A seed s < 0 is
+    taken as the 64-bit word s + 2^64, so it draws that seed's samples; a
+    seed outside the range is refused, since no other seed may draw the
+    samples of a seed in it."""
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
         raise ValueError(f"invalid-parameter: seed must be an integer, got {seed!r}")
+    if not SEED_MIN <= int(seed) <= SEED_MAX:
+        raise ValueError(
+            f"invalid-parameter: seed must lie in [-2^63, 2^64), got {seed}")
     return np.random.SeedSequence(int(seed) & 0xFFFFFFFFFFFFFFFF).generate_state(
         2, np.uint64)
 
@@ -130,12 +142,18 @@ def _master_key(seed) -> np.ndarray:
 # each block, so draw j of sample i is word j % 4 of the Philox4x64-10 block
 # of counter (j // 4 + 1, 0, i, 0).
 
-# Philox4x64 round multipliers and key increments (Salmon et al., SC'11).
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+# Philox4x64 round multipliers of c0 and c2, and key increments of k0 and k1
+# (Salmon et al., SC'11), as columns that broadcast over the stacked words.
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], np.uint64)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
 _M64 = (1 << 64) - 1
 _LO32 = np.uint64(0xFFFFFFFF)
+# Shift counts and masks as numpy words: a Python int costs a conversion a
+# call.
+_9, _32, _55 = np.uint64(9), np.uint64(32), np.uint64(55)
+_ZIG_LAYER, _ZIG_SIGN = np.uint64(0xFF), np.uint64(0x100)
+_ZIG_MAGNITUDE = np.uint64((1 << 52) - 1)
 
 # numpy's 256 ziggurat widths wi_double, exactly; recomputing the layer
 # recurrence in double misses them by up to 3e-10 relative.  The tests
@@ -274,62 +292,125 @@ _ZIG_EXTRA_BLOCKS = 2   # Philox blocks past a row's own read by wedge rows
 _CHUNK_BLOCKS = 1 << 14  # Philox blocks per vectorised chunk (bounds memory)
 
 
-def _mulhilo(m, x):
-    """(high, low) 64-bit words of the 128-bit product m * x, m a constant.
+def _mulhilo(m, x, hi, t, u, v):
+    """The 128-bit products m * x in place: their high 64-bit words into hi
+    and their low words into x.  m broadcasts against x; t, u and v are
+    scratch of x's shape.
 
     numpy has no 128-bit integers, so the high word is assembled from
     32 x 32 -> 64-bit partial products, none of whose sums can overflow.
+    Every step writes into a given array, so no temporary is made.
     """
-    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
-    x_lo = x & _LO32
-    x_hi = x >> 32
-    t = m_lo * x_hi + ((m_lo * x_lo) >> 32)
-    u = m_hi * x_lo + (t & _LO32)
-    return m_hi * x_hi + (t >> 32) + (u >> 32), np.uint64(m) * x
+    m_lo, m_hi = m & _LO32, m >> _32
+    np.bitwise_and(x, _LO32, out=u)  # x_lo
+    np.multiply(u, m_lo, out=t)
+    t >>= _32
+    u *= m_hi
+    np.right_shift(x, _32, out=v)    # x_hi
+    np.multiply(v, m_hi, out=hi)
+    v *= m_lo
+    t += v                           # m_lo x_hi + (m_lo x_lo >> 32)
+    np.bitwise_and(t, _LO32, out=v)
+    u += v                           # m_hi x_lo + (t & 0xFFFFFFFF)
+    t >>= _32
+    hi += t
+    u >>= _32
+    hi += u
+    x *= m
+
+
+def _mulhi_new(m, x):
+    """The high words of m * x in a new array; x becomes the low words."""
+    hi, t, u, v = (np.empty_like(x) for _ in range(4))
+    _mulhilo(m, x, hi, t, u, v)
+    return hi
 
 
 def _philox_blocks(key, rows, first, last):
     """Philox4x64-10 of counters (b, 0, i, 0), first < b <= last, i in rows.
 
     Returns the outputs in draw order, shape (len(rows), 4 * (last - first)).
+
+    A round multiplies c0 by M0 and c2 by M1, and xors each high word into
+    the other pair: (c0, c1, c2, c3) <- (hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1,
+    lo0).  Round 0 sees c1 = c3 = 0, c0 by block and c2 by row, so it
+    multiplies last - first block words and one word per row, and round 1
+    again multiplies words that depend on the row or the block alone.  Those
+    two rounds run on the distinct words, and round 1's xors broadcast them
+    to every (row, block).  Rounds 2-9 run in place on six arrays of two
+    (row, block) words each: p = (c0, c2), q = (c1, c3), the high words and
+    _mulhilo's scratch, so each step of a round is one ufunc call.
     """
     n_blocks = last - first
-    c0 = np.tile(np.arange(first + 1, last + 1, dtype=np.uint64), len(rows))
-    c2 = np.repeat(np.asarray(rows, dtype=np.uint64), n_blocks)
-    c1 = np.zeros_like(c0)
-    c3 = np.zeros_like(c0)
-    k0, k1 = int(key[0]), int(key[1])
-    for r in range(_PHILOX_ROUNDS):
-        if r:
-            k0 = (k0 + _PHILOX_W[0]) & _M64
-            k1 = (k1 + _PHILOX_W[1]) & _M64
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ np.uint64(k1), lo0
-    return np.stack([c0, c1, c2, c3], axis=-1).reshape(len(rows), 4 * n_blocks)
+    keys = [np.array([[(int(key[0]) + r * _PHILOX_W[0]) & _M64],
+                      [(int(key[1]) + r * _PHILOX_W[1]) & _M64]], np.uint64)
+            for r in range(_PHILOX_ROUNDS)]
+    (m0, m1), (k0, k1), (l0, l1) = _PHILOX_M[:, 0], keys[0][:, 0], keys[1][:, 0]
+    block = np.arange(first + 1, last + 1, dtype=np.uint64)
+    row = np.array(rows, dtype=np.uint64).reshape(-1)
+    # Round 0: c0 = hi(M1 row) ^ k0 and c1 = lo(M1 row) by row, c2 =
+    # hi(M0 block) ^ k1 and c3 = lo(M0 block) by block.
+    row_hi = _mulhi_new(m1, row)
+    block_hi = _mulhi_new(m0, block)
+    row_hi ^= k0
+    block_hi ^= k1
+    # Round 1: c0 (by row) and c2 (by block) are multiplied; their low words
+    # are c3 and c1, and the xors, keys first, give whole c0 and c2.  Each
+    # is formed a block column at a time: numpy broadcasts a row vector
+    # against a few blocks in inner loops as short as the blocks.
+    hi0 = _mulhi_new(m0, row_hi)
+    hi1 = _mulhi_new(m1, block_hi)
+    hi0 ^= l1
+    hi1 ^= l0
+    shape = (row.size, n_blocks)
+    p, q = (np.empty((2, row.size * n_blocks), np.uint64) for _ in range(2))
+    c0, c2, c1, c3 = (w.reshape(shape) for w in (*p, *q))
+    for b in range(n_blocks):
+        np.bitwise_xor(row, hi1[b], out=c0[:, b])
+        np.bitwise_xor(hi0, block[b], out=c2[:, b])
+        c1[:, b] = block_hi[b]
+        c3[:, b] = row_hi
+    hi, t, u, v = (np.empty_like(p) for _ in range(4))
+    for k in keys[2:]:
+        _mulhilo(_PHILOX_M, p, hi, t, u, v)
+        # (c0, c2) <- (hi1 ^ c1 ^ k0, hi0 ^ c3 ^ k1) in q's buffer, and
+        # (c1, c3) <- (lo1, lo0), p reversed.
+        q ^= hi[::-1]
+        q ^= k
+        p, q = q, p[::-1]
+    return np.stack([p[0], q[0], p[1], q[1]], axis=-1).reshape(shape[0], 4 * n_blocks)
 
 
 def _zig_fields(r):
-    """(idx, rabs) of raw words r: the layer, bits 0-7, and the 52-bit
-    magnitude, bits 9-60; bit 8 is the sign."""
-    return (r & 0xFF).astype(np.intp), (r >> 9) & np.uint64((1 << 52) - 1)
+    """(idx, rabs) of raw words r: the layer, bits 0-7, as intp for np.take,
+    and the 52-bit magnitude, bits 9-60; bit 8 is the sign."""
+    idx = np.empty(r.shape, np.intp)
+    np.bitwise_and(r, _ZIG_LAYER, out=idx.view(np.uint64))
+    rabs = np.right_shift(r, _9)
+    rabs &= _ZIG_MAGNITUDE
+    return idx, rabs
 
 
-def _zig_draws(r):
+def _zig_draws(r, out=None):
     """(x, declined) of raw words r: numpy's ziggurat candidate
-    x = +-rabs * wi[idx], and whether the fast path declines it."""
+    x = +-rabs * wi[idx], into out when given, and whether the fast path
+    declines it."""
     idx, rabs = _zig_fields(r)
-    x = rabs.astype(np.float64) * _ZIG_WI[idx]
-    x.view(np.uint64)[...] |= (r & 0x100) << 55  # sign bit 8 -> bit 63
-    return x, rabs >= _ZIG_KI[idx]
+    x = np.take(_ZIG_WI, idx, out=out, mode="clip")
+    x *= rabs
+    sign = np.bitwise_and(r, _ZIG_SIGN)
+    sign <<= _55  # bit 8 -> bit 63
+    bits = x.view(np.uint64)
+    bits |= sign
+    return x, np.greater_equal(rabs, np.take(_ZIG_KI, idx, out=sign, mode="clip"))
 
 
 def _resume(rng, state, i, cursor, words, out):
     """Fill out with numpy's own generator at word cursor of sample i's stream.
 
-    words is the Philox block holding the cursor's word; the state resumes
-    inside that block with its buffer loaded, or at a block boundary, where
-    words is not read, with the buffer spent.
+    words is the Philox block holding the cursor's word, as ints; the state
+    resumes inside that block with its buffer loaded, or at a block
+    boundary, where words is not read, with the buffer spent.
     """
     q, s = divmod(cursor, 4)
     state["state"]["counter"] = [q + 1 if s else q, 0, i, 0]
@@ -405,10 +486,13 @@ def _fill_block(out, key):
     A row wider than _ZIG_MAX_WIDTH draws is drawn whole by numpy's own
     generator from the start of its stream (_resume at word 0).  Narrower
     rows take numpy's ziggurat (Marsaglia & Tsang 2000) in array ops: the
-    fast path on whole blocks of Philox words and, where it declines a draw,
-    the wedge tests (_wedges), read _ZIG_EXTRA_BLOCKS blocks further.  Where
-    _wedges stops a row, numpy's generator, set to the exact state there,
-    draws the rest.
+    fast path on whole blocks of Philox words, _CHUNK_BLOCKS blocks at a
+    time, and, where it declines a draw, the wedge tests (_wedges), read
+    _ZIG_EXTRA_BLOCKS blocks further.  The rows with a declined draw keep
+    their words until they and their extra blocks fill a chunk, and then
+    take the wedge tests in one call (_fill_wedge_rows), so a 2e5 x 8 fill
+    makes a few such calls, not one per chunk.  Where _wedges stops a row,
+    numpy's generator, set to the exact state there, draws the rest.
 
     32 is where the two cost the same on 1.28e6 draws (one thread): numpy
     per row is 1.8x slower at 16 and 1.5-1.7x faster at 64.
@@ -418,32 +502,62 @@ def _fill_block(out, key):
         return
     rng = np.random.Generator(np.random.Philox(key=key))
     state = rng.bit_generator.state
+    # numpy's setter takes about half as long on plain ints as on its own
+    # words, and _resume sets the state once a resumed row.
+    state["state"]["key"] = key.tolist()
     if m > _ZIG_MAX_WIDTH:
         for i in range(n):
             _resume(rng, state, i, 0, None, out[i])
         return
     n_blocks = -(-m // 4)
     step = _CHUNK_BLOCKS // n_blocks
+    # Rows with a declined draw wait, with their words, until they fill a
+    # chunk's blocks with their extra blocks, so few calls take the wedges.
+    pending, held = [], 0
     for start in range(0, n, step):
         stop = min(start + step, n)
         raw = _philox_blocks(key, np.arange(start, stop), 0, n_blocks)
-        x, declined = _zig_draws(raw)
-        out[start:stop] = x[:, :m]
-        rows = np.flatnonzero(declined[:, :m].any(axis=1))
-        if not rows.size:
-            continue
-        extra = _philox_blocks(key, start + rows, n_blocks,
-                               n_blocks + _ZIG_EXTRA_BLOCKS)
-        x_extra, declined_extra = _zig_draws(extra)
-        raw = np.concatenate([raw[rows], extra], axis=1)
-        x = np.concatenate([x[rows], x_extra], axis=1)
-        declined = np.concatenate([declined[rows], declined_extra], axis=1)
-        word, k_stop, cursor = _wedges(raw, x, declined, m)
-        out[start + rows] = np.take_along_axis(x, word, axis=1)
-        resumed = np.flatnonzero(k_stop < m)
-        for h, i, k, c in zip(resumed.tolist(), (start + rows[resumed]).tolist(),
-                              k_stop[resumed].tolist(), cursor[resumed].tolist()):
-            _resume(rng, state, i, c, raw[h, c & ~3:(c & ~3) + 4], out[i, k:])
+        # Rows of four-word multiples decode straight into out.
+        whole = m == 4 * n_blocks
+        x, declined = _zig_draws(raw, out[start:stop] if whole else None)
+        if not whole:
+            out[start:stop] = x[:, :m]
+        rows = _declining_rows(declined, m)
+        pending.append((start + rows, raw[rows]))
+        held += rows.size
+        del raw, x, declined
+        if held * (n_blocks + _ZIG_EXTRA_BLOCKS) >= _CHUNK_BLOCKS or stop == n:
+            rows, raw = (np.concatenate(a) for a in zip(*pending))
+            pending, held = [], 0
+            if rows.size:
+                _fill_wedge_rows(out, key, rng, state, rows, raw)
+
+
+def _declining_rows(declined, m):
+    """The rows, in order, with a declined draw among their first m."""
+    w = declined.shape[1]
+    at = np.flatnonzero(declined)  # np.nonzero and np.unique take longer
+    if m < w:
+        at = at[at % w < m]
+    rows = at // w
+    return rows[np.concatenate(([True], rows[1:] != rows[:-1]))] if rows.size else rows
+
+
+def _fill_wedge_rows(out, key, rng, state, rows, raw):
+    """Rows of out with a draw the fast path declined, from their first
+    words raw, through the wedge tests and, where those stop, numpy."""
+    m = out.shape[1]
+    n_blocks = raw.shape[1] // 4
+    extra = _philox_blocks(key, rows, n_blocks, n_blocks + _ZIG_EXTRA_BLOCKS)
+    raw = np.concatenate([raw, extra], axis=1)
+    del extra
+    x, declined = _zig_draws(raw)
+    word, k_stop, cursor = _wedges(raw, x, declined, m)
+    out[rows] = np.take_along_axis(x, word, axis=1)
+    resumed = np.flatnonzero(k_stop < m)
+    for h, i, k, c in zip(resumed.tolist(), rows[resumed].tolist(),
+                          k_stop[resumed].tolist(), cursor[resumed].tolist()):
+        _resume(rng, state, i, c, raw[h, c & ~3:(c & ~3) + 4].tolist(), out[i, k:])
 
 
 def _standard_batch(m: int, n: int, seed: int) -> np.ndarray:

@@ -86,6 +86,20 @@ class TestConfigParsing:
         assert err.startswith("error: config:") and "\n" not in err.strip()
         assert next(iter(field)) in err
 
+    @pytest.mark.parametrize("seed", [2 ** 64, -(2 ** 63) - 1])
+    def test_seed_outside_64_bits_is_one_config_line(self, tmp_path, capsys, seed):
+        out = tmp_path / "x"
+        assert run_main(["estimate", "--ensemble", IID8, "--n", "100",
+                         "--seed", str(seed), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: seed must lie in [-2^63, 2^64)")
+        assert "\n" not in err.strip() and not out.with_suffix(".csv").exists()
+
+    @pytest.mark.parametrize("seed", [2 ** 64 - 1, -(2 ** 63)])
+    def test_seed_at_the_ends_of_64_bits_runs(self, tmp_path, seed):
+        assert run_main(["estimate", "--ensemble", IID8, "--n", "100",
+                         "--seed", str(seed), "--out", str(tmp_path / "x")]) == EXIT_OK
+
     def test_unsorted_grid_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             parse_config(["estimate", "--ensemble", IID8,

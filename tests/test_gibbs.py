@@ -335,6 +335,93 @@ class TestGroupedPasses:
                           "_pass": len(betas) * blocks}
 
 
+class TestKeptZRenyi:
+    """A pass that keeps z for the weights forms each Renyi exponent as
+    alpha z from it; that equals alpha z formed again from x and x_max, bit
+    for bit, signed zeros included."""
+
+    WIDTHS = [1, 7, 8, 9, 64, 1024]
+    BETAS = [0.0, -0.0, 1.0, 300.0, 1e308]
+    ALPHAS = [0.5, 2.0, 1e-300, 1e300]
+    # Observables beside the Renyi orders: none, or some that keep z.
+    COMPANIONS = [(), (sm.GIBBS_AVERAGE,), (sm.SHANNON_ENTROPY,),
+                  (sm.GIBBS_AVERAGE, sm.KL_TO_UNIFORM, sm.PARTICIPATION_RATIO),
+                  (sm.SHANNON_ENTROPY, sm.KL_TO_UNIFORM),
+                  (sm.FREE_ENERGY, sm.KL_TO_UNIFORM)]
+
+    @staticmethod
+    def _routes(x, run, kept):
+        """run() with the Renyi sums taking the kept z (kept) or forming
+        their exponents again, and whether each call was given a z."""
+        real, given_z = gibbs._renyi_sums, []
+
+        def renyi_sums(x, x_max, beta, keys, buf, z=None):
+            given_z.append(z is not None)
+            return real(x, x_max, beta, keys, buf, z if kept else None)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gibbs, "_renyi_sums", renyi_sums)
+            return run(), given_z
+
+    @pytest.mark.parametrize("companions", range(len(COMPANIONS)))
+    @settings(max_examples=20, deadline=None)
+    @given(m=st.sampled_from(WIDTHS), n=st.integers(1, 700),
+           seed=st.integers(0, 2 ** 32 - 1),
+           betas=st.lists(st.sampled_from(BETAS), min_size=1, max_size=3),
+           alphas=st.lists(st.sampled_from(ALPHAS), min_size=1, max_size=4,
+                           unique=True))
+    def test_kept_z_equals_formed_again(self, companions, m, n, seed, betas, alphas):
+        x = np.random.default_rng(seed).standard_normal((n, m))
+        observables = ([sm.renyi_observable(a) for a in alphas]
+                       + list(self.COMPANIONS[companions]))
+        pairs = [(obs, beta) for beta in betas for obs in observables]
+
+        def evaluate():
+            return dict(gibbs._evaluate(x, pairs))
+
+        (kept, given_z), (formed, _) = (self._routes(x, evaluate, k) for k in (True, False))
+        assert sorted(kept) == list(range(len(pairs)))
+        for i, pair in enumerate(pairs):
+            assert _same_bits(kept[i], formed[i]), (pair, n)
+        assert any(given_z) == (companions in (1, 2, 3, 4))
+        # Log-weights keep z too; every beta's pass in one call, so a wide
+        # batch has passes before the last, which forms z in d's buffer.
+        keys = [gibbs._LOG_WEIGHTS] + [("renyi_to_uniform", a) for a in alphas]
+        passes = [(beta, keys) for beta in dict.fromkeys(betas)]
+
+        def observe():
+            with np.errstate(over="ignore"):
+                return [v for _, _, v in gibbs._observe(x, passes)]
+
+        (kept, given_z), (formed, _) = (self._routes(x, observe, k) for k in (True, False))
+        assert all(given_z)
+        for a, b in zip(kept, formed):
+            assert _same_bits(a, b)
+
+    def test_kept_z_in_every_pass_of_a_call(self, monkeypatch):
+        # 2000 x 64 with two betas: one call of two passes, the first with
+        # its own z, the last with z in d's buffer; both keep z.
+        seen, real_pass, real_sums = [], gibbs._pass, gibbs._renyi_sums
+
+        def spy_pass(*args):
+            seen.append(("last", args[-1]))
+            return real_pass(*args)
+
+        def spy_sums(x, x_max, beta, keys, buf, z=None):
+            seen.append(("z", z is not None))
+            return real_sums(x, x_max, beta, keys, buf, z)
+
+        monkeypatch.setattr(gibbs, "_pass", spy_pass)
+        monkeypatch.setattr(gibbs, "_renyi_sums", spy_sums)
+        x = np.random.default_rng(3).standard_normal((2000, 64))
+        pairs = [(obs, beta) for beta in (1.0, 300.0)
+                 for obs in (sm.renyi_observable(2.0), sm.GIBBS_AVERAGE)]
+        assert len(dict(gibbs._evaluate(x, pairs))) == 4
+        blocks = -(-2000 // (gibbs._BLOCK_ELEMENTS // 64))
+        assert seen == [("last", False), ("z", True),
+                        ("last", True), ("z", True)] * blocks
+
+
 class TestRowMax:
     """_row_max is np.max(x, axis=-1) bit for bit, by either form."""
 

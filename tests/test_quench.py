@@ -174,6 +174,38 @@ class TestStreamDefinition:
         with pytest.raises(ValueError, match="invalid-parameter"):
             sm.standard_normal_batch(2, 10, True)
 
+    @pytest.mark.parametrize("seed", [2 ** 64, -(2 ** 63) - 1, 2 ** 64 + 5])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        # Reduced mod 2^64, 2^64 + 5 would draw seed 5's samples.
+        with pytest.raises(ValueError, match="invalid-parameter: seed"):
+            sm.standard_normal_batch(2, 10, seed)
+        with pytest.raises(ValueError, match="invalid-parameter: seed"):
+            sm.realization_batch(sm.build_iid(3, 1.0), 10, seed)
+
+    @pytest.mark.parametrize("seed", [-1, -(2 ** 63)])
+    def test_negative_seed_draws_its_64_bit_word(self, seed):
+        assert np.array_equal(sm.standard_normal_batch(3, 10, seed),
+                              sm.standard_normal_batch(3, 10, seed + 2 ** 64))
+
+
+class TestPhilox:
+    """_philox_blocks against numpy's Philox, word for word."""
+
+    ROWS = [0, 8191, 8192, 2 ** 31 + 7]
+
+    # (2^64 - 1, 2^64 - 1) wraps in the key schedule from round 1 on.
+    @pytest.mark.parametrize("key", [quench._master_key(42),
+                                     np.array([2 ** 64 - 1] * 2, np.uint64)],
+                             ids=["seed-42", "all-ones"])
+    @pytest.mark.parametrize("first", [0, 2, 5])
+    @pytest.mark.parametrize("n_blocks", [1, 2, 3, 8])
+    def test_blocks_equal_numpy_philox(self, key, first, n_blocks):
+        got = quench._philox_blocks(key, self.ROWS, first, first + n_blocks)
+        assert got.shape == (len(self.ROWS), 4 * n_blocks)
+        for h, i in enumerate(self.ROWS):
+            bitgen = np.random.Philox(counter=[first, 0, i, 0], key=key)
+            assert np.array_equal(got[h], bitgen.random_raw(4 * n_blocks)), i
+
 
 def resumed(monkeypatch):
     """(row, word cursor) of every row the fill hands to numpy's generator."""
