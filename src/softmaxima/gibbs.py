@@ -10,8 +10,8 @@ argmax (beta -> infinity).  Everything here is a deterministic function of
 even when beta * max|x| reaches 1e6.  One pass (_pass) takes the exponents
 z = beta (x - max x), their exp e and its row sum s once per (batch, beta),
 and every value a caller wants at that beta from them, each by its own
-formula; a pass that keeps z for the Gibbs weights or the log-weights also
-takes each Renyi order's exponents alpha z from it.  A call (_observe) runs its passes over blocks of whole rows, at
+formula; each Renyi order's exponents are alpha z, from the pass's z.  A
+call (_observe) runs its passes over blocks of whole rows, at
 most _BLOCK_ELEMENTS (512 KB) unless one row is wider: each block's max and
 shift x - max x (_shift) are formed once for every beta of the call, so only
 one block's shift and one pass's arrays are alive at a time, in cache,
@@ -313,14 +313,12 @@ def _pass(x, x_max, d, beta, keys, ens=None, last=False):
 
     The exponents z = beta d, their exp e and the row sum s of e are formed
     once, and each value from them by its kernel's own formula in its own
-    order, so the values do not depend on which others are taken.  The
-    Renyi orders take alpha z from z where the pass keeps it for the
-    weights, and form z again from x and x_max where it does not; the bits
-    are the same.  Beside d,
-    which the last pass takes for z, at most two block-sized arrays are
-    alive at a time (three while shannon_entropy is formed, or KL beside the
-    participation ratio and the Gibbs weights), and one when e is all that
-    is read.
+    order, so the values do not depend on which others are taken.  z is
+    kept beside e for the Renyi orders, whose exponents are alpha z, and
+    for the log-weights and the weights.  Beside d, which the last pass
+    takes for z, at most two block-sized arrays are alive at a time (three
+    while shannon_entropy is formed, or KL beside the participation ratio
+    and a kept z), and one when e is all that is read.
     """
     def emit(key, values):
         return ((i, values) for i, k in enumerate(keys) if k == key)
@@ -341,7 +339,8 @@ def _pass(x, x_max, d, beta, keys, ens=None, last=False):
     want_kl = "kl_to_uniform" in kinds
     want_w = bool(kinds & {"gibbs_average", "shannon_entropy"}
                   or ("replica_gibbs" in kinds and not iid_replica))
-    keep_z = want_w or "log_weights" in kinds
+    want_lw = want_w or "log_weights" in kinds
+    keep_z = want_lw or "renyi_to_uniform" in kinds
     log_m = np.log(m)
     with np.errstate(over="ignore"):
         z = np.multiply(d, beta, out=d if last else None)
@@ -358,10 +357,11 @@ def _pass(x, x_max, d, beta, keys, ens=None, last=False):
     if want_pr:
         e *= e
         pr = _row_sum(e)
-    # Nothing reads e any more: the Renyi sums take its buffer, and a z
-    # kept for the weights gives them their exponents.
-    log_s_alpha = _renyi_sums(x, x_max, beta, keys, e, z if keep_z else None)
+    # Nothing reads e any more: the Renyi sums take its buffer.
+    log_s_alpha = _renyi_sums(z, keys, e)
     del e
+    if not want_lw:
+        z = None
     log_s = np.log(s)
     if want_kl:
         # KL(nu_beta || uniform) = log m + beta <X>_beta - Lambda(beta), with
@@ -406,7 +406,7 @@ def _pass(x, x_max, d, beta, keys, ens=None, last=False):
             yield from emit(("free_energy", None), over_beta(log_m))
         if "soft_max" in kinds:
             yield from emit(_SOFT_MAX, over_beta(0.0))
-    if not keep_z:
+    if not want_lw:
         return
     z -= log_s[..., None]
     del log_s
@@ -461,23 +461,13 @@ def _replica_sum(w, d2):
     return out
 
 
-def _renyi_sums(x, x_max, beta, keys, buf, z=None):
-    """{alpha: log s(alpha z)} for the Renyi orders in keys, z = beta (x -
-    x_max), each exponent alpha z formed in buf.
-
-    z is the pass's own when it is given, and is otherwise formed again
-    from x and x_max as _shift and _pass form it: the same bits either way.
-    """
+def _renyi_sums(z, keys, buf):
+    """{alpha: log s(alpha z)} for the Renyi orders in keys, from the pass's
+    exponents z, each alpha z formed in buf."""
     out = {}
     with np.errstate(over="ignore"):
         for alpha in dict.fromkeys([a for k, a in keys if k == "renyi_to_uniform"]):
-            if z is None:
-                np.subtract(x, x_max[..., None], out=buf)
-                buf *= beta
-                buf *= alpha
-            else:
-                np.multiply(z, alpha, out=buf)
-            out[alpha] = np.log(_row_sum(_exp(buf, out=buf)))
+            out[alpha] = np.log(_row_sum(_exp(np.multiply(z, alpha, out=buf), out=buf)))
     return out
 
 

@@ -10,14 +10,13 @@ error.  Three contracts shape everything here:
   whatever the order in which rows are filled.  A row wider than
   _ZIG_MAX_WIDTH = 32 draws is drawn whole by numpy's own generator.
   Narrower rows are filled by whole-array numpy operations: the Philox
-  blocks of many samples (the first two rounds on the distinct counter
-  words only, the rest in place), numpy's ziggurat fast path on them, and
-  the wedge tests of the draws it declines, taken together for the rows of
-  several chunks.  Such a row goes to numpy's generator, set to the exact
-  state, only at a tail draw, at a draw or a wedge test too close to
-  numpy's bound to decide safely, and where its Philox words run out.
-  tests/test_quench.py pins the result to the per-sample definition bit
-  for bit.
+  blocks of many samples (every round in place), numpy's ziggurat fast
+  path on them, and the wedge tests of the draws it declines, taken
+  together for the rows of several chunks.  Such a row goes to numpy's
+  generator, set to the exact state, only at a tail draw, at a draw or a
+  wedge test too close to numpy's bound to decide safely, and where its
+  Philox words run out.  tests/test_quench.py pins the result to the
+  per-sample definition bit for bit.
 * Common random numbers: identical (ensemble, n, seed) always yields the
   identical realization batch, so comparisons across beta or across the two
   sides of an identity are per-sample comparisons.  A few recent batches are
@@ -125,9 +124,9 @@ SEED_MIN, SEED_MAX = -(1 << 63), (1 << 64) - 1  # the seeds a key is made of
 
 def _master_key(seed) -> np.ndarray:
     """The Philox key of a seed in [SEED_MIN, SEED_MAX].  A seed s < 0 is
-    taken as the 64-bit word s + 2^64, so it draws that seed's samples; a
-    seed outside the range is refused, since no other seed may draw the
-    samples of a seed in it."""
+    taken as the 64-bit word s + 2^64 and so draws that seed's samples, by
+    design.  A seed outside the range is refused, so no seed wider than 64
+    bits draws the samples of another."""
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
         raise ValueError(f"invalid-parameter: seed must be an integer, got {seed!r}")
     if not SEED_MIN <= int(seed) <= SEED_MAX:
@@ -319,13 +318,6 @@ def _mulhilo(m, x, hi, t, u, v):
     x *= m
 
 
-def _mulhi_new(m, x):
-    """The high words of m * x in a new array; x becomes the low words."""
-    hi, t, u, v = (np.empty_like(x) for _ in range(4))
-    _mulhilo(m, x, hi, t, u, v)
-    return hi
-
-
 def _philox_blocks(key, rows, first, last):
     """Philox4x64-10 of counters (b, 0, i, 0), first < b <= last, i in rows.
 
@@ -333,52 +325,30 @@ def _philox_blocks(key, rows, first, last):
 
     A round multiplies c0 by M0 and c2 by M1, and xors each high word into
     the other pair: (c0, c1, c2, c3) <- (hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1,
-    lo0).  Round 0 sees c1 = c3 = 0, c0 by block and c2 by row, so it
-    multiplies last - first block words and one word per row, and round 1
-    again multiplies words that depend on the row or the block alone.  Those
-    two rounds run on the distinct words, and round 1's xors broadcast them
-    to every (row, block).  Rounds 2-9 run in place on six arrays of two
-    (row, block) words each: p = (c0, c2), q = (c1, c3), the high words and
-    _mulhilo's scratch, so each step of a round is one ufunc call.
+    lo0).  The rounds run in place on six arrays of two (row, block) words
+    each: p = (c0, c2), q = (c1, c3), the high words and _mulhilo's scratch,
+    so each step of a round is one ufunc call on both pairs.
     """
     n_blocks = last - first
-    keys = [np.array([[(int(key[0]) + r * _PHILOX_W[0]) & _M64],
-                      [(int(key[1]) + r * _PHILOX_W[1]) & _M64]], np.uint64)
-            for r in range(_PHILOX_ROUNDS)]
-    (m0, m1), (k0, k1), (l0, l1) = _PHILOX_M[:, 0], keys[0][:, 0], keys[1][:, 0]
-    block = np.arange(first + 1, last + 1, dtype=np.uint64)
     row = np.array(rows, dtype=np.uint64).reshape(-1)
-    # Round 0: c0 = hi(M1 row) ^ k0 and c1 = lo(M1 row) by row, c2 =
-    # hi(M0 block) ^ k1 and c3 = lo(M0 block) by block.
-    row_hi = _mulhi_new(m1, row)
-    block_hi = _mulhi_new(m0, block)
-    row_hi ^= k0
-    block_hi ^= k1
-    # Round 1: c0 (by row) and c2 (by block) are multiplied; their low words
-    # are c3 and c1, and the xors, keys first, give whole c0 and c2.  Each
-    # is formed a block column at a time: numpy broadcasts a row vector
-    # against a few blocks in inner loops as short as the blocks.
-    hi0 = _mulhi_new(m0, row_hi)
-    hi1 = _mulhi_new(m1, block_hi)
-    hi0 ^= l1
-    hi1 ^= l0
-    shape = (row.size, n_blocks)
-    p, q = (np.empty((2, row.size * n_blocks), np.uint64) for _ in range(2))
-    c0, c2, c1, c3 = (w.reshape(shape) for w in (*p, *q))
+    p = np.empty((2, row.size, n_blocks), np.uint64)
+    # A block column at a time: numpy broadcasts a row vector against a few
+    # blocks in inner loops as short as the blocks.
     for b in range(n_blocks):
-        np.bitwise_xor(row, hi1[b], out=c0[:, b])
-        np.bitwise_xor(hi0, block[b], out=c2[:, b])
-        c1[:, b] = block_hi[b]
-        c3[:, b] = row_hi
+        p[0, :, b] = first + 1 + b
+        p[1, :, b] = row
+    p = p.reshape(2, -1)
+    q = np.zeros_like(p)
     hi, t, u, v = (np.empty_like(p) for _ in range(4))
-    for k in keys[2:]:
+    for r in range(_PHILOX_ROUNDS):
         _mulhilo(_PHILOX_M, p, hi, t, u, v)
         # (c0, c2) <- (hi1 ^ c1 ^ k0, hi0 ^ c3 ^ k1) in q's buffer, and
         # (c1, c3) <- (lo1, lo0), p reversed.
         q ^= hi[::-1]
-        q ^= k
+        q ^= np.array([[(int(key[0]) + r * _PHILOX_W[0]) & _M64],
+                       [(int(key[1]) + r * _PHILOX_W[1]) & _M64]], np.uint64)
         p, q = q, p[::-1]
-    return np.stack([p[0], q[0], p[1], q[1]], axis=-1).reshape(shape[0], 4 * n_blocks)
+    return np.stack([p[0], q[0], p[1], q[1]], axis=-1).reshape(row.size, 4 * n_blocks)
 
 
 def _zig_fields(r):
@@ -494,8 +464,10 @@ def _fill_block(out, key):
     makes a few such calls, not one per chunk.  Where _wedges stops a row,
     numpy's generator, set to the exact state there, draws the rest.
 
-    32 is where the two cost the same on 1.28e6 draws (one thread): numpy
-    per row is 1.8x slower at 16 and 1.5-1.7x faster at 64.
+    On 1.28e6 draws (one thread) the array path is cheaper up to 48 draws
+    a row and numpy per row from 64 on (118 against 187 ms at 32, 133
+    against 142 at 48, 138 against 117 at 64).  The width stays 32, since
+    no benchmark workload has rows of 33 to 63 draws.
     """
     n, m = out.shape
     if m == 0:

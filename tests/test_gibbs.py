@@ -336,9 +336,10 @@ class TestGroupedPasses:
 
 
 class TestKeptZRenyi:
-    """A pass that keeps z for the weights forms each Renyi exponent as
-    alpha z from it; that equals alpha z formed again from x and x_max, bit
-    for bit, signed zeros included."""
+    """Each Renyi order's exponents are alpha z from the pass's own z; that
+    equals alpha z formed again from x as beta (x - max x), bit for bit,
+    signed zeros included, and keeping z leaves every other value as it
+    is."""
 
     WIDTHS = [1, 7, 8, 9, 64, 1024]
     BETAS = [0.0, -0.0, 1.0, 300.0, 1e308]
@@ -347,21 +348,18 @@ class TestKeptZRenyi:
     COMPANIONS = [(), (sm.GIBBS_AVERAGE,), (sm.SHANNON_ENTROPY,),
                   (sm.GIBBS_AVERAGE, sm.KL_TO_UNIFORM, sm.PARTICIPATION_RATIO),
                   (sm.SHANNON_ENTROPY, sm.KL_TO_UNIFORM),
-                  (sm.FREE_ENERGY, sm.KL_TO_UNIFORM)]
+                  (sm.FREE_ENERGY, sm.KL_TO_UNIFORM),
+                  (sm.KL_TO_UNIFORM, sm.PARTICIPATION_RATIO)]
 
     @staticmethod
-    def _routes(x, run, kept):
-        """run() with the Renyi sums taking the kept z (kept) or forming
-        their exponents again, and whether each call was given a z."""
-        real, given_z = gibbs._renyi_sums, []
-
-        def renyi_sums(x, x_max, beta, keys, buf, z=None):
-            given_z.append(z is not None)
-            return real(x, x_max, beta, keys, buf, z if kept else None)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(gibbs, "_renyi_sums", renyi_sums)
-            return run(), given_z
+    def _formed_again(x, beta, alpha):
+        """D_alpha of each row with z = beta (x - max x) and alpha z formed
+        anew, as _pass combines them."""
+        with np.errstate(over="ignore"):
+            z = (x - gibbs._row_max(x)[:, None]) * beta
+            log_s = np.log(gibbs._row_sum(gibbs._exp(z)))
+            log_s_alpha = np.log(gibbs._row_sum(gibbs._exp(z * alpha)))
+        return np.log(x.shape[-1]) + (log_s_alpha - alpha * log_s) / (alpha - 1.0)
 
     @pytest.mark.parametrize("companions", range(len(COMPANIONS)))
     @settings(max_examples=20, deadline=None)
@@ -372,54 +370,55 @@ class TestKeptZRenyi:
                            unique=True))
     def test_kept_z_equals_formed_again(self, companions, m, n, seed, betas, alphas):
         x = np.random.default_rng(seed).standard_normal((n, m))
-        observables = ([sm.renyi_observable(a) for a in alphas]
-                       + list(self.COMPANIONS[companions]))
-        pairs = [(obs, beta) for beta in betas for obs in observables]
-
-        def evaluate():
-            return dict(gibbs._evaluate(x, pairs))
-
-        (kept, given_z), (formed, _) = (self._routes(x, evaluate, k) for k in (True, False))
-        assert sorted(kept) == list(range(len(pairs)))
-        for i, pair in enumerate(pairs):
-            assert _same_bits(kept[i], formed[i]), (pair, n)
-        assert any(given_z) == (companions in (1, 2, 3, 4))
+        renyi = [sm.renyi_observable(a) for a in alphas]
+        others = list(self.COMPANIONS[companions])
+        pairs = [(obs, beta) for beta in betas for obs in renyi + others]
+        values = dict(gibbs._evaluate(x, pairs))
+        assert sorted(values) == list(range(len(pairs)))
+        alone = dict(gibbs._evaluate(x, [p for p in pairs if p[0] in others]))
+        rest = iter(alone[i] for i in sorted(alone))
+        for i, (obs, beta) in enumerate(pairs):
+            expected = (self._formed_again(x, beta, obs.alpha) if obs in renyi
+                        else next(rest))
+            assert _same_bits(values[i], expected), ((obs, beta), n)
         # Log-weights keep z too; every beta's pass in one call, so a wide
         # batch has passes before the last, which forms z in d's buffer.
         keys = [gibbs._LOG_WEIGHTS] + [("renyi_to_uniform", a) for a in alphas]
-        passes = [(beta, keys) for beta in dict.fromkeys(betas)]
+        betas = list(dict.fromkeys(betas))
 
-        def observe():
+        def observe(keys):
             with np.errstate(over="ignore"):
-                return [v for _, _, v in gibbs._observe(x, passes)]
+                return [v for _, _, v in gibbs._observe(x, [(b, keys) for b in betas])]
 
-        (kept, given_z), (formed, _) = (self._routes(x, observe, k) for k in (True, False))
-        assert all(given_z)
-        for a, b in zip(kept, formed):
-            assert _same_bits(a, b)
+        with_renyi, weights_alone = observe(keys), observe(keys[:1])
+        for p, beta in enumerate(betas):
+            got = with_renyi[p * len(keys):(p + 1) * len(keys)]
+            assert _same_bits(got[0], weights_alone[p])
+            for alpha, value in zip(alphas, got[1:]):
+                assert _same_bits(value, self._formed_again(x, beta, alpha))
 
     def test_kept_z_in_every_pass_of_a_call(self, monkeypatch):
-        # 2000 x 64 with two betas: one call of two passes, the first with
-        # its own z, the last with z in d's buffer; both keep z.
+        # 2000 x 64 with two betas and Renyi orders alone: one call of two
+        # passes, the first with its own z, the last with z in d's buffer.
         seen, real_pass, real_sums = [], gibbs._pass, gibbs._renyi_sums
 
-        def spy_pass(*args):
+        def spy_pass(x, x_max, d, *args):
             seen.append(("last", args[-1]))
-            return real_pass(*args)
+            spy_pass.d = d
+            return real_pass(x, x_max, d, *args)
 
-        def spy_sums(x, x_max, beta, keys, buf, z=None):
-            seen.append(("z", z is not None))
-            return real_sums(x, x_max, beta, keys, buf, z)
+        def spy_sums(z, keys, buf):
+            seen.append(("z in d", np.shares_memory(z, spy_pass.d)))
+            return real_sums(z, keys, buf)
 
         monkeypatch.setattr(gibbs, "_pass", spy_pass)
         monkeypatch.setattr(gibbs, "_renyi_sums", spy_sums)
         x = np.random.default_rng(3).standard_normal((2000, 64))
-        pairs = [(obs, beta) for beta in (1.0, 300.0)
-                 for obs in (sm.renyi_observable(2.0), sm.GIBBS_AVERAGE)]
-        assert len(dict(gibbs._evaluate(x, pairs))) == 4
+        pairs = [(sm.renyi_observable(2.0), beta) for beta in (1.0, 300.0)]
+        assert len(dict(gibbs._evaluate(x, pairs))) == 2
         blocks = -(-2000 // (gibbs._BLOCK_ELEMENTS // 64))
-        assert seen == [("last", False), ("z", True),
-                        ("last", True), ("z", True)] * blocks
+        assert seen == [("last", False), ("z in d", False),
+                        ("last", True), ("z in d", True)] * blocks
 
 
 class TestRowMax:
