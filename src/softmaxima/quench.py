@@ -294,7 +294,7 @@ _CHUNK_BLOCKS = 1 << 14  # Philox blocks per vectorised chunk (bounds memory)
 def _mulhilo(m, x, hi, t, u, v):
     """The 128-bit products m * x in place: their high 64-bit words into hi
     and their low words into x.  m broadcasts against x; t, u and v are
-    scratch of x's shape.
+    work arrays of x's shape.
 
     numpy has no 128-bit integers, so the high word is assembled from
     32 x 32 -> 64-bit partial products, none of whose sums can overflow.
@@ -326,8 +326,8 @@ def _philox_blocks(key, rows, first, last):
     A round multiplies c0 by M0 and c2 by M1, and xors each high word into
     the other pair: (c0, c1, c2, c3) <- (hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1,
     lo0).  The rounds run in place on six arrays of two (row, block) words
-    each: p = (c0, c2), q = (c1, c3), the high words and _mulhilo's scratch,
-    so each step of a round is one ufunc call on both pairs.
+    each: p = (c0, c2), q = (c1, c3), the high words and _mulhilo's work
+    arrays, so each step of a round is one ufunc call on both pairs.
     """
     n_blocks = last - first
     row = np.array(rows, dtype=np.uint64).reshape(-1)
@@ -464,10 +464,10 @@ def _fill_block(out, key):
     makes a few such calls, not one per chunk.  Where _wedges stops a row,
     numpy's generator, set to the exact state there, draws the rest.
 
-    On 1.28e6 draws (one thread) the array path is cheaper up to 48 draws
-    a row and numpy per row from 64 on (118 against 187 ms at 32, 133
-    against 142 at 48, 138 against 117 at 64).  The width stays 32, since
-    no benchmark workload has rows of 33 to 63 draws.
+    32 is about where the two cost the same.  On 1.28e6 draws (one
+    thread, medians of 11 interleaved runs) the array path takes 72-89 ms
+    at every width from 16 to 64; numpy per row takes 164 ms at 16, 87 at
+    32, 80 at 40 and 60 at 64.
     """
     n, m = out.shape
     if m == 0:
