@@ -11,15 +11,18 @@ even when beta * max|x| reaches 1e6.  One pass (_pass) takes the exponents
 z = beta (x - max x), their exp e and its row sum s once per (batch, beta),
 and every value a caller wants at that beta from them, each by its own
 formula; each Renyi order's exponents are alpha z, from the pass's z.  A
-call (_observe) runs its passes over blocks of whole rows, at
-most _BLOCK_ELEMENTS (512 KB) unless one row is wider: each block's max and
-shift x - max x (_shift) are formed once for every beta of the call, so only
-one block's shift and one pass's arrays are alive at a time, in cache,
-beside one output per value; a row's values depend on that row alone, so
-the bits are those of one pass over the whole batch.  _evaluate, the one
-router of observable kinds, groups (observable, beta) pairs into passes,
-and passes into calls while their outputs fit in a quarter of the batch;
-Observable.evaluate and the kernels below are its one-pair cases.
+call (_observe) runs its passes over blocks of whole rows, at most
+_BLOCK_ELEMENTS (512 KB) unless one row is wider: each block's max and shift
+x - max x (_shift) are formed once for every beta of the call, so only one
+block's shift and one pass's arrays are alive at a time on each thread, in
+cache, beside one output per value.  The blocks run in contiguous ranges,
+one per usable CPU (at most _THREADS), each on its own thread, and each
+block writes only its own rows of the outputs; a row's values depend on
+that row alone, so the bits are those of one pass over the whole batch at
+any thread count.  _evaluate, the one router of observable kinds, groups
+(observable, beta) pairs into passes, and passes into calls while their
+outputs fit in a quarter of the batch; Observable.evaluate and the kernels
+below are its one-pair cases.
 
 KL(nu_beta || uniform) = log m + beta <X> - Lambda(beta) is taken with the
 shift out of both terms, as log m + sum e z / s - log s: each term lies in
@@ -43,6 +46,9 @@ and per-realization results drop the last axis.
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,6 +83,16 @@ _ROW_TREE_WIDTH = 8
 # the four benchmark workloads were lowest at 2^16 among 2^13 to 2^18 and
 # the whole batch.
 _BLOCK_ELEMENTS = 1 << 16
+# Threads that run a call's row blocks: one per usable CPU, at most 2, the
+# most measured so far (on a 2-core host).  Each takes at least
+# _MIN_THREAD_BLOCKS blocks, so a call of fewer than twice that runs on the
+# caller's thread alone.  Starting and joining a thread takes about 0.1 ms;
+# in-process medians of the four benchmark workloads at a minimum of 2, 4
+# and 8 blocks differed by less than their quartile spreads, so the least
+# is kept.
+_THREADS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
+_MIN_THREAD_BLOCKS = 2
 
 
 def _check_beta(beta, positive=False):
@@ -273,12 +289,15 @@ def _observe(x, passes, ens=None):
     only, gives the geometry.  The passes run over blocks of
     _BLOCK_ELEMENTS // m rows, so their arrays stay in cache: each block's
     max and shift (_shift) are formed once, and every pass (_pass) takes its
-    exponents from them.  Every value of a row depends on that row alone,
-    so the bits are those of one pass over the whole batch.  Each key's
-    values fill one output array, yielded once the last block is done.
-    Beside those outputs (one n-vector per key, or n x m for log_weights)
-    only one block's shift and one pass's arrays are alive at a time.
-    rem_pressure, Lambda / N for m = 2^N, refuses other m first.
+    exponents from them.  Each key's values fill one output array, made
+    before the first block and yielded once the last block is done; the
+    blocks run in contiguous ranges on up to _THREADS threads (_in_threads),
+    and each block writes only its own rows.  Every value of a row depends
+    on that row alone, so the bits are those of one pass over the whole
+    batch at any thread count.  Beside those outputs (one n-vector per key,
+    or n x m for log_weights) only one block's shift and one pass's arrays
+    are alive at a time on each thread.  rem_pressure, Lambda / N for m =
+    2^N, refuses other m first.
     """
     lead, m = x.shape[:-1], x.shape[-1]
     if (m < 2 or m & (m - 1)) and any(
@@ -288,22 +307,63 @@ def _observe(x, passes, ens=None):
     rows = x.reshape(-1, m)
     n = rows.shape[0]
     step = max(1, _BLOCK_ELEMENTS // m)
-    out = [{} for _ in passes]
-    for a in range(0, max(n, 1), step):
-        block = rows[a:a + step]
-        x_max, d = _shift(block)
-        for p, ((beta, keys), held) in enumerate(zip(passes, out)):
-            last = p == len(passes) - 1
-            for i, values in _pass(block, x_max, d, beta, keys, ens, last):
-                if keys[i] not in held:
-                    held[keys[i]] = np.empty((n,) + values.shape[1:])
-                held[keys[i]][a:a + step] = values
-        del x_max, d  # before the next block's shift is formed
+    out = [{key: np.empty((n, m) if key == _LOG_WEIGHTS else n) for key in keys}
+           for _, keys in passes]
+
+    def run(starts):
+        for a in starts:
+            block = rows[a:a + step]
+            x_max, d = _shift(block)
+            for p, ((beta, keys), held) in enumerate(zip(passes, out)):
+                last = p == len(passes) - 1
+                for i, values in _pass(block, x_max, d, beta, keys, ens, last):
+                    held[keys[i]][a:a + step] = values
+            del x_max, d  # before the next block's shift is formed
+
+    _in_threads(run, range(0, max(n, 1), step))
     for p, (_, keys) in enumerate(passes):
         held, out[p] = out[p], None  # each pass's outputs go once yielded
         for i, key in enumerate(keys):
             yield p, i, held[key].reshape(lead + held[key].shape[1:])[()]
         del held
+
+
+def _in_threads(run, starts):
+    """run(part) for contiguous parts of the block starts, one part per
+    thread, the first on the caller's thread; each thread takes at least
+    _MIN_THREAD_BLOCKS blocks.
+
+    Each helper runs in a copy of the caller's context, so the caller's
+    np.errstate holds there too.  An exception reaches the caller once every
+    helper has joined: the first part's that raised, whose block comes first
+    in row order, as the serial loop would raise it.
+    """
+    count = min(_THREADS, len(starts) // _MIN_THREAD_BLOCKS)
+    if count <= 1:
+        run(starts)
+        return
+    cuts = [len(starts) * t // count for t in range(count + 1)]
+    parts = [starts[cuts[t]:cuts[t + 1]] for t in range(count)]
+    errors = [None] * count
+
+    def helper(t):
+        try:
+            run(parts[t])
+        except BaseException as exc:  # raised in the caller below
+            errors[t] = exc
+
+    threads = [threading.Thread(target=contextvars.copy_context().run,
+                                args=(helper, t)) for t in range(1, count)]
+    for thread in threads:
+        thread.start()
+    try:
+        run(parts[0])
+    finally:
+        for thread in threads:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
 
 
 def _pass(x, x_max, d, beta, keys, ens=None, last=False):
@@ -733,7 +793,9 @@ class Observable:
     @property
     def name(self) -> str:
         if self.kind == "renyi_to_uniform":
-            return f"renyi({self.alpha:g})"
+            # :g keeps 6 digits; where that names another alpha, all of them.
+            short = f"{self.alpha:g}"
+            return f"renyi({short if float(short) == self.alpha else repr(self.alpha)})"
         if self.kind == "soft_max":
             return "soft_max(" + ",".join(str(i) for i in self.subset) + ")"
         return self.kind

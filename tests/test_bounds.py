@@ -104,13 +104,14 @@ class TestDivergenceBounds:
         # rows of 8 or 3 their outputs exceed a quarter of the batch, so
         # each pass shifts the batch's one row block on its own.  The cached
         # batch is finite by construction, so it is never scanned.
-        calls = {"_pass": 0, "_shift": 0, "_check_x": 0}
+        # Calls are appended to lists, which no thread's update can lose.
+        calls = {"_pass": [], "_shift": [], "_check_x": []}
 
         def counted(name):
             real = getattr(sm.gibbs, name)
 
             def wrapper(*args):
-                calls[name] += 1
+                calls[name].append(None)
                 return real(*args)
             return wrapper
 
@@ -119,9 +120,10 @@ class TestDivergenceBounds:
             with monkeypatch.context() as patch:
                 for name in calls:
                     patch.setattr(sm.gibbs, name, counted(name))
-                    calls[name] = 0
+                    calls[name] = []
                 sm.divergence_bounds(ens, beta, ts, 1000, 14)
-            assert calls == {"_pass": passes, "_shift": passes, "_check_x": 0}
+            counts = {name: len(made) for name, made in calls.items()}
+            assert counts == {"_pass": passes, "_shift": passes, "_check_x": 0}
 
 
     def test_phi_lower_iid_reads_c_from_threshold(self, iid8):

@@ -612,6 +612,27 @@ class TestDeterminism:
             outs.append(out.with_suffix(".csv").read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("workload", ["estimate-iid8", "bounds-iid64",
+                                          "oracle-check", "rem-sweep-n10"])
+    def test_bytes_do_not_depend_on_pass_threads(self, tmp_path, monkeypatch,
+                                                 workload):
+        # Each workload's shifted passes on one thread and on two; the
+        # rem-sweep plot too.
+        args = _bench_definitions()["WORKLOADS"][workload]
+        if workload == "rem-sweep-n10":
+            args = [*args, "--plot"]
+        outs = []
+        for threads in (1, 2):
+            monkeypatch.setattr(sm.gibbs, "_THREADS", threads)
+            quench.clear_cache()
+            out = tmp_path / f"t{threads}"
+            assert run_main([*args, "--seed", "7", "--out", str(out)]) == EXIT_OK
+            outs.append(sorted((p.suffix, p.read_bytes())
+                               for p in tmp_path.glob(f"t{threads}.*")))
+        assert [suffix for suffix, _ in outs[0]] == (
+            [".csv", ".svg"] if workload == "rem-sweep-n10" else [".csv"])
+        assert outs[0] == outs[1]
+
     def test_same_config_same_bytes(self, tmp_path):
         outs = []
         for tag in ("a", "b"):

@@ -8,6 +8,7 @@ import functools
 import math
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -152,7 +153,8 @@ class TestShiftedPasses:
         (sm.renyi_half_via_participation, 1), (sm.GIBBS_AVERAGE.evaluate, 1),
         (sm.participation_derivative, 2)])
     def test_passes_per_call(self, monkeypatch, kernel, passes):
-        calls = {"_pass": [], "_shift": 0}
+        # Calls are appended to lists, which no thread's update can lose.
+        calls = {"_pass": [], "_shift": []}
         real_pass, real_shift = gibbs._pass, gibbs._shift
 
         def counted_pass(x, x_max, d, beta, *args):
@@ -160,7 +162,7 @@ class TestShiftedPasses:
             return real_pass(x, x_max, d, beta, *args)
 
         def counted_shift(x):
-            calls["_shift"] += 1
+            calls["_shift"].append(x.shape)
             return real_shift(x)
 
         monkeypatch.setattr(gibbs, "_pass", counted_pass)
@@ -168,10 +170,10 @@ class TestShiftedPasses:
         # On 6 coordinates each pass's outputs exceed a quarter of the batch,
         # so each pass shifts on its own; on 64 the passes share one shift.
         for m, shifts in ((6, passes), (64, 1)):
-            calls["_pass"], calls["_shift"] = [], 0
+            calls["_pass"], calls["_shift"] = [], []
             kernel(random_x(m, 30), 1.5)
             assert len(calls["_pass"]) == passes
-            assert calls["_shift"] == shifts
+            assert len(calls["_shift"]) == shifts
 
 
 def _same_bits(a, b):
@@ -220,6 +222,30 @@ class TestBlockedPass:
                 for _, i, values in blocked:
                     assert _same_bits(values, whole[i]), (n, beta, keys[i])
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7, 8, 9, 64, 1024])
+    def test_thread_count_changes_no_bit(self, monkeypatch, corr3, m, order):
+        # Every key with repeats, five passes in one call, and 1 to 25 row
+        # blocks, the last one partial: a helper thread takes blocks from 4.
+        # No bit depends on the block size (test_equals_one_block), so
+        # blocks of 2^12 elements keep the test short.
+        monkeypatch.setattr(gibbs, "_BLOCK_ELEMENTS", 1 << 12)
+        ens = corr3 if m == 3 else sm.build_iid(m, 1.0) if m > 1 else None
+        keys = [k for k in self.keys(m) if ens or k[0] != "replica_gibbs"]
+        passes = [(beta, keys) for beta in (0.0, -0.0, 1.0, 300.0, 1e308)]
+        step = gibbs._BLOCK_ELEMENTS // m
+        for blocks in (1, 2, 3, 4, 5, 25):
+            x = self.batch(m, (blocks - 1) * step + step // 2 + 1, order,
+                           seed=m + blocks)
+            runs = []
+            for threads in (1, 2):
+                monkeypatch.setattr(gibbs, "_THREADS", threads)
+                runs.append(list(gibbs._observe(x, passes, ens)))
+            one, two = runs
+            assert [(p, i) for p, i, _ in one] == [(p, i) for p, i, _ in two]
+            for (p, i, a), (_, _, b) in zip(one, two):
+                assert _same_bits(a, b), (blocks, passes[p][0], keys[i])
+
     def test_sparse_exp_in_some_blocks_only(self):
         m = 64
         step = gibbs._BLOCK_ELEMENTS // m
@@ -237,6 +263,113 @@ class TestBlockedPass:
         for _, i, values in gibbs._observe(x, [(1.5, keys)]):
             assert _same_bits(values, whole[i].reshape(np.shape(values)))
             assert np.shape(values) == shape[:-1] + np.shape(whole[i])[1:]
+
+
+class TestThreadedBlocks:
+    """A call of 4 row blocks runs blocks 0-1 on the caller's thread and 2-3
+    on a helper, which raises as the serial loop does and keeps the caller's
+    np.errstate."""
+
+    STEP = gibbs._BLOCK_ELEMENTS // 64
+
+    @pytest.fixture(autouse=True)
+    def two_threads(self, monkeypatch):
+        monkeypatch.setattr(gibbs, "_THREADS", 2)
+
+    def batch(self):
+        # Column 0 holds the block's index, which the patched passes read.
+        x = np.random.default_rng(4).standard_normal((4 * self.STEP, 64))
+        x[:, 0] = np.arange(4 * self.STEP) // self.STEP
+        return x
+
+    def failing(self, monkeypatch, failing_blocks, ran=None):
+        real = gibbs._pass
+
+        def fail_pass(x, *args):
+            block = int(x[0, 0])
+            if ran is not None:
+                ran.append((block, threading.get_ident()))
+            if block in failing_blocks:
+                raise ZeroDivisionError(f"block {block}")
+            return real(x, *args)
+
+        monkeypatch.setattr(gibbs, "_pass", fail_pass)
+
+    def test_blocks_split_between_two_threads(self, monkeypatch):
+        ran = []
+        self.failing(monkeypatch, (), ran)
+        list(gibbs._observe(self.batch(), [(1.0, [gibbs._LOG_PARTITION])]))
+        threads = dict(ran)
+        assert sorted(b for b, _ in ran) == [0, 1, 2, 3]
+        assert threads[0] == threads[1] == threading.get_ident() != threads[2]
+        assert threads[2] == threads[3]
+
+    @pytest.mark.parametrize("failing_blocks, raised", [
+        ((2,), 2), ((3,), 3), ((1, 3), 1), ((1, 2), 1), ((0, 3), 0), ((2, 3), 2)])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_first_failing_block_raises(self, monkeypatch, failing_blocks,
+                                        raised, threads):
+        monkeypatch.setattr(gibbs, "_THREADS", threads)
+        self.failing(monkeypatch, failing_blocks)
+        before = threading.active_count()
+        with pytest.raises(ZeroDivisionError, match=f"^block {raised}$"):
+            list(gibbs._observe(self.batch(), [(1.0, [gibbs._LOG_PARTITION])]))
+        assert threading.active_count() == before
+
+    def test_more_threads_than_cores_change_no_bit(self, monkeypatch):
+        # Four threads of 6 or 7 blocks each, switching every microsecond:
+        # a block that wrote another's rows, or a part that ran twice or
+        # not at all, would change the bits or the error raised.
+        monkeypatch.setattr(gibbs, "_BLOCK_ELEMENTS", 1 << 12)
+        x = np.random.default_rng(6).standard_normal((25 * 64 - 5, 64))
+        passes = [(beta, [gibbs._LOG_WEIGHTS, ("kl_to_uniform", None)])
+                  for beta in (0.5, 3.0)]
+        monkeypatch.setattr(gibbs, "_THREADS", 1)
+        want = list(gibbs._observe(x, passes))
+        monkeypatch.setattr(gibbs, "_THREADS", 4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                got = list(gibbs._observe(x, passes))
+                assert [(p, i) for p, i, _ in got] == [(p, i) for p, i, _ in want]
+                for (_, _, a), (_, _, b) in zip(got, want):
+                    assert _same_bits(a, b)
+            # Blocks 0-5, 6-11, 12-17 and 18-24; one fails in each part but
+            # the first, and column 0 holds the block's index.
+            self.failing(monkeypatch, (7, 13, 20))
+            x[:, 0] = np.arange(len(x)) // 64
+            with pytest.raises(ZeroDivisionError, match="^block 7$"):
+                list(gibbs._observe(x, passes))
+        finally:
+            sys.setswitchinterval(interval)
+
+    def overflowing(self):
+        # beta max x overflows Lambda in the helper's blocks only: the
+        # caller's rows have max 0.
+        x = self.batch()
+        x[:2 * self.STEP] = -np.abs(x[:2 * self.STEP])
+        x[:2 * self.STEP, 1] = 0.0
+        return x, [(1e308, [gibbs._LOG_PARTITION])]
+
+    def test_caller_errstate_holds_in_helper(self):
+        x, passes = self.overflowing()
+        before = threading.active_count()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                values = next(gibbs._observe(x, passes))[2]
+        assert caught == []
+        assert np.isinf(values[2 * self.STEP:]).all()
+        assert np.isfinite(values[:2 * self.STEP]).all()
+        assert threading.active_count() == before
+
+    def test_helper_overflow_still_raises(self):
+        x, passes = self.overflowing()
+        before = threading.active_count()
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            list(gibbs._observe(x, passes))
+        assert threading.active_count() == before
 
 
 @functools.lru_cache(maxsize=None)
@@ -301,7 +434,7 @@ class TestGroupedPasses:
                 alone = dict((j, v) for _, j, v in gibbs._observe(x, [passes[p]]))
                 assert _same_bits(values, alone[i]), (passes[p][0], keys[i])
 
-    @pytest.mark.parametrize("shape, betas, kinds, calls", [
+    @pytest.mark.parametrize("shape, betas, kinds, n_calls", [
         # The rem-sweep shape: 35 outputs of 2000 rows fit in a quarter of
         # 2000 x 1024, so the 18 passes share one call.
         ((2000, 1024), [0.25 * k for k in range(17)] + [1.7],
@@ -312,18 +445,20 @@ class TestGroupedPasses:
          [sm.GIBBS_AVERAGE, sm.FREE_ENERGY, sm.renyi_observable(0.5),
           sm.PARTICIPATION_RATIO], 5)],
         ids=["2000x1024-35-pairs", "2e5x8-20-pairs"])
-    def test_grouping_by_outputs(self, monkeypatch, shape, betas, kinds, calls):
-        counts = {"_observe": 0, "_shift": 0, "_pass": 0}
+    def test_grouping_by_outputs(self, monkeypatch, shape, betas, kinds,
+                                 n_calls):
+        # Calls are appended to lists, which no thread's update can lose.
+        calls = {"_observe": [], "_shift": [], "_pass": []}
 
         def counted(name):
             real = getattr(gibbs, name)
 
             def wrapper(*args):
-                counts[name] += 1
+                calls[name].append(None)
                 return real(*args)
             return wrapper
 
-        for name in counts:
+        for name in calls:
             monkeypatch.setattr(gibbs, name, counted(name))
         x = np.random.default_rng(5).standard_normal(shape)
         pairs = [(obs, beta) for beta in betas for obs in kinds]
@@ -331,7 +466,8 @@ class TestGroupedPasses:
             pairs = pairs[:-1]  # E KL alone at the last beta
         assert len(dict(gibbs._evaluate(x, pairs))) == len(pairs)
         blocks = -(-shape[0] // (gibbs._BLOCK_ELEMENTS // shape[1]))
-        assert counts == {"_observe": calls, "_shift": calls * blocks,
+        counts = {name: len(made) for name, made in calls.items()}
+        assert counts == {"_observe": n_calls, "_shift": n_calls * blocks,
                           "_pass": len(betas) * blocks}
 
 
@@ -1050,6 +1186,19 @@ class TestObservable:
                      "kl_to_uniform", "renyi(0.5)", "renyi(2)", "shannon_entropy",
                      "expected_max", "replica_gibbs"):
             assert sm.parse_observable(text).name == text
+
+    @pytest.mark.parametrize("alpha", [0.5, 2.0, 0.1234567, 1e-320, 1e300])
+    def test_renyi_name_parses_back(self, alpha):
+        obs = sm.renyi_observable(alpha)
+        assert sm.parse_observable(obs.name) == obs
+
+    def test_close_renyi_orders_have_two_names(self):
+        # 6 significant digits would name both renyi(0.123457).
+        names = [sm.renyi_observable(a).name for a in (0.1234567, 0.1234568)]
+        assert names == ["renyi(0.1234567)", "renyi(0.1234568)"]
+        # Where 6 digits name the same alpha, the name is as it was.
+        assert sm.renyi_observable(1e300).name == "renyi(1e+300)"
+        assert sm.renyi_observable(1e-320).name == "renyi(9.99989e-321)"
 
     def test_parse_rejects_unknown(self):
         with pytest.raises(ValueError, match="invalid-input"):

@@ -264,8 +264,9 @@ class TestDivergenceEstimates:
     @pytest.fixture
     def kl_betas(self, monkeypatch):
         # Per _observe call, the betas of its passes that form KL values, and
-        # the number of shifts (one per row block) over all calls.
-        calls = {"kl": [], "shifts": 0}
+        # the shifts (one per row block) over all calls, appended to a list,
+        # which no thread's update can lose.
+        calls = {"kl": [], "shifts": []}
         observe, shift = gibbs._observe, gibbs._shift
 
         def counted_observe(x, passes, ens=None):
@@ -274,7 +275,7 @@ class TestDivergenceEstimates:
             return observe(x, passes, ens)
 
         def counted_shift(x):
-            calls["shifts"] += 1
+            calls["shifts"].append(x.shape)
             return shift(x)
 
         monkeypatch.setattr(gibbs, "_observe", counted_observe)
@@ -311,16 +312,16 @@ class TestDivergenceEstimates:
         curve = sm.pressure_sweep(sm.rem_model(6), grid, 400, seed=42)
         assert grid[-1] <= curve.threshold.beta_star
         assert [betas for betas in kl_betas["kl"] if betas] == [grid]
-        assert kl_betas["shifts"] == len(kl_betas["kl"])
+        assert len(kl_betas["shifts"]) == len(kl_betas["kl"])
         kl_betas["kl"].clear()
-        kl_betas["shifts"] = 0
+        kl_betas["shifts"].clear()
         curve = sm.pressure_sweep(sm.rem_model(4), GRID_ACROSS, 400, seed=45)
         bs = curve.threshold.beta_star
         assert GRID_ACROSS[-1] > bs and bs not in GRID_ACROSS
         kl = [betas for betas in kl_betas["kl"] if betas]
         assert sorted(b for betas in kl for b in betas) == sorted(GRID_ACROSS + [bs])
         assert max(len(betas) for betas in kl) == 2
-        assert kl_betas["shifts"] == len(kl_betas["kl"])
+        assert len(kl_betas["shifts"]) == len(kl_betas["kl"])
 
 
 # 0:1500:100 runs past beta_star of the N = 4 model at n = 400.
