@@ -31,7 +31,13 @@ accurate log-sum-exp of Blanchard, Higham & Higham, IMA J. Numer. Anal.
 41, 2021).  The free energy and the softmax are (Lambda - c) / beta, and
 x_max + (log s - c) / beta, about max x, where Lambda overflows.  Every exp
 of log-weights skips the exponents below -746, whose exp is an exact 0, when
-those are most of them; the result is the same bit for bit.  Row reductions
+those are most of them; the result is the same bit for bit.  The
+participation probes of one threshold search (_ParticipationProbes) keep
+those live entries once, as int32 positions and shifts, at most 1/16 of
+each row block (a block over that cap is refused before anything is kept,
+and its probe takes the dense pass); every probe at or above the build's
+beta then takes exp of those only, with the dense row sums of a pass, so its
+values are those of participation_ratio bit for bit.  Row reductions
 give numpy's own bits by the faster form for the row width: a fold over the
 columns up to 7 wide, so a column-major batch is read in contiguous columns,
 and at exactly 8 wide numpy's pairwise tree, built from strided-slice ufuncs
@@ -529,6 +535,105 @@ def _renyi_sums(z, keys, buf):
         for alpha in dict.fromkeys([a for k, a in keys if k == "renyi_to_uniform"]):
             out[alpha] = np.log(_row_sum(_exp(np.multiply(z, alpha, out=buf), out=buf)))
     return out
+
+
+# The live set of a _ParticipationProbes holds at most 1 / _LIVE_SHARE of each
+# row block's entries, 12 bytes each (an int32 position and a double), so at
+# most 0.75 bytes per double of the batch.
+_LIVE_SHARE = 16
+_PARTICIPATION = [("participation_ratio", None)]
+
+
+class _ParticipationProbes:
+    """participation_ratio(x, beta) at the betas of one threshold search, bit
+    for bit, on the finite batch x, which is not scanned.
+
+    Where fl(beta d) < _EXP_FLOOR, d = x - max x the row's shift (_shift),
+    exp(beta d) is an exact 0, and so it stays at every larger beta.  So
+    each row block keeps its live entries once, at a build beta_c: their
+    positions in the block and their d, where fl(beta_c d) >= _EXP_FLOOR.
+    A probe at beta >= beta_c takes exp(beta d) of those only and scatters
+    it into a zeroed block; the row sums, e *= e and pr /= s * s are those
+    of _pass, so every value is the same bit for bit.  The first build is
+    at a quarter of its probe's beta; a later probe below beta_c rebuilds
+    at its own beta.  A build runs its probe too, on each block's shift as
+    it is formed.  A block whose live entries are more than 1 / _LIVE_SHARE
+    of it is refused before any of them is kept: the build is dropped, and
+    the rest of its probe takes _pass on each block's shift.  A probe that
+    could be served only by a build at or below a refused beta takes
+    _observe.
+    """
+
+    def __init__(self, x):
+        self.lead, m = x.shape[:-1], x.shape[-1]
+        self.rows = x.reshape(-1, m)
+        self.step = max(1, _BLOCK_ELEMENTS // m)
+        self.starts = range(0, max(self.rows.shape[0], 1), self.step)
+        self.builds = 0         # builds tried
+        self.refused = 0.0      # the largest build beta the cap refused
+        self.build_beta = None  # beta_c of the live set
+        self.live = None        # per block: (positions, shifts) of its live entries
+
+    def __call__(self, beta):
+        beta = float(beta)
+        if self.live is not None and beta >= self.build_beta:
+            build = None
+        else:
+            self.live = self.build_beta = None  # gone before a rebuild
+            build = beta if self.builds else beta / 4.0
+            if build <= self.refused:
+                return next(_observe(self.rows, [(beta, _PARTICIPATION)]))[2].reshape(
+                    self.lead)[()]
+            self.builds += 1
+            live, refused = [None] * len(self.starts), []
+        values = np.empty(self.rows.shape[0])
+
+        def run(blocks):
+            buf = np.empty(min(self.step, self.rows.shape[0]) * self.rows.shape[1])
+            for j in blocks:
+                a = self.starts[j]
+                block = self.rows[a:a + self.step]
+                e = buf[:block.size].reshape(block.shape)
+                if build is None:
+                    pos, d = self.live[j]
+                else:
+                    x_max, d = _shift(block)
+                    kept = None if refused else _live(d, build, e)
+                    if kept is None:
+                        refused.append(j)
+                        values[a:a + self.step] = next(_pass(
+                            block, x_max, d, beta, _PARTICIPATION, last=True))[1]
+                        continue
+                    live[j] = pos, d = kept
+                with np.errstate(over="ignore"):
+                    z = np.multiply(d, beta)
+                e.fill(0.0)
+                e.reshape(-1)[pos] = np.exp(z, out=z)
+                s = _row_sum(e)
+                e *= e
+                pr = _row_sum(e)
+                pr /= s * s
+                values[a:a + self.step] = pr
+
+        _in_threads(run, range(len(self.starts)))
+        if build is not None:
+            if refused:
+                self.refused = max(self.refused, build)
+            else:
+                self.live, self.build_beta = live, build
+        return values.reshape(self.lead)[()]
+
+
+def _live(d, beta_c, buf):
+    """(int32 positions, shifts) of the entries of the block shift d where
+    fl(beta_c d) >= _EXP_FLOOR, or None when they are more than 1 /
+    _LIVE_SHARE of d.  buf, of d's shape, takes beta_c d."""
+    with np.errstate(over="ignore"):
+        keep = np.multiply(d, beta_c, out=buf) >= _EXP_FLOOR
+    if np.count_nonzero(keep) > d.size // _LIVE_SHARE:
+        return None
+    pos = np.flatnonzero(keep).astype(np.int32)
+    return pos, d.reshape(-1)[pos]
 
 
 def _lse(x, beta, log_weights=False):

@@ -94,7 +94,8 @@ class ThresholdResult:
     wide (lo excluded, hi = beta_star included); r_at_star is the estimate
     of r at beta_star.  ensemble_key ties the result to its ensemble.  c is
     the Sudakov constant in the target, and every bound that takes the
-    threshold reads its constant from here.
+    threshold reads its constant from here.  probes holds the betas the
+    search probed, in order.
     """
     beta_star: float
     bracket: tuple[float, float]
@@ -102,6 +103,7 @@ class ThresholdResult:
     r_at_star: QuenchedEstimate
     ensemble_key: str
     c: float
+    probes: tuple[float, ...]
 
 
 def _check_c(c) -> None:
@@ -735,9 +737,15 @@ def beta_star(ens: IndexedEnsemble, c: float, n: int, seed: int,
     (1 - r(0) = 1 - 1/|T| >= 1/2 > target), so it is not probed.  The
     search (_smallest_passing) returns the smallest grid point satisfying it,
     whatever order it probes in, in at most ceil(log2(K + 1)) + 1 probes; on
-    the benchmark configurations it takes 7-10.  r_at_star reuses the
-    per-sample values of the probe at beta_star.  When no grid point up to
-    beta_max satisfies the criterion, UnboundedThresholdError is raised with
+    the benchmark's reference seeds it takes 7-10 (7-8 on bounds-iid64's),
+    and probes lists them.  Every probe reads one gibbs._ParticipationProbes
+    of the batch: the entries that can still carry weight, kept once at a
+    build beta and at most 1/16 of each row block, so a probe at or above
+    that beta takes exp of those only; a probe below it rebuilds, and one
+    whose build would pass the cap takes the dense pass.  Its values are
+    participation_ratio's bit for bit.  r_at_star reuses the per-sample
+    values of the probe at beta_star.  When no grid point up to beta_max
+    satisfies the criterion, UnboundedThresholdError is raised with
     diagnostics.  The result is not memoized; pass it to the bounds that
     need it.
     """
@@ -768,11 +776,14 @@ def beta_star(ens: IndexedEnsemble, c: float, n: int, seed: int,
             f"c = {c:.6g}; rescale the covariance")
     x = realization_batch(ens, n, seed)
 
+    ratio = gibbs._ParticipationProbes(x)
+    probes = []
     lo_gap = hi_values = None
 
     def gap(k):
         nonlocal lo_gap, hi_values
-        values = gibbs.participation_ratio(x, k * resolution)
+        probes.append(k * resolution)
+        values = ratio(probes[-1])
         value = 1.0 - float(np.mean(values))
         # hi only falls and lo only rises: the last pass and the last fail
         # are the probes at the final hi and lo.
@@ -795,7 +806,7 @@ def beta_star(ens: IndexedEnsemble, c: float, n: int, seed: int,
     return ThresholdResult(
         beta_star=beta, bracket=(lo * resolution, beta), target=target,
         r_at_star=_from_values(hi_values, gibbs.PARTICIPATION_RATIO, beta, n, seed),
-        ensemble_key=ens.cache_key, c=float(c))
+        ensemble_key=ens.cache_key, c=float(c), probes=tuple(probes))
 
 
 # -- independent quadrature oracle ----------------------------------------------

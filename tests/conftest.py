@@ -1,9 +1,33 @@
 """Shared fixtures: a small bestiary of index sets used across the suite."""
 
+import functools
+
 import numpy as np
 import pytest
 
-from softmaxima import build_from_covariance, build_iid, clear_cache
+from softmaxima import build_from_covariance, build_iid, clear_cache, gibbs, rem_model
+
+
+def wrap_probes(monkeypatch, around):
+    """Send each probe of beta_star through around(probe, beta), where probe
+    is the real gibbs._ParticipationProbes on the search's batch."""
+    real = gibbs._ParticipationProbes
+    monkeypatch.setattr(gibbs, "_ParticipationProbes",
+                        lambda x: functools.partial(around, real(x)))
+
+
+@functools.lru_cache(maxsize=None)
+def probe_case(kind):
+    """(ensemble, n, beta) for the participation probes: n rows are not a
+    whole number of row blocks, at least four blocks, and a probe at beta
+    builds its live set at beta / 4 within the cap."""
+    if kind == "iid":
+        return build_iid(64, 1.3), 4500, 16000.0
+    if kind == "correlated":
+        idx = np.arange(32)
+        cov = 0.5 ** np.abs(idx[:, None] - idx[None, :])
+        return build_from_covariance([f"s{i}" for i in idx], cov), 7000, 16000.0
+    return rem_model(10).ensemble, 300, 2000.0
 
 
 @pytest.fixture(autouse=True)

@@ -21,6 +21,7 @@ from scipy.special import logsumexp
 import softmaxima as sm
 from softmaxima import gibbs, quench
 from softmaxima.gibbs import _EXP_FLOOR, _exp, _lse
+from tests.conftest import probe_case
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -977,6 +978,177 @@ class TestParticipationRatio:
         x = random_x(10, 9)
         vals = [sm.participation_ratio(x, b) for b in np.linspace(0, 10, 51)]
         assert np.diff(vals).min() >= -1e-14
+
+
+PROBE_KINDS = ["iid", "correlated", "rem"]
+
+
+def _probe_batch(kind):
+    ens, n, beta = probe_case(kind)
+    return quench.realization_batch(ens, n, 3), beta
+
+
+def _live_entries(probes):
+    return 0 if probes.live is None else sum(pos.size for pos, _ in probes.live)
+
+
+class TestParticipationProbes:
+    """The probes of one threshold search equal participation_ratio bit for
+    bit, whether they read a live set, rebuild it or take the dense pass."""
+
+    @staticmethod
+    def probe(probes, x, beta):
+        got = probes(beta)
+        assert _same_bits(got, sm.participation_ratio(x, beta))
+        if probes.live is not None:
+            for (pos, d), a in zip(probes.live, probes.starts):
+                block = x[a:a + probes.step]
+                assert pos.dtype == np.int32
+                assert pos.size == d.size <= block.size // gibbs._LIVE_SHARE
+            assert 0 < _live_entries(probes) <= x.size // gibbs._LIVE_SHARE
+        return got
+
+    @pytest.mark.parametrize("kind", PROBE_KINDS)
+    def test_at_and_just_above_build_beta(self, kind):
+        x, beta = _probe_batch(kind)
+        step = gibbs._BLOCK_ELEMENTS // x.shape[1]
+        assert x.shape[0] % step and x.shape[0] > 3 * step  # four blocks or more
+        probes = gibbs._ParticipationProbes(x)
+        self.probe(probes, x, beta)
+        beta_c = beta / 4.0
+        assert probes.build_beta == beta_c
+        for b in (beta_c, np.nextafter(beta_c, np.inf), 2.0 * beta, beta):
+            self.probe(probes, x, b)
+        assert probes.builds == 1 and probes.build_beta == beta_c
+
+    @pytest.mark.parametrize("kind", PROBE_KINDS)
+    def test_below_build_beta_rebuilds(self, kind):
+        x, beta = _probe_batch(kind)
+        probes = gibbs._ParticipationProbes(x)
+        self.probe(probes, x, beta)
+        below = float(np.nextafter(beta / 4.0, 0.0))
+        self.probe(probes, x, below)
+        assert probes.builds == 2 and probes.build_beta == below
+        self.probe(probes, x, beta)
+        assert probes.builds == 2
+
+    @pytest.mark.parametrize("kind", PROBE_KINDS)
+    def test_over_cap_takes_dense_path(self, kind, monkeypatch):
+        # At beta = 40 every entry is live at the build beta 10: the build is
+        # refused and its probe takes _pass on each block's shift.  A probe
+        # that only a build at or below 10 could serve takes _observe.
+        x, beta = _probe_batch(kind)
+        observed = []
+        real = gibbs._observe
+
+        def observe(x, passes, ens=None):
+            observed.append(passes)
+            return real(x, passes, ens)
+
+        probes = gibbs._ParticipationProbes(x)
+        monkeypatch.setattr(gibbs, "_observe", observe)
+        got = probes(40.0)
+        assert observed == [] and probes.live is None and probes.refused == 10.0
+        got_low = probes(5.0)
+        assert observed == [[(5.0, [("participation_ratio", None)])]]
+        assert probes.builds == 1 and probes.live is None
+        monkeypatch.setattr(gibbs, "_observe", real)
+        assert _same_bits(got, sm.participation_ratio(x, 40.0))
+        assert _same_bits(got_low, sm.participation_ratio(x, 5.0))
+        # A build above the refused beta is tried again, at the probe's beta.
+        self.probe(probes, x, beta)
+        assert probes.builds == 2 and probes.build_beta == beta
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_refused_in_the_last_block(self, monkeypatch, threads):
+        # Equal rows are live at every beta, so the last block is over the
+        # cap after the others kept their live entries.
+        monkeypatch.setattr(gibbs, "_THREADS", threads)
+        x, beta = _probe_batch("iid")
+        x = x.copy()
+        step = gibbs._BLOCK_ELEMENTS // x.shape[1]
+        x[x.shape[0] // step * step:] = 0.5
+        probes = gibbs._ParticipationProbes(x)
+        self.probe(probes, x, beta)
+        assert probes.live is None and probes.refused == beta / 4.0
+        self.probe(probes, x, 2.0 * beta)
+        assert probes.builds == 2 and probes.live is None
+
+    @pytest.mark.parametrize("kind", PROBE_KINDS)
+    def test_rows_wider_than_a_block(self, kind, monkeypatch):
+        x, beta = _probe_batch(kind)
+        monkeypatch.setattr(gibbs, "_BLOCK_ELEMENTS", x.shape[1] // 2)
+        probes = gibbs._ParticipationProbes(x)
+        assert probes.step == 1 and len(probes.starts) == x.shape[0]
+        for b in (beta, beta / 4.0, beta / 5.0, 3.0 * beta):
+            self.probe(probes, x, b)
+        assert probes.builds == 2
+
+    @pytest.mark.parametrize("kind", PROBE_KINDS)
+    def test_one_thread_against_two(self, kind, monkeypatch):
+        x, beta = _probe_batch(kind)
+        betas = [beta, 1.5 * beta, beta / 5.0, 40.0, 20.0]
+        values, shifts = {}, []
+        real = gibbs._shift
+
+        def shift(block):
+            shifts.append(threading.get_ident())
+            return real(block)
+
+        monkeypatch.setattr(gibbs, "_shift", shift)
+        for threads in (1, 2):
+            monkeypatch.setattr(gibbs, "_THREADS", threads)
+            shifts.clear()
+            probes = gibbs._ParticipationProbes(x)
+            values[threads] = [probes(b) for b in betas]
+            assert threading.get_ident() in shifts
+            assert (len(set(shifts)) > 1) == (threads == 2)
+        monkeypatch.setattr(gibbs, "_shift", real)
+        for b, one, two in zip(betas, values[1], values[2]):
+            want = sm.participation_ratio(x, b)
+            assert _same_bits(one, want) and _same_bits(two, want)
+
+    def test_more_threads_than_cores_change_no_bit(self, monkeypatch):
+        # Four threads of 6 or 7 blocks each, switching every microsecond,
+        # on a batch whose blocks 9 and 20 are over the cap at every beta:
+        # a block that wrote another's rows or live set, or a refusal that
+        # one thread missed, would change the bits or the builds.
+        monkeypatch.setattr(gibbs, "_BLOCK_ELEMENTS", 1 << 12)
+        clean = np.random.default_rng(7).standard_normal((25 * 64 - 5, 64))
+        capped = clean.copy()
+        capped[9 * 64:10 * 64] = capped[20 * 64:21 * 64] = 1.0
+        betas = [16000.0, 3000.0, 32000.0, 2000.0, 1000.0]
+
+        def run(x):
+            probes = gibbs._ParticipationProbes(x)
+            return [(probes(b), probes.build_beta, probes.refused,
+                     _live_entries(probes)) for b in betas]
+
+        monkeypatch.setattr(gibbs, "_THREADS", 1)
+        want = {id(x): run(x) for x in (clean, capped)}
+        assert want[id(clean)][0][1] == 4000.0
+        assert all(build is None for _, build, _, _ in want[id(capped)])
+        monkeypatch.setattr(gibbs, "_THREADS", 4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                for x in (clean, capped):
+                    for got, (value, *state) in zip(run(x), want[id(x)]):
+                        assert _same_bits(got[0], value)
+                        assert list(got[1:]) == state
+        finally:
+            sys.setswitchinterval(interval)
+        for x in (clean, capped):
+            for b, (value, *_) in zip(betas, want[id(x)]):
+                assert _same_bits(value, sm.participation_ratio(x, b))
+
+    def test_one_realization(self):
+        x = np.random.default_rng(5).standard_normal(4096)
+        probes = gibbs._ParticipationProbes(x)
+        for beta in (3000.0, 2000.0, 1.0):
+            got = probes(beta)
+            assert np.ndim(got) == 0 and got == sm.participation_ratio(x, beta)
 
 
 class TestParticipationDerivative:

@@ -22,6 +22,7 @@ import softmaxima as sm
 from softmaxima import cli, gibbs, quench
 from softmaxima.ensemble import IndexedEnsemble
 from softmaxima.quench import BATCH_ELEMENT_CAP
+from tests.conftest import probe_case, wrap_probes
 from tests.test_bounds import _ALL_OBSERVABLES
 
 TWO_POINT_GIBBS_MEAN = {
@@ -628,18 +629,18 @@ class TestBetaStar:
         # One bisection over grid indices 0..K, K = 1e4 / resolution, plus
         # the r_at_star estimate.
         calls = []
-        real = sm.gibbs.participation_ratio
 
-        def counted(x, beta):
+        def counted(probe, beta):
             calls.append(beta)
-            return real(x, beta)
+            return probe(beta)
 
-        monkeypatch.setattr(sm.gibbs, "participation_ratio", counted)
-        sm.beta_star(iid8, 1 / 17, 5000, seed=23)
+        wrap_probes(monkeypatch, counted)
+        ts = sm.beta_star(iid8, 1 / 17, 5000, seed=23)
         k = math.floor(quench.BETA_MAX_FACTOR / quench.DEFAULT_RESOLUTION)
         bound = math.ceil(math.log2(k + 1)) + 1
         assert bound == 25
         assert 0 < len(calls) <= bound
+        assert ts.probes == tuple(calls)
 
     def test_bad_c_rejected(self, iid2):
         for c in (0.0, 1.0, -0.2, 1.7):
@@ -685,15 +686,15 @@ class TestBetaStar:
     def test_few_probes_on_iid64(self, monkeypatch):
         # Bisection takes 24 probes here; the interpolating search 7.
         calls = []
-        real = sm.gibbs.participation_ratio
 
-        def counted(x, beta):
+        def counted(probe, beta):
             calls.append(beta)
-            return real(x, beta)
+            return probe(beta)
 
-        monkeypatch.setattr(sm.gibbs, "participation_ratio", counted)
+        wrap_probes(monkeypatch, counted)
         ts = sm.beta_star(sm.build_iid(64, 1.0), 1 / 17, 20_000, seed=7)
         assert len(calls) <= 10
+        assert ts.probes == tuple(calls)
         assert ts.beta_star == 1276.276  # the grid point bisection returns
 
     def test_exact_zero_gap_probes(self, monkeypatch):
@@ -705,21 +706,48 @@ class TestBetaStar:
         ens = sm.build_from_covariance(["a", "b", "c", "d"], cov)
         resolution = quench.BETA_MAX_FACTOR / ens.sigma_max / 2000
         gaps = []
-        real = sm.gibbs.participation_ratio
 
-        def recorded(x, beta):
-            values = real(x, beta)
+        def recorded(probe, beta):
+            values = probe(beta)
             gaps.append(1.0 - float(np.mean(values)))
             return values
 
-        monkeypatch.setattr(sm.gibbs, "participation_ratio", recorded)
+        wrap_probes(monkeypatch, recorded)
         ts = sm.beta_star(ens, quench.SUDAKOV_C, 64, 0, resolution=resolution)
         assert gaps[:2] == [0.0, 0.0]
+        assert len(ts.probes) == len(gaps)
         x = sm.realization_batch(ens, 64, 0)
-        first = next(k for k in range(1, 2001)
-                     if 1.0 - float(np.mean(real(x, k * resolution))) <= ts.target)
+        first = next(k for k in range(1, 2001) if 1.0 - float(np.mean(
+            sm.participation_ratio(x, k * resolution))) <= ts.target)
         assert ts.beta_star == first * resolution
         assert ts.bracket == ((first - 1) * resolution, first * resolution)
+
+    @pytest.mark.parametrize("kind", ["iid", "correlated", "rem"])
+    @pytest.mark.parametrize("share", [16, 64])
+    def test_probes_equal_public_path(self, kind, share, monkeypatch):
+        # The search on the probe object and on participation_ratio itself
+        # give equal results; every live set stays within its cap, and a
+        # tighter cap (1/64) refuses builds along the way.
+        ens, n, _ = probe_case(kind)
+        monkeypatch.setattr(gibbs, "_LIVE_SHARE", share)
+        builds = []
+
+        def capped(probe, beta):
+            values = probe(beta)
+            builds.append(probe.builds)
+            for (pos, _), a in zip(probe.live or (), probe.starts):
+                assert pos.size <= probe.rows[a:a + probe.step].size // share
+            return values
+
+        with monkeypatch.context() as patch:
+            wrap_probes(patch, capped)
+            live = sm.beta_star(ens, 1 / 17, n, seed=5)
+        wrap_probes(monkeypatch,
+                    lambda probe, beta: sm.participation_ratio(probe.rows, beta))
+        public = sm.beta_star(ens, 1 / 17, n, seed=5)
+        assert live == public
+        assert 0 < len(live.probes) <= 25 and len(builds) == len(live.probes)
+        assert 1 <= builds[-1] <= len(builds)
 
 
 # Adversarial participation curves, as functions of the grid index k on the
@@ -756,7 +784,7 @@ def _scan(r_of_k):
 class TestBetaStarSearch:
     """The search against brute force on adversarial curves.
 
-    participation_ratio is replaced by the curve, on a batch of two samples,
+    Each probe of the search returns the curve, on a batch of two samples,
     whose mean is then the curve value exactly.
     """
 
@@ -766,12 +794,12 @@ class TestBetaStarSearch:
         assert _scan(r_of_k) == first
         calls = []
 
-        def curve(x, beta):
+        def curve(probe, beta):
             k = round(beta / quench.DEFAULT_RESOLUTION)
             calls.append(k)
-            return np.full(x.shape[0], float(r_of_k(k)))
+            return np.full(probe.rows.shape[0], float(r_of_k(k)))
 
-        monkeypatch.setattr(sm.gibbs, "participation_ratio", curve)
+        wrap_probes(monkeypatch, curve)
         ens = sm.build_iid(2, 1.0)
         res = quench.DEFAULT_RESOLUTION
         bound = math.ceil(math.log2(_K + 1)) + 1
@@ -783,6 +811,7 @@ class TestBetaStarSearch:
             assert ts.beta_star == first * res
             assert ts.bracket == ((first - 1) * res, first * res)
             assert ts.r_at_star.mean == float(r_of_k(first))
+            assert ts.probes == tuple(k * res for k in calls)
         assert 0 < len(calls) <= bound == 25
 
 
