@@ -134,7 +134,7 @@ def parse_config(argv) -> ExperimentConfig:
                 data = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from None
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an integer too long to read
             raise ConfigError(f"config file is not valid JSON: {exc}") from None
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
@@ -161,7 +161,11 @@ def parse_config(argv) -> ExperimentConfig:
         if isinstance(raw, str):
             values["beta_grid"] = _parse_grid(raw)
         elif isinstance(raw, list) and all(type(b) in (int, float) for b in raw):
-            values["beta_grid"] = tuple(float(b) for b in raw)
+            try:
+                values["beta_grid"] = tuple(float(b) for b in raw)
+            except OverflowError:
+                raise ConfigError(
+                    "invalid-input: a beta_grid entry is too large for a float") from None
         else:
             raise ConfigError(
                 f"beta_grid must be a grid string or a list of numbers, got {raw!r}")

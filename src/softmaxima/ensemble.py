@@ -196,7 +196,11 @@ def build_from_covariance(labels: Sequence[str], sigma_matrix) -> IndexedEnsembl
     if len(set(labels)) != len(labels):
         dup = next(l for l in labels if labels.count(l) > 1)
         raise ValueError(f"invalid-input: duplicate label {dup!r}")
-    cov = np.array(sigma_matrix, dtype=np.float64)
+    try:
+        cov = np.array(sigma_matrix, dtype=np.float64)
+    except OverflowError:
+        raise ValueError(
+            "invalid-input: covariance has an entry too large for a float") from None
     m = len(labels)
     if cov.shape != (m, m):
         raise ValueError(
@@ -291,9 +295,14 @@ def _ball_mask(ens: IndexedEnsemble, centers, radius: float) -> np.ndarray:
 
 
 def _check_number(what, v):
-    # numpy would read JSON strings and booleans as numbers; a spec may not.
+    # numpy would read JSON strings and booleans as numbers; a spec may not,
+    # nor an integer that no double holds.
     if type(v) not in (int, float):
         raise ValueError(f"invalid-input: {what} must be a number, got {v!r}")
+    try:
+        return float(v)
+    except OverflowError:
+        raise ValueError(f"invalid-input: {what} is too large for a float") from None
 
 
 def from_spec(spec: dict) -> IndexedEnsemble:
@@ -313,8 +322,7 @@ def from_spec(spec: dict) -> IndexedEnsemble:
             raise ValueError(f"invalid-input: malformed iid spec: {exc}") from None
         if type(n) is not int:
             raise ValueError(f"invalid-input: iid n must be an integer, got {n!r}")
-        _check_number("iid variance", variance)
-        return build_iid(n, float(variance))
+        return build_iid(n, _check_number("iid variance", variance))
     if "labels" in spec and "covariance" in spec:
         labels = spec["labels"]
         if not isinstance(labels, list) or not all(type(l) is str for l in labels):

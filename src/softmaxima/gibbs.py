@@ -34,14 +34,15 @@ of log-weights skips the exponents below -746, whose exp is an exact 0, when
 those are most of them; the result is the same bit for bit.  The
 participation probes of one threshold search (_ParticipationProbes) keep
 those live entries once, as int32 positions and shifts, at most 1/16 of
-each row block (a block over that cap is refused before anything is kept,
-and its probe takes the dense pass); every probe at or above the build's
-beta then takes exp of those only, with the dense row sums of a pass, so its
-values are those of participation_ratio bit for bit.  Row reductions
-give numpy's own bits by the faster form for the row width: a fold over the
-columns up to 7 wide, so a column-major batch is read in contiguous columns,
-and at exactly 8 wide numpy's pairwise tree, built from strided-slice ufuncs
-over blocks of rows.  No value depends on the batch's layout.
+each row block; every probe at or above the build's beta then takes exp of
+those only, with the dense row sums of a pass, so its values are those of
+participation_ratio bit for bit.  A block over that cap drops the build and
+takes the dense pass on its shift, as do the rest of its thread's blocks,
+and the next probe tries a build again.  Row reductions give numpy's own
+bits by the faster form for the row width: a fold over the columns up to 7
+wide, so a column-major batch is read in contiguous columns, and at exactly
+8 wide numpy's pairwise tree, built from strided-slice ufuncs over blocks of
+rows.  No value depends on the batch's layout.
 
 beta = 0 is a first-class value (the uniform measure), not an error; only the
 softmax itself, which carries a 1/beta factor, requires beta > 0.
@@ -310,9 +311,8 @@ def _observe(x, passes, ens=None):
             kind == "rem_pressure" for _, keys in passes for kind, _ in keys):
         raise ValueError(
             f"invalid-size: rem_pressure needs 2^N coordinates, N >= 1, got {m}")
-    rows = x.reshape(-1, m)
+    rows, step, starts = _blocks(x)
     n = rows.shape[0]
-    step = max(1, _BLOCK_ELEMENTS // m)
     out = [{key: np.empty((n, m) if key == _LOG_WEIGHTS else n) for key in keys}
            for _, keys in passes]
 
@@ -326,12 +326,21 @@ def _observe(x, passes, ens=None):
                     held[keys[i]][a:a + step] = values
             del x_max, d  # before the next block's shift is formed
 
-    _in_threads(run, range(0, max(n, 1), step))
+    _in_threads(run, starts)
     for p, (_, keys) in enumerate(passes):
         held, out[p] = out[p], None  # each pass's outputs go once yielded
         for i, key in enumerate(keys):
             yield p, i, held[key].reshape(lead + held[key].shape[1:])[()]
         del held
+
+
+def _blocks(x):
+    """(rows, step, starts): x as a 2-d array of its rows, the rows of one
+    block, _BLOCK_ELEMENTS // m or 1 where one row is wider, and the first
+    row of each block (one empty block for no rows)."""
+    rows = x.reshape(-1, x.shape[-1])
+    step = max(1, _BLOCK_ELEMENTS // rows.shape[1])
+    return rows, step, range(0, max(rows.shape[0], 1), step)
 
 
 def _in_threads(run, starts):
@@ -551,26 +560,23 @@ class _ParticipationProbes:
     Where fl(beta d) < _EXP_FLOOR, d = x - max x the row's shift (_shift),
     exp(beta d) is an exact 0, and so it stays at every larger beta.  So
     each row block keeps its live entries once, at a build beta_c: their
-    positions in the block and their d, where fl(beta_c d) >= _EXP_FLOOR.
-    A probe at beta >= beta_c takes exp(beta d) of those only and scatters
-    it into a zeroed block; the row sums, e *= e and pr /= s * s are those
-    of _pass, so every value is the same bit for bit.  The first build is
-    at a quarter of its probe's beta; a later probe below beta_c rebuilds
-    at its own beta.  A build runs its probe too, on each block's shift as
-    it is formed.  A block whose live entries are more than 1 / _LIVE_SHARE
-    of it is refused before any of them is kept: the build is dropped, and
-    the rest of its probe takes _pass on each block's shift.  A probe that
-    could be served only by a build at or below a refused beta takes
-    _observe.
+    int32 positions in the block and their d, where fl(beta_c d) >=
+    _EXP_FLOOR.  A probe at beta >= beta_c takes exp(beta d) of those only
+    and scatters it into a zeroed block; the row sums, e *= e and pr /= s * s
+    are those of _pass, so every value is the same bit for bit.  A probe
+    without a live set at or below its beta builds one, at a quarter of its
+    beta the first time and at its own beta after that, and runs on each
+    block's shift as it is formed.  A block whose live entries are more
+    than 1 / _LIVE_SHARE of it sends itself and the rest of its thread's
+    blocks to _pass on that shift, and the build is dropped.  Rows narrower
+    than _LIVE_SHARE, whose maxima alone pass the cap, take _pass at every
+    probe without a check.
     """
 
     def __init__(self, x):
-        self.lead, m = x.shape[:-1], x.shape[-1]
-        self.rows = x.reshape(-1, m)
-        self.step = max(1, _BLOCK_ELEMENTS // m)
-        self.starts = range(0, max(self.rows.shape[0], 1), self.step)
+        self.lead = x.shape[:-1]
+        self.rows, self.step, self.starts = _blocks(x)
         self.builds = 0         # builds tried
-        self.refused = 0.0      # the largest build beta the cap refused
         self.build_beta = None  # beta_c of the live set
         self.live = None        # per block: (positions, shifts) of its live entries
 
@@ -581,15 +587,15 @@ class _ParticipationProbes:
         else:
             self.live = self.build_beta = None  # gone before a rebuild
             build = beta if self.builds else beta / 4.0
-            if build <= self.refused:
-                return next(_observe(self.rows, [(beta, _PARTICIPATION)]))[2].reshape(
-                    self.lead)[()]
             self.builds += 1
-            live, refused = [None] * len(self.starts), []
+            live = [None] * len(self.starts)
         values = np.empty(self.rows.shape[0])
 
         def run(blocks):
             buf = np.empty(min(self.step, self.rows.shape[0]) * self.rows.shape[1])
+            # Each row's max is live at every beta, so a block of rows
+            # narrower than _LIVE_SHARE is over the cap unchecked.
+            dense = self.rows.shape[1] < _LIVE_SHARE
             for j in blocks:
                 a = self.starts[j]
                 block = self.rows[a:a + self.step]
@@ -598,13 +604,16 @@ class _ParticipationProbes:
                     pos, d = self.live[j]
                 else:
                     x_max, d = _shift(block)
-                    kept = None if refused else _live(d, build, e)
-                    if kept is None:
-                        refused.append(j)
+                    if not dense:
+                        with np.errstate(over="ignore"):
+                            keep = np.multiply(d, build, out=e) >= _EXP_FLOOR
+                        dense = np.count_nonzero(keep) > d.size // _LIVE_SHARE
+                    if dense:
                         values[a:a + self.step] = next(_pass(
                             block, x_max, d, beta, _PARTICIPATION, last=True))[1]
                         continue
-                    live[j] = pos, d = kept
+                    pos = np.flatnonzero(keep).astype(np.int32)
+                    live[j] = pos, d = pos, d.reshape(-1)[pos]
                 with np.errstate(over="ignore"):
                     z = np.multiply(d, beta)
                 e.fill(0.0)
@@ -616,24 +625,9 @@ class _ParticipationProbes:
                 values[a:a + self.step] = pr
 
         _in_threads(run, range(len(self.starts)))
-        if build is not None:
-            if refused:
-                self.refused = max(self.refused, build)
-            else:
-                self.live, self.build_beta = live, build
+        if build is not None and all(kept is not None for kept in live):
+            self.live, self.build_beta = live, build
         return values.reshape(self.lead)[()]
-
-
-def _live(d, beta_c, buf):
-    """(int32 positions, shifts) of the entries of the block shift d where
-    fl(beta_c d) >= _EXP_FLOOR, or None when they are more than 1 /
-    _LIVE_SHARE of d.  buf, of d's shape, takes beta_c d."""
-    with np.errstate(over="ignore"):
-        keep = np.multiply(d, beta_c, out=buf) >= _EXP_FLOOR
-    if np.count_nonzero(keep) > d.size // _LIVE_SHARE:
-        return None
-    pos = np.flatnonzero(keep).astype(np.int32)
-    return pos, d.reshape(-1)[pos]
 
 
 def _lse(x, beta, log_weights=False):
@@ -763,7 +757,10 @@ def _check_subset(subset):
         if type(i) is bool or not isinstance(i, (int, np.integer)):
             raise ValueError(
                 f"invalid-input: subset positions must be integers, got {i!r}")
-    return entries.astype(np.intp)
+    try:
+        return entries.astype(np.intp)
+    except OverflowError:
+        raise ValueError("invalid-input: subset index out of range") from None
 
 
 def participation_ratio(x, beta) -> np.ndarray | float:

@@ -741,13 +741,14 @@ def beta_star(ens: IndexedEnsemble, c: float, n: int, seed: int,
     and probes lists them.  Every probe reads one gibbs._ParticipationProbes
     of the batch: the entries that can still carry weight, kept once at a
     build beta and at most 1/16 of each row block, so a probe at or above
-    that beta takes exp of those only; a probe below it rebuilds, and one
-    whose build would pass the cap takes the dense pass.  Its values are
-    participation_ratio's bit for bit.  r_at_star reuses the per-sample
-    values of the probe at beta_star.  When no grid point up to beta_max
-    satisfies the criterion, UnboundedThresholdError is raised with
-    diagnostics.  The result is not memoized; pass it to the bounds that
-    need it.
+    that beta takes exp of those only.  A probe without such a live set
+    tries a build; a block over the cap drops it, and that block and the
+    rest of its thread's blocks take the dense pass, as every block does on
+    rows of fewer than 16 coordinates.  Its values are participation_ratio's
+    bit for bit.  r_at_star reuses the per-sample values of the probe at
+    beta_star.  When no grid point up to beta_max satisfies the criterion,
+    UnboundedThresholdError is raised with diagnostics.  The result is not
+    memoized; pass it to the bounds that need it.
     """
     _check_c(c)
     _check_n(n)

@@ -1,16 +1,21 @@
 """Config ingestion, all four commands, exit codes, emission determinism."""
 
 import ast
+import contextlib
 import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import softmaxima as sm
 from softmaxima import bounds, cli, quench, rem
@@ -19,6 +24,7 @@ from softmaxima.cli import (EXIT_CONFIG, EXIT_MISMATCH, EXIT_OK,
 
 IID2 = '{"iid": {"n": 2, "variance": 1.0}}'
 IID8 = '{"iid": {"n": 8, "variance": 1.0}}'
+BIG = "9" * 401  # a JSON integer past every double
 
 
 def run_main(argv):
@@ -358,6 +364,36 @@ class TestExitCodes:
         assert "\n" not in err.strip()
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("argv, config, why", [
+        (["estimate", "--ensemble", '{"iid": {"n": 4, "variance": 1.0}}',
+          "--observables", "soft_max(0,99999999999999999999)"], None,
+         "invalid-input: subset index out of range"),
+        (["estimate", "--ensemble", '{"iid": {"n": 4, "variance": %s}}' % BIG], None,
+         "invalid-input: iid variance is too large"),
+        (["estimate", "--ensemble",
+          '{"labels": ["a", "b"], "covariance": [[1, 0], [0, %s]]}' % BIG], None,
+         "invalid-input: covariance entry [1][1] is too large"),
+        ([], '{"command": "estimate", "ensemble_spec": {"labels": ["a", "b"], '
+             '"covariance": [[1, 0], [0, -%s]]}}' % BIG,
+         "invalid-input: covariance entry [1][1] is too large"),
+        ([], '{"command": "estimate", "ensemble_spec": %s, "beta_grid": [1, %s]}'
+         % (IID2, BIG), "invalid-input: a beta_grid entry is too large"),
+        ([], '{"command": "estimate", "ensemble_spec": %s, "seed": %s}'
+         % (IID2, "9" * 5000), "config file is not valid JSON")],
+        ids=["subset", "variance", "covariance", "config-covariance",
+             "config-beta-grid", "config-int-too-long"])
+    def test_integers_past_a_float_or_an_index(self, tmp_path, capsys, argv,
+                                              config, why):
+        # Each ended in an OverflowError or ValueError traceback.
+        if config is not None:
+            (tmp_path / "c.json").write_text(config)
+            argv = ["--config", str(tmp_path / "c.json")]
+        code = run_main(argv + ["--n", "10", "--out", str(tmp_path / "x")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "\n" not in err.strip() and why in err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_huge_iid_spec_is_config_error(self, tmp_path, capsys):
         # Rejected by the size cap before n labels are built.
         code = run_main(["estimate", "--ensemble",
@@ -519,6 +555,74 @@ class TestExitCodes:
 
     def test_exit_code_constants_distinct(self):
         assert len({EXIT_OK, EXIT_CONFIG, EXIT_VIOLATION, EXIT_MISMATCH}) == 4
+
+
+# JSON values at the edges of what the config fields read: bools, strings,
+# the largest doubles, integers past every double, and seeds at the ends of
+# [-2^63, 2^64).
+_EDGES = [True, False, "1", 0, 1, 2, -1, 0.5, 1e308, -1e308, int(BIG), -int(BIG),
+          -2 ** 63, -2 ** 63 - 1, 2 ** 63, 2 ** 64 - 1, 2 ** 64]
+_SMALL = {
+    "estimate": {"command": "estimate", "ensemble_spec": {"iid": {"n": 4, "variance": 1.0}},
+                 "beta_grid": [1.0], "n_samples": 20,
+                 "observables": ["gibbs_average", "soft_max(0,1)"]},
+    "bounds": {"command": "bounds", "beta_grid": [1.0], "n_samples": 50,
+               "ensemble_spec": {"labels": ["a", "b"],
+                                 "covariance": [[1.0, 0.3], [0.3, 1.0]]}},
+    "rem-sweep": {"command": "rem-sweep", "n_spins": 2, "beta_grid": [0.5, 1.0],
+                  "n_samples": 50}}
+
+
+def _edited(command, edits):
+    """The small config of command with each (field, value) of edits set."""
+    cfg = json.loads(json.dumps(_SMALL[command]))
+    for field, v in edits.items():
+        if field == "beta":
+            cfg["beta_grid"] = [v]
+        elif field == "variance":
+            cfg["ensemble_spec"] = {"iid": {"n": 4, "variance": v}}
+        elif field == "covariance":
+            cfg["ensemble_spec"] = {"labels": ["a", "b"],
+                                    "covariance": [[1.0, v], [v, 1.0]]}
+        elif field == "subset":
+            cfg["observables"] = [f"soft_max(0,{v})"]
+        else:
+            cfg[field] = v
+    return cfg
+
+
+class TestContractProperty:
+    """Every config ends in exit 0, 1, 2 or 3; exit 1 is one error: line on
+    stderr, and no output of exit 0 or 2 holds a nan cell."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(command=st.sampled_from(sorted(_SMALL)), edits=st.dictionaries(
+        st.sampled_from(["n_samples", "seed", "c", "beta", "variance",
+                         "covariance", "subset", "n_spins"]),
+        st.sampled_from(_EDGES), max_size=2))
+    @example(command="estimate", edits={"subset": 99999999999999999999})
+    @example(command="estimate", edits={"subset": 2 ** 63})
+    @example(command="estimate", edits={"variance": int(BIG)})
+    @example(command="bounds", edits={"covariance": int(BIG)})
+    @example(command="estimate", edits={"beta": int(BIG)})
+    @example(command="bounds", edits={"seed": 2 ** 64 - 1, "beta": 1e308})
+    def test_exit_codes_and_cells(self, command, edits):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "c.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(_edited(command, edits), fh)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                code = run_main(["--config", path, "--out", os.path.join(tmp, "x")])
+            assert code in (EXIT_OK, EXIT_CONFIG, EXIT_VIOLATION, EXIT_MISMATCH)
+            if code == EXIT_CONFIG:
+                lines = err.getvalue().splitlines()
+                assert len(lines) == 1 and lines[0].startswith("error:")
+            elif code in (EXIT_OK, EXIT_VIOLATION):
+                text = Path(tmp, "x.csv").read_text()
+                cells = [c for line in text.splitlines()[1:] for c in line.split(",")]
+                assert "nan" not in (c.strip().lower() for c in cells)
 
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"

@@ -283,19 +283,22 @@ class TestSpecLoading:
             from_spec({"iid": {"n": 4}})
         with pytest.raises(ValueError, match=r"'a'.*'b'"):
             from_spec({"labels": ["a", "b"], "covariance": [[1, 1], [1, 1]]})
+        with pytest.raises(ValueError, match="invalid-input: covariance has an entry"):
+            build_from_covariance(["a", "b"], [[1, 0], [0, 10 ** 400]])
 
     @pytest.mark.parametrize("body", [
         {"n": 8.9, "variance": 1.0}, {"n": 8.0, "variance": 1.0},
         {"n": "8", "variance": 1.0}, {"n": True, "variance": 1.0},
         {"n": 8, "variance": True}, {"n": 8, "variance": "1.0"},
-        {"n": 8, "variance": None}])
+        {"n": 8, "variance": None}, {"n": 8, "variance": 10 ** 400}])
     def test_iid_field_types(self, body):
         with pytest.raises(ValueError, match="invalid-input: iid"):
             from_spec({"iid": body})
 
     @pytest.mark.parametrize("cov", [
         [["1", "0.5"], [0.5, 1]], [[1, 0.5], [0.5, True]],
-        [[1, 0.5], [0.5, None]], [1, 0.5], "[[1, 0.5], [0.5, 1]]"])
+        [[1, 0.5], [0.5, None]], [1, 0.5], "[[1, 0.5], [0.5, 1]]",
+        [[1, 0.5], [0.5, -10 ** 400]]])
     def test_covariance_entry_types(self, cov):
         with pytest.raises(ValueError, match="invalid-input: covariance"):
             from_spec({"labels": ["a", "b"], "covariance": cov})

@@ -923,6 +923,15 @@ class TestSoftMax:
         with pytest.raises(ValueError, match="invalid-input: subset positions"):
             sm.Observable("soft_max", subset=tuple(subset))
 
+    @pytest.mark.parametrize("subset", [
+        (0, 2 ** 63), (-2 ** 63 - 1, 0), np.array([0, 2 ** 63], dtype=np.uint64)])
+    def test_positions_past_an_index_are_out_of_range(self, subset):
+        # astype(np.intp) raised OverflowError on these.
+        with pytest.raises(ValueError, match="invalid-input: subset index out of range"):
+            sm.soft_max(X_HAND, 1.0, subset)
+        with pytest.raises(ValueError, match="invalid-input: subset index out of range"):
+            sm.Observable("soft_max", subset=tuple(subset))
+
     def test_integer_positions_of_any_type(self):
         x = random_x(5, 6)
         want = sm.soft_max(x, 1.0, (0, 2))
@@ -992,14 +1001,38 @@ def _live_entries(probes):
     return 0 if probes.live is None else sum(pos.size for pos, _ in probes.live)
 
 
+def _count_route(monkeypatch):
+    """Patch gibbs so that _observe cannot run and each _shift and _pass
+    call appends its name to the list returned."""
+    calls = []
+    for name in ("_shift", "_pass"):
+        real = getattr(gibbs, name)
+        monkeypatch.setattr(gibbs, name, lambda *args, real=real, name=name, **kw:
+                            calls.append(name) or real(*args, **kw))
+    monkeypatch.setattr(gibbs, "_observe", None)
+    return calls
+
+
 class TestParticipationProbes:
     """The probes of one threshold search equal participation_ratio bit for
-    bit, whether they read a live set, rebuild it or take the dense pass."""
+    bit, whether they read a live set, build it or take the dense pass."""
 
     @staticmethod
-    def probe(probes, x, beta):
+    def probe(probes, x, beta, want=None):
+        # The one route: a probe reads the live set when it has one at or
+        # below beta, and otherwise tries a build, at beta / 4 the first time
+        # and at beta after that, which a block over the cap drops.
+        reads = probes.live is not None and beta >= probes.build_beta
+        before = probes.builds, probes.build_beta
+        build = beta if probes.builds else beta / 4.0
         got = probes(beta)
-        assert _same_bits(got, sm.participation_ratio(x, beta))
+        want = sm.participation_ratio(x, beta) if want is None else want
+        assert _same_bits(got, want)
+        if reads:
+            assert (probes.builds, probes.build_beta) == before
+        else:
+            assert probes.builds == before[0] + 1
+            assert probes.build_beta == (None if probes.live is None else build)
         if probes.live is not None:
             for (pos, d), a in zip(probes.live, probes.starts):
                 block = x[a:a + probes.step]
@@ -1035,44 +1068,61 @@ class TestParticipationProbes:
     @pytest.mark.parametrize("kind", PROBE_KINDS)
     def test_over_cap_takes_dense_path(self, kind, monkeypatch):
         # At beta = 40 every entry is live at the build beta 10: the build is
-        # refused and its probe takes _pass on each block's shift.  A probe
-        # that only a build at or below 10 could serve takes _observe.
+        # dropped and every block takes _pass on its one shift.  The probe at
+        # 5 tries a build again, and so does the one at beta, which keeps it.
         x, beta = _probe_batch(kind)
-        observed = []
-        real = gibbs._observe
-
-        def observe(x, passes, ens=None):
-            observed.append(passes)
-            return real(x, passes, ens)
-
+        betas = (40.0, 5.0, beta)
+        want = [sm.participation_ratio(x, b) for b in betas]
         probes = gibbs._ParticipationProbes(x)
-        monkeypatch.setattr(gibbs, "_observe", observe)
-        got = probes(40.0)
-        assert observed == [] and probes.live is None and probes.refused == 10.0
-        got_low = probes(5.0)
-        assert observed == [[(5.0, [("participation_ratio", None)])]]
-        assert probes.builds == 1 and probes.live is None
-        monkeypatch.setattr(gibbs, "_observe", real)
-        assert _same_bits(got, sm.participation_ratio(x, 40.0))
-        assert _same_bits(got_low, sm.participation_ratio(x, 5.0))
-        # A build above the refused beta is tried again, at the probe's beta.
-        self.probe(probes, x, beta)
-        assert probes.builds == 2 and probes.build_beta == beta
+        calls = _count_route(monkeypatch)
+        blocks = len(probes.starts)
+        for b, value, dense in zip(betas, want, (blocks, blocks, 0)):
+            calls.clear()
+            self.probe(probes, x, b, value)
+            assert calls.count("_shift") == blocks and calls.count("_pass") == dense
+            assert (probes.live is None) == (dense > 0)
+        assert probes.builds == 3 and probes.build_beta == beta
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_refused_in_the_last_block(self, monkeypatch, threads):
         # Equal rows are live at every beta, so the last block is over the
-        # cap after the others kept their live entries.
+        # cap after the others kept their live entries: it alone takes
+        # _pass, the build is dropped, and the next probe tries again.
         monkeypatch.setattr(gibbs, "_THREADS", threads)
         x, beta = _probe_batch("iid")
         x = x.copy()
         step = gibbs._BLOCK_ELEMENTS // x.shape[1]
         x[x.shape[0] // step * step:] = 0.5
+        betas = (beta, 2.0 * beta)
+        want = [sm.participation_ratio(x, b) for b in betas]
         probes = gibbs._ParticipationProbes(x)
-        self.probe(probes, x, beta)
-        assert probes.live is None and probes.refused == beta / 4.0
-        self.probe(probes, x, 2.0 * beta)
-        assert probes.builds == 2 and probes.live is None
+        calls = _count_route(monkeypatch)
+        for b, value in zip(betas, want):
+            calls.clear()
+            self.probe(probes, x, b, value)
+            assert probes.live is None
+            assert calls.count("_shift") == len(probes.starts)
+            assert calls.count("_pass") == 1
+        assert probes.builds == 2
+
+    @pytest.mark.parametrize("m", [2, 8])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_narrow_rows_take_the_dense_pass(self, monkeypatch, m, threads):
+        # Each row's max is live at every beta, so rows narrower than
+        # _LIVE_SHARE pass the cap: every probe tries a build, and every
+        # block of its five takes _pass on its shift.
+        monkeypatch.setattr(gibbs, "_THREADS", threads)
+        x = np.random.default_rng(8).standard_normal(
+            (4 * gibbs._BLOCK_ELEMENTS // m + 5, m))
+        betas = (16.0, 4.0, 64.0, 1e6)
+        want = [sm.participation_ratio(x, b) for b in betas]
+        probes = gibbs._ParticipationProbes(x)
+        calls = _count_route(monkeypatch)
+        for i, (b, value) in enumerate(zip(betas, want)):
+            calls.clear()
+            self.probe(probes, x, b, value)
+            assert probes.live is None and probes.builds == i + 1
+            assert calls.count("_shift") == calls.count("_pass") == 5
 
     @pytest.mark.parametrize("kind", PROBE_KINDS)
     def test_rows_wider_than_a_block(self, kind, monkeypatch):
@@ -1082,7 +1132,6 @@ class TestParticipationProbes:
         assert probes.step == 1 and len(probes.starts) == x.shape[0]
         for b in (beta, beta / 4.0, beta / 5.0, 3.0 * beta):
             self.probe(probes, x, b)
-        assert probes.builds == 2
 
     @pytest.mark.parametrize("kind", PROBE_KINDS)
     def test_one_thread_against_two(self, kind, monkeypatch):
@@ -1112,7 +1161,7 @@ class TestParticipationProbes:
         # Four threads of 6 or 7 blocks each, switching every microsecond,
         # on a batch whose blocks 9 and 20 are over the cap at every beta:
         # a block that wrote another's rows or live set, or a refusal that
-        # one thread missed, would change the bits or the builds.
+        # was missed, would change the bits, the live set or the builds.
         monkeypatch.setattr(gibbs, "_BLOCK_ELEMENTS", 1 << 12)
         clean = np.random.default_rng(7).standard_normal((25 * 64 - 5, 64))
         capped = clean.copy()
@@ -1121,13 +1170,14 @@ class TestParticipationProbes:
 
         def run(x):
             probes = gibbs._ParticipationProbes(x)
-            return [(probes(b), probes.build_beta, probes.refused,
+            return [(probes(b), probes.build_beta, probes.builds,
                      _live_entries(probes)) for b in betas]
 
         monkeypatch.setattr(gibbs, "_THREADS", 1)
         want = {id(x): run(x) for x in (clean, capped)}
         assert want[id(clean)][0][1] == 4000.0
-        assert all(build is None for _, build, _, _ in want[id(capped)])
+        assert [state[1:3] for state in want[id(capped)]] == [
+            (None, builds) for builds in range(1, 6)]
         monkeypatch.setattr(gibbs, "_THREADS", 4)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

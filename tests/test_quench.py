@@ -722,13 +722,17 @@ class TestBetaStar:
         assert ts.beta_star == first * resolution
         assert ts.bracket == ((first - 1) * resolution, first * resolution)
 
-    @pytest.mark.parametrize("kind", ["iid", "correlated", "rem"])
+    @pytest.mark.parametrize("kind", ["iid", "correlated", "rem", "iid8", "iid2"])
     @pytest.mark.parametrize("share", [16, 64])
     def test_probes_equal_public_path(self, kind, share, monkeypatch):
         # The search on the probe object and on participation_ratio itself
-        # give equal results; every live set stays within its cap, and a
-        # tighter cap (1/64) refuses builds along the way.
-        ens, n, _ = probe_case(kind)
+        # give the same result bit for bit, at one thread and at two; every
+        # live set stays within its cap, and a tighter cap (1/64) refuses
+        # builds along the way.  Rows of 8 or 2 coordinates never keep a
+        # live set: every probe tries a build and takes the dense pass.
+        narrow = {"iid8": (sm.build_iid(8, 1.0), 20_000),
+                  "iid2": (sm.build_iid(2, 1.0), 4500)}
+        ens, n = narrow[kind] if kind in narrow else probe_case(kind)[:2]
         monkeypatch.setattr(gibbs, "_LIVE_SHARE", share)
         builds = []
 
@@ -740,14 +744,19 @@ class TestBetaStar:
             return values
 
         with monkeypatch.context() as patch:
-            wrap_probes(patch, capped)
+            wrap_probes(patch,
+                        lambda probe, beta: sm.participation_ratio(probe.rows, beta))
+            public = sm.beta_star(ens, 1 / 17, n, seed=5)
+        wrap_probes(monkeypatch, capped)
+        for threads in (1, 2):
+            monkeypatch.setattr(gibbs, "_THREADS", threads)
+            builds.clear()
             live = sm.beta_star(ens, 1 / 17, n, seed=5)
-        wrap_probes(monkeypatch,
-                    lambda probe, beta: sm.participation_ratio(probe.rows, beta))
-        public = sm.beta_star(ens, 1 / 17, n, seed=5)
-        assert live == public
-        assert 0 < len(live.probes) <= 25 and len(builds) == len(live.probes)
-        assert 1 <= builds[-1] <= len(builds)
+            assert live == public and repr(live) == repr(public)
+            assert 0 < len(live.probes) <= 25 and len(builds) == len(live.probes)
+            assert 1 <= builds[-1] <= len(builds)
+            if kind in narrow:
+                assert builds == list(range(1, len(builds) + 1))
 
 
 # Adversarial participation curves, as functions of the grid index k on the
