@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gibbs
-from .ensemble import IndexedEnsemble, _ball_mask, greedy_packing
+from .ensemble import IndexedEnsemble, _ball_mask, _check_number, greedy_packing
 from .quench import (SUDAKOV_C, Z_MARGIN, QuenchedEstimate, ThresholdResult,
                      _check_c, _check_threshold, _mean_se,
                      mc_estimate,
@@ -174,7 +174,7 @@ def max_bounds(ens: IndexedEnsemble, n: int, seed: int,
     Both right-hand sides are closed-form, so their standard error is zero.
     The reports carry beta = inf (these are the beta -> infinity limits).
     """
-    _check_c(c)
+    c = _check_c(c)
     est = mc_estimate(ens, gibbs.EXPECTED_MAX, 0.0, n, seed)
     log_m = math.log(ens.size)
     upper = _assemble("max_upper", math.inf, _est(est),
@@ -203,8 +203,9 @@ def soft_super_sudakov(ens: IndexedEnsemble, beta, n: int, seed: int,
     diagnostic lhs <= E softmax(X over T).
     """
     beta = gibbs._check_beta(beta, positive=True)
-    r = ens.sigma_max if scale is None else float(scale)
-    if not (np.isfinite(r) and r > 0):
+    r = (ens.sigma_max if scale is None
+         else _check_number("invalid-parameter: scale", scale))
+    if not (math.isfinite(r) and r > 0):
         raise ValueError(f"invalid-parameter: scale must be positive, got {scale}")
 
     packing = greedy_packing(ens, 4.0 * r)

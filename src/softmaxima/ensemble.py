@@ -166,21 +166,25 @@ def build_iid(n: int, variance: float, labels: Sequence[str] | None = None) -> I
 
     The covariance is kept implicit (no dense matrix), so n may be large.
     """
-    if not isinstance(n, (int, np.integer)) or n < 2:
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValueError(
+            f"invalid-size: the number of coordinates must be an integer, got {n!r}")
+    if n < 2:
         raise ValueError(f"invalid-size: need at least 2 coordinates, got {n}")
     if n > IID_CAP:
         raise ValueError(f"scale: {n} coordinates exceed the i.i.d. cap of {IID_CAP}")
-    if not np.isfinite(variance) or variance <= 0:
+    variance = _check_number("invalid-parameter: variance", variance)
+    if not math.isfinite(variance) or variance <= 0:
         raise ValueError(f"invalid-parameter: variance must be positive, got {variance}")
     if labels is None:
         labels = [str(i) for i in range(n)]
     elif len(labels) != n:
         raise ValueError(f"invalid-size: {len(labels)} labels for {n} coordinates")
-    if not math.isfinite(2.0 * float(variance)):
+    if not math.isfinite(2.0 * variance):
         raise ValueError(
             f"scale: the canonical distance sqrt(2 * {variance:.6g}) "
             "overflows; rescale the variance")
-    return IndexedEnsemble(labels, iid_variance=float(variance))
+    return IndexedEnsemble(labels, iid_variance=variance)
 
 
 def build_from_covariance(labels: Sequence[str], sigma_matrix) -> IndexedEnsemble:
@@ -295,14 +299,18 @@ def _ball_mask(ens: IndexedEnsemble, centers, radius: float) -> np.ndarray:
 
 
 def _check_number(what, v):
-    # numpy would read JSON strings and booleans as numbers; a spec may not,
-    # nor an integer that no double holds.
-    if type(v) not in (int, float):
-        raise ValueError(f"invalid-input: {what} must be a number, got {v!r}")
+    """v, a Python or numpy int or float, as a float; what opens the refusal
+    with its category and v's name, as in "invalid-parameter: beta".
+
+    numpy would read strings and booleans as numbers; a spec or a parameter
+    may not, nor an integer that no double holds.
+    """
+    if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{what} must be a number, got {v!r}")
     try:
         return float(v)
     except OverflowError:
-        raise ValueError(f"invalid-input: {what} is too large for a float") from None
+        raise ValueError(f"{what} is too large for a float") from None
 
 
 def from_spec(spec: dict) -> IndexedEnsemble:
@@ -322,7 +330,7 @@ def from_spec(spec: dict) -> IndexedEnsemble:
             raise ValueError(f"invalid-input: malformed iid spec: {exc}") from None
         if type(n) is not int:
             raise ValueError(f"invalid-input: iid n must be an integer, got {n!r}")
-        return build_iid(n, _check_number("iid variance", variance))
+        return build_iid(n, _check_number("invalid-input: iid variance", variance))
     if "labels" in spec and "covariance" in spec:
         labels = spec["labels"]
         if not isinstance(labels, list) or not all(type(l) is str for l in labels):
@@ -332,7 +340,7 @@ def from_spec(spec: dict) -> IndexedEnsemble:
             raise ValueError("invalid-input: covariance must be a list of rows")
         for i, row in enumerate(rows):
             for j, v in enumerate(row):
-                _check_number(f"covariance entry [{i}][{j}]", v)
+                _check_number(f"invalid-input: covariance entry [{i}][{j}]", v)
         return build_from_covariance(labels, rows)
     raise ValueError(
         "invalid-input: ensemble spec needs either an 'iid' entry or "

@@ -10,19 +10,21 @@ argmax (beta -> infinity).  Everything here is a deterministic function of
 even when beta * max|x| reaches 1e6.  One pass (_pass) takes the exponents
 z = beta (x - max x), their exp e and its row sum s once per (batch, beta),
 and every value a caller wants at that beta from them, each by its own
-formula; each Renyi order's exponents are alpha z, from the pass's z.  A
-call (_observe) runs its passes over blocks of whole rows, at most
-_BLOCK_ELEMENTS (512 KB) unless one row is wider: each block's max and shift
-x - max x (_shift) are formed once for every beta of the call, so only one
-block's shift and one pass's arrays are alive at a time on each thread, in
-cache, beside one output per value.  The blocks run in contiguous ranges,
-one per usable CPU (at most _THREADS), each on its own thread, and each
-block writes only its own rows of the outputs; a row's values depend on
-that row alone, so the bits are those of one pass over the whole batch at
-any thread count.  _evaluate, the one router of observable kinds, groups
-(observable, beta) pairs into passes, and passes into calls while their
-outputs fit in a quarter of the batch; Observable.evaluate and the kernels
-below are its one-pair cases.
+formula and each one number per row; each Renyi order's exponents are alpha
+z, from the pass's z.  A call (_observe) runs its passes over blocks of
+whole rows, at most _BLOCK_ELEMENTS (512 KB) unless one row is wider: each
+block's max and shift x - max x (_shift) are formed once for every beta of
+the call, so only one block's shift and one pass's arrays are alive at a
+time on each thread, in cache, beside one n-vector per value.  The blocks
+run in contiguous ranges, one per usable CPU (at most _THREADS), each on its
+own thread, and each block writes only its own rows of the outputs; a row's
+values depend on that row alone, so the bits are those of one pass over the
+whole batch at any thread count.  _evaluate, the one router of observable
+kinds, groups (observable, beta) pairs into passes, and passes into calls
+while their outputs fit in a quarter of the batch; Observable.evaluate and
+the kernels below are its one-pair cases.  The Gibbs measure itself
+(gibbs_measure), n x m log-weights and weights, is formed on the whole batch
+from the same shift, exp and row sum, outside the passes.
 
 KL(nu_beta || uniform) = log m + beta <X> - Lambda(beta) is taken with the
 shift out of both terms, as log m + sum e z / s - log s: each term lies in
@@ -59,6 +61,8 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
+
+from .ensemble import _check_number
 
 # Switch renyi_to_uniform to its alpha -> 1 limit (the KL divergence) inside
 # this window; the generic formula is 0/0 there.
@@ -103,7 +107,7 @@ _MIN_THREAD_BLOCKS = 2
 
 
 def _check_beta(beta, positive=False):
-    beta = float(beta)
+    beta = _check_number("invalid-parameter: beta", beta)
     if positive:
         if not np.isfinite(beta) or beta <= 0:
             raise ValueError(
@@ -217,10 +221,9 @@ def _exp(z, out=None):
 
 
 # Keys of the values _observe takes: (kind, alpha) of an observable (see
-# _pass_key), or one of these three for Lambda(beta), the log-weights and the
-# softmax over every coordinate.
+# _pass_key), or one of these two for Lambda(beta) and the softmax over every
+# coordinate.
 _LOG_PARTITION = ("log_partition", None)
-_LOG_WEIGHTS = ("log_weights", None)
 _SOFT_MAX = ("soft_max", None)
 
 
@@ -270,8 +273,7 @@ def _evaluate(x, pairs, ens=None):
             yield i, _soft_max(x, _check_beta(beta, positive=True), obs.subset)
     groups, held = [], 0
     for beta, (index, keys) in passes.items():
-        size = sum(x.size if key == _LOG_WEIGHTS else x.size // x.shape[-1]
-                   for key in set(keys))
+        size = len(set(keys)) * (x.size // x.shape[-1])
         if groups and 4 * (held + size) <= x.size:
             groups[-1].append((beta, index, keys))
             held += size
@@ -301,10 +303,10 @@ def _observe(x, passes, ens=None):
     blocks run in contiguous ranges on up to _THREADS threads (_in_threads),
     and each block writes only its own rows.  Every value of a row depends
     on that row alone, so the bits are those of one pass over the whole
-    batch at any thread count.  Beside those outputs (one n-vector per key,
-    or n x m for log_weights) only one block's shift and one pass's arrays
-    are alive at a time on each thread.  rem_pressure, Lambda / N for m =
-    2^N, refuses other m first.
+    batch at any thread count.  Every value has x's shape without its last
+    axis.  Beside those outputs (one n-vector per key) only one block's
+    shift and one pass's arrays are alive at a time on each thread.
+    rem_pressure, Lambda / N for m = 2^N, refuses other m first.
     """
     lead, m = x.shape[:-1], x.shape[-1]
     if (m < 2 or m & (m - 1)) and any(
@@ -313,8 +315,7 @@ def _observe(x, passes, ens=None):
             f"invalid-size: rem_pressure needs 2^N coordinates, N >= 1, got {m}")
     rows, step, starts = _blocks(x)
     n = rows.shape[0]
-    out = [{key: np.empty((n, m) if key == _LOG_WEIGHTS else n) for key in keys}
-           for _, keys in passes]
+    out = [{key: np.empty(n) for key in keys} for _, keys in passes]
 
     def run(starts):
         for a in starts:
@@ -330,7 +331,7 @@ def _observe(x, passes, ens=None):
     for p, (_, keys) in enumerate(passes):
         held, out[p] = out[p], None  # each pass's outputs go once yielded
         for i, key in enumerate(keys):
-            yield p, i, held[key].reshape(lead + held[key].shape[1:])[()]
+            yield p, i, held[key].reshape(lead)[()]
         del held
 
 
@@ -388,12 +389,13 @@ def _pass(x, x_max, d, beta, keys, ens=None, last=False):
 
     The exponents z = beta d, their exp e and the row sum s of e are formed
     once, and each value from them by its kernel's own formula in its own
-    order, so the values do not depend on which others are taken.  z is
-    kept beside e for the Renyi orders, whose exponents are alpha z, and
-    for the log-weights and the weights.  Beside d, which the last pass
-    takes for z, at most two block-sized arrays are alive at a time (three
-    while shannon_entropy is formed, or KL beside the participation ratio
-    and a kept z), and one when e is all that is read.
+    order, so the values do not depend on which others are taken; each is
+    one number per row.  z is kept beside e for the Renyi orders, whose
+    exponents are alpha z, and for the weights, which are formed in z's
+    buffer.  Beside d, which the last pass takes for z, at most two
+    block-sized arrays are alive at a time (three while shannon_entropy is
+    formed, or KL beside the participation ratio and a kept z), and one when
+    e is all that is read.
     """
     def emit(key, values):
         return ((i, values) for i, k in enumerate(keys) if k == key)
@@ -414,8 +416,7 @@ def _pass(x, x_max, d, beta, keys, ens=None, last=False):
     want_kl = "kl_to_uniform" in kinds
     want_w = bool(kinds & {"gibbs_average", "shannon_entropy"}
                   or ("replica_gibbs" in kinds and not iid_replica))
-    want_lw = want_w or "log_weights" in kinds
-    keep_z = want_lw or "renyi_to_uniform" in kinds
+    keep_z = want_w or "renyi_to_uniform" in kinds
     log_m = np.log(m)
     with np.errstate(over="ignore"):
         z = np.multiply(d, beta, out=d if last else None)
@@ -435,7 +436,7 @@ def _pass(x, x_max, d, beta, keys, ens=None, last=False):
     # Nothing reads e any more: the Renyi sums take its buffer.
     log_s_alpha = _renyi_sums(z, keys, e)
     del e
-    if not want_lw:
+    if not want_w:
         z = None
     log_s = np.log(s)
     if want_kl:
@@ -481,14 +482,11 @@ def _pass(x, x_max, d, beta, keys, ens=None, last=False):
             yield from emit(("free_energy", None), over_beta(log_m))
         if "soft_max" in kinds:
             yield from emit(_SOFT_MAX, over_beta(0.0))
-    if not want_lw:
+    if not want_w:
         return
     z -= log_s[..., None]
     del log_s
-    yield from emit(_LOG_WEIGHTS, z)
-    if not want_w:
-        return
-    w = _exp(z, out=None if "log_weights" in kinds else z)
+    w = _exp(z, out=z)
     if "replica_gibbs" in kinds and not iid_replica:
         yield from emit(("replica_gibbs", None),
                         0.5 * beta * _replica_sum(w, ens.squared_distances))
@@ -630,17 +628,6 @@ class _ParticipationProbes:
         return values.reshape(self.lead)[()]
 
 
-def _lse(x, beta, log_weights=False):
-    """Lambda(beta) = log sum_i exp(beta x_i) over the last axis.
-
-    With log_weights=True also returns beta * x - Lambda(beta), formed from
-    the shifted exponents, so it is finite for every finite beta.
-    """
-    keys = [_LOG_PARTITION, _LOG_WEIGHTS] if log_weights else [_LOG_PARTITION]
-    values = [v for _, _, v in _observe(x, [(beta, keys)])]
-    return tuple(values) if log_weights else values[0]
-
-
 def _check_x(x):
     x = np.asarray(x, dtype=np.float64)
     if x.ndim < 1 or x.shape[-1] < 1:
@@ -657,7 +644,7 @@ def log_partition(x, beta) -> np.ndarray | float:
     """
     beta = _check_beta(beta)
     x = _check_x(x)
-    return _scalar(_lse(x, beta))
+    return _scalar(next(_observe(x, [(beta, [_LOG_PARTITION])]))[2])
 
 
 @dataclass(frozen=True)
@@ -687,9 +674,15 @@ def gibbs_measure(x, beta) -> GibbsState:
                           log_weights=np.full(x.shape, -np.log(m)),
                           weights=np.full(x.shape, 1.0 / m),
                           log_z=_scalar(np.full(x.shape[:-1], np.log(m))))
-    log_z, log_w = _lse(x, beta, log_weights=True)
-    return GibbsState(beta=beta, log_weights=log_w, weights=_exp(log_w),
-                      log_z=_scalar(log_z))
+    # beta x - Lambda(beta) as z - log s from the shifted exponents z = beta
+    # (x - max x), so it is finite for every finite beta.
+    x_max, d = _shift(x)
+    with np.errstate(over="ignore"):
+        z = np.multiply(d, beta, out=d)
+    log_s = np.log(_row_sum(_exp(z)))
+    z -= log_s[..., None]
+    return GibbsState(beta=beta, log_weights=z, weights=_exp(z),
+                      log_z=_scalar(beta * x_max + log_s))
 
 
 def gibbs_average(state: GibbsState, x) -> np.ndarray | float:

@@ -56,7 +56,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
 from . import gibbs
-from .ensemble import IndexedEnsemble
+from .ensemble import IndexedEnsemble, _check_number
 
 BETA_MAX_FACTOR = 1e4        # beta_star searches beta in (0, 1e4 / sigma]
 DEFAULT_RESOLUTION = 1e-3    # beta_star grid step, in units of 1 / sigma
@@ -106,9 +106,11 @@ class ThresholdResult:
     probes: tuple[float, ...]
 
 
-def _check_c(c) -> None:
+def _check_c(c) -> float:
+    c = _check_number("invalid-parameter: c", c)
     if not (0.0 < c < 1.0):
         raise ValueError(f"invalid-parameter: c must lie in (0, 1), got {c}")
+    return c
 
 
 def _check_threshold(threshold, ens: IndexedEnsemble) -> None:
@@ -750,12 +752,12 @@ def beta_star(ens: IndexedEnsemble, c: float, n: int, seed: int,
     UnboundedThresholdError is raised with diagnostics.  The result is not
     memoized; pass it to the bounds that need it.
     """
-    _check_c(c)
+    c = _check_c(c)
     _check_n(n)
     sigma = ens.sigma_max
-    if resolution is None:
-        resolution = DEFAULT_RESOLUTION / sigma
-    if not np.isfinite(resolution) or resolution <= 0:
+    resolution = (DEFAULT_RESOLUTION / sigma if resolution is None else
+                  _check_number("invalid-parameter: resolution", resolution))
+    if not math.isfinite(resolution) or resolution <= 0:
         raise ValueError(
             f"invalid-parameter: resolution must be positive, got {resolution}")
     beta_max = BETA_MAX_FACTOR / sigma
@@ -807,7 +809,7 @@ def beta_star(ens: IndexedEnsemble, c: float, n: int, seed: int,
     return ThresholdResult(
         beta_star=beta, bracket=(lo * resolution, beta), target=target,
         r_at_star=_from_values(hi_values, gibbs.PARTICIPATION_RATIO, beta, n, seed),
-        ensemble_key=ens.cache_key, c=float(c), probes=tuple(probes))
+        ensemble_key=ens.cache_key, c=c, probes=tuple(probes))
 
 
 # -- independent quadrature oracle ----------------------------------------------

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gibbs
-from .ensemble import IndexedEnsemble, build_iid
+from .ensemble import IndexedEnsemble, _check_number, build_iid
 from .quench import (SUDAKOV_C, Z_MARGIN, QuenchedEstimate, ThresholdResult,
                      _check_threshold, beta_star, mc_estimates)
 
@@ -67,11 +67,10 @@ def limit_pressure(beta) -> float:
 
 def _divergence(kl) -> float:
     """An E KL estimate as a float; a missing or non-finite one is refused."""
-    real = (isinstance(kl, (int, float, np.integer, np.floating))
-            and not isinstance(kl, bool))
-    if not (real and math.isfinite(kl)):
-        raise ValueError(f"invalid-input: E KL must be a finite number, got {kl!r}")
-    return float(kl)
+    kl = _check_number("invalid-input: E KL", kl)
+    if not math.isfinite(kl):
+        raise ValueError(f"invalid-input: E KL must be finite, got {kl!r}")
+    return kl
 
 
 def q_lower(model: RemModel, beta, threshold: ThresholdResult, kl_star) -> float:
@@ -104,7 +103,8 @@ def q_upper_min(model: RemModel, beta, beta0_grid, kl) -> float:
     itself, not at a knee, read only when some knee lies below beta.
     """
     beta = gibbs._check_beta(beta)
-    knees = [float(b) for b in np.atleast_1d(np.asarray(beta0_grid, dtype=float))]
+    knees = [_check_number("invalid-parameter: beta0", b)
+             for b in np.atleast_1d(np.asarray(beta0_grid, dtype=object))]
     if len(knees) == 0:
         raise ValueError("invalid-parameter: beta0 grid must be nonempty")
     knees.append(model.beta_c)
@@ -146,13 +146,12 @@ def pressure_sweep(model: RemModel, beta_grid, n: int, seed: int,
     ensemble's own participation threshold) and the grid-minimized upper
     curve, allowing Z_MARGIN standard errors.
     """
-    grid = [float(b) for b in np.atleast_1d(np.asarray(beta_grid, dtype=float))]
+    grid = [gibbs._check_beta(b)
+            for b in np.atleast_1d(np.asarray(beta_grid, dtype=object))]
     if len(grid) == 0:
         raise ValueError("invalid-parameter: beta grid must be nonempty")
     if any(b2 <= b1 for b1, b2 in zip(grid, grid[1:])):
         raise ValueError("invalid-parameter: beta grid must be strictly increasing")
-    for b in grid:
-        gibbs._check_beta(b)
 
     threshold = beta_star(model.ensemble, c, n, seed)
     bs = threshold.beta_star

@@ -5,12 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import softmaxima as sm
 from softmaxima import (ball, build_from_covariance, build_iid, from_spec,
                         greedy_packing)
 from softmaxima.cli import _resolve_ensemble
-from softmaxima.ensemble import DENSE_CAP
+from softmaxima.ensemble import DENSE_CAP, IID_CAP
 from tests.conftest import two_cluster_vectors
 
 
@@ -309,6 +311,72 @@ class TestSpecLoading:
     def test_label_types(self, labels):
         with pytest.raises(ValueError, match="invalid-input: labels"):
             from_spec({"labels": labels, "covariance": [[1.0, 0.0], [0.0, 1.0]]})
+
+
+# One numeric API parameter each: the value under test goes where v is.
+_IID4 = build_iid(4, 1.0)
+_X3 = np.array([[0.5, -1.0, 2.0]])
+_PARAMETERS = {
+    "free_energy beta": lambda v: sm.free_energy(_X3, v),
+    "mc_estimates beta":
+        lambda v: sm.mc_estimates(_IID4, [(sm.GIBBS_AVERAGE, v)], 10, 0),
+    "limit_pressure beta": sm.limit_pressure,
+    "soft_super_sudakov beta": lambda v: sm.soft_super_sudakov(_IID4, v, 10, 0),
+    "pressure_sweep beta": lambda v: sm.pressure_sweep(sm.rem_model(2), [v], 10, 0),
+    "build_iid n": lambda v: build_iid(v, 1.0),
+    "build_iid variance": lambda v: build_iid(4, v),
+    "beta_star c": lambda v: sm.beta_star(_IID4, v, 10, 0),
+    "max_bounds c": lambda v: sm.max_bounds(_IID4, 10, 0, c=v),
+    "beta_star resolution": lambda v: sm.beta_star(_IID4, 0.5, 10, 0, resolution=v),
+    "soft_super_sudakov scale":
+        lambda v: sm.soft_super_sudakov(_IID4, 1.0, 10, 0, scale=v),
+}
+_VALUES = [True, False, np.True_, "1.0", "2", None, [1.0], math.inf, -math.inf,
+           math.nan, -0.0, 10 ** 400, -10 ** 400, np.float32(0.5), np.int64(3),
+           0.5, 2, 1e-300]
+
+
+class TestApiNumberChecks:
+    """A numeric API parameter is a Python or numpy int or float: anything
+    else, and an integer that no double holds, is refused with a ValueError
+    whose message starts with invalid-, and so is a number out of range."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(name=st.sampled_from(sorted(_PARAMETERS)), v=st.sampled_from(_VALUES))
+    @example(name="free_energy beta", v="2")
+    @example(name="free_energy beta", v=True)
+    @example(name="free_energy beta", v=None)
+    @example(name="free_energy beta", v=[1.0])
+    @example(name="mc_estimates beta", v=10 ** 400)
+    @example(name="soft_super_sudakov beta", v="1")
+    @example(name="limit_pressure beta", v=True)
+    @example(name="pressure_sweep beta", v="1")
+    @example(name="build_iid variance", v=10 ** 400)
+    @example(name="build_iid variance", v="1.0")
+    @example(name="build_iid variance", v=None)
+    @example(name="build_iid variance", v=True)
+    @example(name="build_iid n", v=4.0)
+    @example(name="beta_star c", v="0.5")
+    @example(name="max_bounds c", v="0.5")
+    @example(name="beta_star resolution", v="0.01")
+    @example(name="soft_super_sudakov scale", v="0.5")
+    @example(name="soft_super_sudakov scale", v=True)
+    def test_refused_or_evaluated(self, name, v):
+        number = (isinstance(v, (int, float, np.integer, np.floating))
+                  and not isinstance(v, bool))
+        try:
+            _PARAMETERS[name](v)
+        except ValueError as exc:
+            # A count past the i.i.d. cap is a scale refusal, not a bad value.
+            if (name == "build_iid n" and isinstance(v, (int, np.integer))
+                    and v > IID_CAP):
+                assert str(exc).startswith("scale:"), exc
+            else:
+                assert str(exc).startswith("invalid-"), exc
+        else:
+            # None is the default of resolution and scale.
+            default = v is None and name.endswith(("resolution", "scale"))
+            assert default or number and abs(float(v)) < math.inf, (name, v)
 
 
 def test_two_cluster_fixture_geometry(twocluster12):

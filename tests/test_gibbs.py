@@ -20,7 +20,7 @@ from scipy.special import logsumexp
 
 import softmaxima as sm
 from softmaxima import gibbs, quench
-from softmaxima.gibbs import _EXP_FLOOR, _exp, _lse
+from softmaxima.gibbs import _EXP_FLOOR, _exp
 from tests.conftest import probe_case
 
 LN2 = math.log(2.0)
@@ -63,7 +63,8 @@ class TestLogPartition:
 
 
 class TestLogSumExpPrimitive:
-    """The in-house primitive against scipy's logsumexp as the reference.
+    """The max-shifted log-sum-exp of log_partition and gibbs_measure against
+    scipy's logsumexp as the reference.
 
     The max-shifted form is accurate relative to beta * max x + log m, not to
     Lambda itself, so the inputs keep Lambda away from 0.
@@ -73,27 +74,31 @@ class TestLogSumExpPrimitive:
     def test_matches_scipy(self, beta):
         # Spread of x is about 8, so beta * spread reaches 1e6.
         x = 5.0 + np.random.default_rng(40).standard_normal((64, 16))
-        np.testing.assert_allclose(_lse(x, beta), logsumexp(beta * x, axis=-1),
+        np.testing.assert_allclose(sm.log_partition(x, beta),
+                                   logsumexp(beta * x, axis=-1),
                                    rtol=1e-14, atol=0.0)
 
     @pytest.mark.parametrize("beta", [0.5, 1.0, 1e6])
     def test_exact_ties(self, beta):
         x = np.array([[2.5, 2.5, 2.5, 2.5], [1.0, 3.0, 3.0, -2.0]])
-        np.testing.assert_allclose(_lse(x, beta), logsumexp(beta * x, axis=-1),
+        np.testing.assert_allclose(sm.log_partition(x, beta),
+                                   logsumexp(beta * x, axis=-1),
                                    rtol=1e-14, atol=0.0)
 
     @pytest.mark.parametrize("beta", [0.0, 0.7, 1e6])
     def test_single_coordinate(self, beta):
         x = np.array([[-1.25], [0.5], [3.0]])
-        assert np.array_equal(_lse(x, beta), beta * x[:, 0])
-        np.testing.assert_allclose(_lse(x, beta), logsumexp(beta * x, axis=-1),
+        assert np.array_equal(sm.log_partition(x, beta), beta * x[:, 0])
+        assert np.array_equal(sm.gibbs_measure(x, beta).log_z, beta * x[:, 0])
+        np.testing.assert_allclose(sm.log_partition(x, beta),
+                                   logsumexp(beta * x, axis=-1),
                                    rtol=1e-14, atol=0.0)
 
     def test_log_weights_finite_at_extreme_beta(self):
         # Shift before scale: beta * (x - max x) <= 0 whatever beta is.
         x = random_x(7, 41)
         with np.errstate(over="ignore"):
-            _, log_w = _lse(x, 1e308, log_weights=True)
+            log_w = sm.gibbs_measure(x, 1e308).log_weights
             avg = sm.GIBBS_AVERAGE.evaluate(x, 1e308)
         assert np.all(log_w <= 0.0)
         assert np.exp(log_w).sum() == 1.0
@@ -112,7 +117,7 @@ class TestLogSumExpPrimitive:
             assert np.array_equal(sm.free_energy(x, 1e308), [2.0])
             assert np.array_equal(sm.soft_max(x, 1e308), [2.0])
             assert np.array_equal(sm.soft_max(x, 1e308, [0, 1]), [0.5])
-            _, log_w = _lse(np.array([0.5, -2.0]), 1e308, log_weights=True)
+            log_w = sm.gibbs_measure(np.array([0.5, -2.0]), 1e308).log_weights
         assert np.array_equal(log_w, [0.0, -np.inf])
 
     def test_extreme_beta_participation(self):
@@ -192,11 +197,10 @@ class TestBlockedPass:
                 ("gibbs_average", None), ("kl_to_uniform", None),
                 ("free_energy", None), ("shannon_entropy", None),
                 ("replica_gibbs", None), gibbs._LOG_PARTITION,
-                gibbs._LOG_WEIGHTS, ("renyi_to_uniform", 0.5),
-                ("renyi_to_uniform", 2.0)]
+                ("renyi_to_uniform", 0.5), ("renyi_to_uniform", 2.0)]
         if m >= 2 and not m & (m - 1):
             keys.append(("rem_pressure", None))
-        return keys + [("kl_to_uniform", None), gibbs._LOG_WEIGHTS]  # repeats
+        return keys + [("kl_to_uniform", None), ("renyi_to_uniform", 0.5)]  # repeats
 
     @staticmethod
     def batch(m, n, order, seed):
@@ -258,12 +262,14 @@ class TestBlockedPass:
     @pytest.mark.parametrize("shape", [(3,), (5, 7, 8), (0, 8), (0, 3, 4)])
     def test_shapes(self, shape):
         x = np.random.default_rng(3).standard_normal(shape)
-        keys = [gibbs._LOG_PARTITION, gibbs._LOG_WEIGHTS]
+        keys = [gibbs._LOG_PARTITION, ("gibbs_average", None),
+                ("renyi_to_uniform", 2.0)]
         rows = x.reshape(-1, shape[-1])
         whole = dict(gibbs._pass(rows, *gibbs._shift(rows), 1.5, keys))
         for _, i, values in gibbs._observe(x, [(1.5, keys)]):
-            assert _same_bits(values, whole[i].reshape(np.shape(values)))
-            assert np.shape(values) == shape[:-1] + np.shape(whole[i])[1:]
+            # One value per row: x's shape without its last axis.
+            assert np.shape(values) == shape[:-1]
+            assert _same_bits(values, whole[i].reshape(shape[:-1]))
 
 
 class TestThreadedBlocks:
@@ -323,7 +329,7 @@ class TestThreadedBlocks:
         # not at all, would change the bits or the error raised.
         monkeypatch.setattr(gibbs, "_BLOCK_ELEMENTS", 1 << 12)
         x = np.random.default_rng(6).standard_normal((25 * 64 - 5, 64))
-        passes = [(beta, [gibbs._LOG_WEIGHTS, ("kl_to_uniform", None)])
+        passes = [(beta, [("gibbs_average", None), ("kl_to_uniform", None)])
                   for beta in (0.5, 3.0)]
         monkeypatch.setattr(gibbs, "_THREADS", 1)
         want = list(gibbs._observe(x, passes))
@@ -425,9 +431,10 @@ class TestGroupedPasses:
         for i, pair in enumerate(pairs):
             alone = next(gibbs._evaluate(x, [pair], ens))[1]
             assert _same_bits(grouped[i], alone), (pair, n)
-        # Log-weights and Lambda, which is inf where beta max x overflows:
-        # every beta's pass in one call against each pass in its own.
-        keys = [gibbs._LOG_WEIGHTS, gibbs._LOG_PARTITION]
+        # The tilted mean and Lambda, which is inf where beta max x
+        # overflows: every beta's pass in one call against each pass in its
+        # own.
+        keys = [("gibbs_average", None), gibbs._LOG_PARTITION]
         passes = [(beta, keys) for beta in dict.fromkeys(betas)]
         with np.errstate(over="ignore"):
             together = list(gibbs._observe(x, passes))
@@ -518,19 +525,19 @@ class TestKeptZRenyi:
             expected = (self._formed_again(x, beta, obs.alpha) if obs in renyi
                         else next(rest))
             assert _same_bits(values[i], expected), ((obs, beta), n)
-        # Log-weights keep z too; every beta's pass in one call, so a wide
+        # The weights keep z too; every beta's pass in one call, so a wide
         # batch has passes before the last, which forms z in d's buffer.
-        keys = [gibbs._LOG_WEIGHTS] + [("renyi_to_uniform", a) for a in alphas]
+        keys = [("gibbs_average", None)] + [("renyi_to_uniform", a) for a in alphas]
         betas = list(dict.fromkeys(betas))
 
         def observe(keys):
             with np.errstate(over="ignore"):
                 return [v for _, _, v in gibbs._observe(x, [(b, keys) for b in betas])]
 
-        with_renyi, weights_alone = observe(keys), observe(keys[:1])
+        with_renyi, average_alone = observe(keys), observe(keys[:1])
         for p, beta in enumerate(betas):
             got = with_renyi[p * len(keys):(p + 1) * len(keys)]
-            assert _same_bits(got[0], weights_alone[p])
+            assert _same_bits(got[0], average_alone[p])
             for alpha, value in zip(alphas, got[1:]):
                 assert _same_bits(value, self._formed_again(x, beta, alpha))
 
@@ -563,7 +570,7 @@ class TestRowMax:
 
     # numpy vectorises its max from 9 columns on, where a fold can differ
     # from it on signed zeros.
-    WIDTHS = sorted({1, 2, 3, 8, 9, 16, gibbs._ROW_MAX_FOLD_WIDTH,
+    WIDTHS = sorted({1, 2, 3, 8, 9, 16, 17, gibbs._ROW_MAX_FOLD_WIDTH,
                      gibbs._ROW_MAX_FOLD_WIDTH + 1, 64})
 
     @pytest.mark.parametrize("m", WIDTHS)
@@ -581,12 +588,16 @@ class TestRowMax:
     @pytest.mark.parametrize("m", WIDTHS)
     def test_signed_zeros(self, m):
         # Every mix of 0.0 and -0.0 up to 2^10 rows, a negative row beside
-        # them, and each as one 1-D row.
+        # them, and each as one 1-D row; the batch in both layouts.  From 9
+        # columns on, np.max over column-major rows can pick the other sign
+        # of a tie than over the same rows in C order, so the wide rows are
+        # not reduced on a C-order copy.
         rows = min(1 << m, 1 << 10)
         bits = (np.arange(rows)[:, None] >> np.arange(m)[None, :]) & 1
         x = np.where(bits == 1, -0.0, 0.0)
         x = np.vstack([x, -np.ones(m)])
-        assert _same_bits(gibbs._row_max(x), np.max(x, axis=-1))
+        for batch in (x, np.asfortranarray(x)):
+            assert _same_bits(gibbs._row_max(batch), np.max(batch, axis=-1))
         assert _same_bits(gibbs._row_max(x.reshape(1, -1, m)),
                           np.max(x.reshape(1, -1, m), axis=-1))
         for row in x[:64]:
@@ -830,6 +841,35 @@ class TestGibbsMeasure:
         st = sm.gibbs_measure(random_x(7, 1), 0.0)
         assert np.all(st.weights == 1.0 / 7.0)
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 8, 9, 16, 64, 1024])
+    def test_equals_numpy_reference(self, m, order):
+        # log_weights = z - log s and Lambda = beta max x + log s, z = beta
+        # (x - max x) and s the C-order row sum of exp z, bit for bit; beta =
+        # 0 gives the exactly uniform state.
+        rng = np.random.default_rng(m)
+        for shape in [(m,), (5, m), (3, 4, m), (0, m)]:
+            x = np.asarray(rng.standard_normal(shape), order=order)
+            for beta in (0.0, 1e-300, 0.5, 1.0, 30.0, 1e4, 1e17, 1e300, 1.7e308):
+                with np.errstate(over="ignore"):
+                    x_max = np.max(x, axis=-1)
+                    z = (x - x_max[..., None]) * beta
+                    log_s = np.log(np.sum(np.ascontiguousarray(np.exp(z)), axis=-1))
+                    log_w = z - log_s[..., None]
+                    w = np.exp(log_w)
+                    log_z = beta * x_max + log_s
+                    st = sm.gibbs_measure(x, beta)
+                    lam = sm.log_partition(x, beta)
+                if beta == 0.0:
+                    log_w = np.full(shape, -np.log(m))
+                    w = np.full(shape, 1.0 / m)
+                    log_z = np.full(shape[:-1], np.log(m))
+                assert _same_bits(st.log_weights, log_w), (shape, beta)
+                assert _same_bits(st.weights, w), (shape, beta)
+                for got in (st.log_z, lam):
+                    assert type(got) is (float if len(shape) == 1 else np.ndarray)
+                    assert _same_bits(got, log_z), (shape, beta)
+
     def test_state_invariants(self):
         for seed in range(4):
             x = random_x(9, seed, scale=4.0)
@@ -972,7 +1012,8 @@ class TestParticipationRatio:
         # sum nu^2 = exp(Lambda(2 beta) - 2 Lambda(beta)); the subtraction
         # loses about beta * max x ulps, so the tolerance is loose.
         x = np.random.default_rng(16).standard_normal((200, 12))
-        want = np.exp(_lse(x, 2.0 * beta) - 2.0 * _lse(x, beta))
+        want = np.exp(sm.log_partition(x, 2.0 * beta)
+                      - 2.0 * sm.log_partition(x, beta))
         np.testing.assert_allclose(sm.participation_ratio(x, beta), want,
                                    rtol=1e-12, atol=0.0)
 
