@@ -13,6 +13,13 @@ divergence_bounds renders the six claims that rest on a divergence to the
 uniform measure at one beta, from one estimate each of the five quenched
 means they share, and reads the Sudakov constant c from the participation
 threshold; max_bounds takes c, by default quench.SUDAKOV_C.
+soft_super_sudakov carries the softmax over every coordinate as a
+diagnostic, and that observable joins the shifted pass at its beta
+(gibbs._evaluate).  claims_at, the bounds command's per-beta entry point,
+takes the five means and that softmax in one mc_estimates call, so both
+families share one pass at beta; its reports equal those of
+divergence_bounds and soft_super_sudakov field for field, since each
+claim is built by the same helper on either route.
 
 Right-hand sides of the form k * sqrt(estimate) get delta-method errors
 k * se / (2 sqrt(mean)); when the estimate under the root is within 4 standard
@@ -134,10 +141,45 @@ def divergence_bounds(ens: IndexedEnsemble, beta, threshold: ThresholdResult,
     live cross-check rather than a tautology.
     """
     _check_threshold(threshold, ens)
-    g, kl, ent, phi, half = (_est(e) for e in mc_estimates(ens, [
-        (obs, beta) for obs in (gibbs.GIBBS_AVERAGE, gibbs.KL_TO_UNIFORM,
-                                gibbs.SHANNON_ENTROPY, gibbs.FREE_ENERGY,
-                                gibbs.RENYI_HALF)], n, seed))
+    beta = gibbs._check_beta(beta)
+    return _divergence_claims(ens, beta, threshold,
+                              mc_estimates(ens, _divergence_pairs(beta), n, seed))
+
+
+def claims_at(ens: IndexedEnsemble, beta, threshold: ThresholdResult,
+              n: int, seed: int) -> tuple[BoundReport, ...]:
+    """divergence_bounds(ens, beta, threshold, n, seed) and, for beta > 0,
+    soft_super_sudakov(ens, beta, n, seed) at the default scale, in that
+    order and equal field for field, from one mc_estimates call.
+
+    The full-set softmax of soft_super_sudakov's extra joins the pass at
+    beta that serves the tilted mean, KL, entropy and free energy, so the
+    bounds command takes one pass per beta where the two calls took two.
+    """
+    _check_threshold(threshold, ens)
+    beta = gibbs._check_beta(beta)
+    pairs = _divergence_pairs(beta)
+    if beta > 0:
+        pairs.append((gibbs.soft_max_observable(range(ens.size)), beta))
+    estimates = mc_estimates(ens, pairs, n, seed)
+    reports = _divergence_claims(ens, beta, threshold, estimates[:5])
+    if beta > 0:
+        reports += (_sudakov_claim(ens, beta, ens.sigma_max, n, seed,
+                                   estimates[5]),)
+    return reports
+
+
+def _divergence_pairs(beta):
+    """The (observable, beta) pairs of the five means divergence_bounds reads."""
+    return [(obs, beta) for obs in (gibbs.GIBBS_AVERAGE, gibbs.KL_TO_UNIFORM,
+                                    gibbs.SHANNON_ENTROPY, gibbs.FREE_ENERGY,
+                                    gibbs.RENYI_HALF)]
+
+
+def _divergence_claims(ens, beta, threshold, estimates):
+    """divergence_bounds' reports at the checked beta from the estimates of
+    _divergence_pairs(beta), in that order."""
+    g, kl, ent, phi, half = (_est(e) for e in estimates)
     c, bs = threshold.c, threshold.beta_star
     below = beta < bs
     upper_coef = math.sqrt(2.0) * ens.sigma_max
@@ -207,7 +249,14 @@ def soft_super_sudakov(ens: IndexedEnsemble, beta, n: int, seed: int,
          else _check_number("invalid-parameter: scale", scale))
     if not (math.isfinite(r) and r > 0):
         raise ValueError(f"invalid-parameter: scale must be positive, got {scale}")
+    full = mc_estimate(ens, gibbs.soft_max_observable(range(ens.size)), beta,
+                       n, seed)
+    return _sudakov_claim(ens, beta, r, n, seed, full)
 
+
+def _sudakov_claim(ens, beta, r, n, seed, full) -> BoundReport:
+    """soft_super_sudakov's report at the checked beta and scale r, given
+    the estimate full of the softmax over every coordinate."""
     packing = greedy_packing(ens, 4.0 * r)
     s_pos = ens.indices_of(packing)
     balls = _ball_mask(ens, s_pos, r)
@@ -217,7 +266,9 @@ def soft_super_sudakov(ens: IndexedEnsemble, beta, n: int, seed: int,
     # Both batches are finite by construction, so they go to the kernel
     # unscanned.
     x = realization_batch(ens, n, seed)
-    lhs = _mean_se(gibbs._soft_max(x, beta, union))
+    # A union of every coordinate is the full set, whose softmax full holds.
+    lhs = (_est(full) if union.size == ens.size
+           else _mean_se(gibbs._soft_max(x, beta, union)))
 
     # Ball average first: shares the batch with the lhs sample-for-sample.
     ball_vals = np.mean([gibbs._soft_max(x, beta, bp) for bp in ball_positions],
@@ -234,10 +285,9 @@ def soft_super_sudakov(ens: IndexedEnsemble, beta, n: int, seed: int,
             g, gibbs._check_beta(beta * r, positive=True), np.arange(len(s_pos))))
 
     rhs = (r * aux_mean + ball_mean, math.hypot(r * aux_se, ball_se))
-    full = _mean_se(gibbs._soft_max(x, beta, np.arange(ens.size)))
     return _assemble("soft_super_sudakov", beta, lhs, rhs, "ge",
                      extra={"packing": tuple(packing), "scale": r,
-                            "full_softmax": full,
+                            "full_softmax": _est(full),
                             "union_size": int(union.size)})
 
 

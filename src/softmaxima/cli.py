@@ -311,9 +311,7 @@ def _run_bounds(cfg: ExperimentConfig):
 
     reports = []
     for beta in cfg.beta_grid:
-        reports.extend(bounds_mod.divergence_bounds(ens, beta, threshold, n, seed))
-        if beta > 0:
-            reports.append(bounds_mod.soft_super_sudakov(ens, beta, n, seed))
+        reports.extend(bounds_mod.claims_at(ens, beta, threshold, n, seed))
     reports.extend(bounds_mod.max_bounds(ens, n, seed, cfg.c))
 
     headers = ["name", "beta", "lhs_mean", "lhs_se", "rhs_mean", "rhs_se",

@@ -190,21 +190,18 @@ def build_iid(n: int, variance: float, labels: Sequence[str] | None = None) -> I
 def build_from_covariance(labels: Sequence[str], sigma_matrix) -> IndexedEnsemble:
     """Ensemble from an explicit covariance matrix.
 
-    Rejects asymmetric matrices, matrices with an eigenvalue below
-    -EIGENVALUE_RTOL * ||S||, and zero-distance coordinate pairs, naming the
-    offending entry in each case.  PSD-but-singular matrices are accepted:
+    Rejects entries that are not Python or numpy ints or floats (strings
+    and booleans among them), asymmetric matrices, matrices with an
+    eigenvalue below -EIGENVALUE_RTOL * ||S||, and zero-distance coordinate
+    pairs, naming the offending entry in each case.  PSD-but-singular matrices are accepted:
     the sampling factor falls back to a symmetric eigendecomposition with
     negative eigenvalues clamped at zero, so sampling stays exact in law.
     """
+    cov = _covariance_array(sigma_matrix)
     labels = [str(l) for l in labels]
     if len(set(labels)) != len(labels):
         dup = next(l for l in labels if labels.count(l) > 1)
         raise ValueError(f"invalid-input: duplicate label {dup!r}")
-    try:
-        cov = np.array(sigma_matrix, dtype=np.float64)
-    except OverflowError:
-        raise ValueError(
-            "invalid-input: covariance has an entry too large for a float") from None
     m = len(labels)
     if cov.shape != (m, m):
         raise ValueError(
@@ -313,6 +310,20 @@ def _check_number(what, v):
         raise ValueError(f"{what} is too large for a float") from None
 
 
+def _covariance_array(sigma_matrix):
+    """sigma_matrix as a float64 array, each entry of a matrix that is not
+    an int or float array read through _check_number."""
+    if isinstance(sigma_matrix, np.ndarray) and sigma_matrix.dtype.kind in "fiu":
+        return np.array(sigma_matrix, dtype=np.float64)
+    try:
+        rows = [list(row) for row in sigma_matrix]
+    except TypeError:
+        raise ValueError("invalid-input: covariance must be a list of rows") from None
+    return np.array([[_check_number(f"invalid-input: covariance entry [{i}][{j}]", v)
+                      for j, v in enumerate(row)] for i, row in enumerate(rows)],
+                    dtype=np.float64)
+
+
 def from_spec(spec: dict) -> IndexedEnsemble:
     """Build from a JSON-style dict.
 
@@ -338,9 +349,6 @@ def from_spec(spec: dict) -> IndexedEnsemble:
         rows = spec["covariance"]
         if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
             raise ValueError("invalid-input: covariance must be a list of rows")
-        for i, row in enumerate(rows):
-            for j, v in enumerate(row):
-                _check_number(f"invalid-input: covariance entry [{i}][{j}]", v)
         return build_from_covariance(labels, rows)
     raise ValueError(
         "invalid-input: ensemble spec needs either an 'iid' entry or "

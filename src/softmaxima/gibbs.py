@@ -227,10 +227,18 @@ _LOG_PARTITION = ("log_partition", None)
 _SOFT_MAX = ("soft_max", None)
 
 
-def _pass_key(obs, beta):
-    """(beta of obs's pass, obs's key in _observe) for obs at beta, or None
-    for a kind that runs its own kernel."""
-    if obs.kind in ("soft_max", "expected_max"):
+def _pass_key(obs, beta, m):
+    """(beta of obs's pass, obs's key in _observe) for obs at beta on rows
+    of m, or None for a kind that runs its own kernel.
+
+    The softmax over every coordinate in order, two or more, is the pass's
+    own; any other subset, a singleton among them, runs _soft_max.
+    """
+    if obs.kind == "soft_max":
+        if m > 1 and obs.subset == tuple(range(m)):
+            return beta, _SOFT_MAX
+        return None
+    if obs.kind == "expected_max":
         return None
     if obs.kind == "renyi_half":
         # D_1/2 at beta is log m + log pr of the pass at beta / 2.
@@ -248,13 +256,14 @@ def _evaluate(x, pairs, ens=None):
 
     x and the betas are checked by the caller; ens gives replica_gibbs its
     geometry.  Pairs whose passes (_pass_key) fall at one beta share one
-    pass (-0.0 joins 0.0, where every pass value is the same); soft_max and
-    expected_max run their own kernels first.  Consecutive passes share one
-    _observe call, and so one shift per row block, while their outputs,
-    which are held until its last block, fit in a quarter of the batch; a
-    pass that does not fit starts the next call.  So a narrow batch with
-    many values runs one pass per call, and a wide one every pass in one.
-    No value depends on the other pairs or on the grouping.
+    pass (-0.0 joins 0.0, where every pass value is the same), the softmax
+    over every coordinate among them once its beta is checked positive; any
+    other softmax and expected_max run their own kernels first.  Consecutive
+    passes share one _observe call, and so one shift per row block, while
+    their outputs, which are held until its last block, fit in a quarter of
+    the batch; a pass that does not fit starts the next call.  So a narrow
+    batch with many values runs one pass per call, and a wide one every
+    pass in one.  No value depends on the other pairs or on the grouping.
     """
     passes = {}  # beta of the pass -> (pair indices, pass keys)
     for i, (obs, beta) in enumerate(pairs):
@@ -262,7 +271,9 @@ def _evaluate(x, pairs, ens=None):
             raise ValueError(
                 "invalid-input: replica_gibbs needs ensemble geometry; "
                 "evaluate it through the estimation driver")
-        routed = _pass_key(obs, beta)
+        if obs.kind == "soft_max":
+            beta = _check_beta(beta, positive=True)
+        routed = _pass_key(obs, beta, x.shape[-1])
         if routed is not None:
             index, keys = passes.setdefault(routed[0], ([], []))
             index.append(i)
@@ -270,7 +281,7 @@ def _evaluate(x, pairs, ens=None):
         elif obs.kind == "expected_max":
             yield i, _row_max(x)
         else:
-            yield i, _soft_max(x, _check_beta(beta, positive=True), obs.subset)
+            yield i, _soft_max(x, beta, obs.subset)
     groups, held = [], 0
     for beta, (index, keys) in passes.items():
         size = len(set(keys)) * (x.size // x.shape[-1])
@@ -867,10 +878,13 @@ class Observable:
                 f"invalid-parameter: unknown observable kind {self.kind!r}; "
                 f"expected one of {_KINDS}")
         if self.kind == "renyi_to_uniform":
-            if self.alpha is None or not np.isfinite(self.alpha) or self.alpha <= 0:
+            alpha = _check_number("invalid-parameter: renyi_to_uniform alpha",
+                                  self.alpha)
+            if not np.isfinite(alpha) or alpha <= 0:
                 raise ValueError(
                     f"invalid-parameter: renyi_to_uniform needs alpha > 0, "
-                    f"got {self.alpha}")
+                    f"got {alpha}")
+            object.__setattr__(self, "alpha", alpha)
         if self.kind == "soft_max" and (self.subset is None or len(self.subset) == 0):
             raise ValueError("invalid-input: soft_max needs a nonempty subset")
         if self.subset is not None:
@@ -908,7 +922,7 @@ REM_PRESSURE = Observable("rem_pressure")
 
 
 def renyi_observable(alpha: float) -> Observable:
-    return Observable("renyi_to_uniform", alpha=float(alpha))
+    return Observable("renyi_to_uniform", alpha=alpha)
 
 
 def soft_max_observable(subset) -> Observable:

@@ -458,7 +458,9 @@ def _fill_block(out, key):
     """Every row of out, row i being sample i's stream (see above).
 
     A row wider than _ZIG_MAX_WIDTH draws is drawn whole by numpy's own
-    generator from the start of its stream (_resume at word 0).  Narrower
+    generator from the start of its stream: one state dict is set up per
+    fill, and each row writes only its sample into the counter before numpy
+    reads the state (where _resume would build it anew per row).  Narrower
     rows take numpy's ziggurat (Marsaglia & Tsang 2000) in array ops: the
     fast path on whole blocks of Philox words, _CHUNK_BLOCKS blocks at a
     time, and, where it declines a draw, the wedge tests (_wedges), read
@@ -482,8 +484,15 @@ def _fill_block(out, key):
     # words, and _resume sets the state once a resumed row.
     state["state"]["key"] = key.tolist()
     if m > _ZIG_MAX_WIDTH:
+        # Word 0 of sample i's stream: counter (0, 0, i, 0), buffer spent,
+        # as _resume sets it; only the counter's sample word changes a row.
+        counter = state["state"]["counter"] = [0, 0, 0, 0]
+        state["buffer"], state["buffer_pos"] = [0, 0, 0, 0], 4
+        bit_generator, normal = rng.bit_generator, rng.standard_normal
         for i in range(n):
-            _resume(rng, state, i, 0, None, out[i])
+            counter[2] = i
+            bit_generator.state = state
+            normal(out=out[i])
         return
     n_blocks = -(-m // 4)
     step = _CHUNK_BLOCKS // n_blocks

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -130,6 +131,29 @@ class TestBuildFromCovariance:
         t = 5e-324
         ens = build_from_covariance(["a", "b"], [[4 * t, t], [t, 4 * t]])
         assert ens.covariance[0, 1] == t
+
+    @pytest.mark.parametrize("cov, at", [
+        ([["1", "0.5"], ["0.5", "1"]], "[0][0]"),
+        ([[True, 0.0], [0.0, True]], "[0][0]"),
+        ([[1.0, 0.5], [0.5, "1"]], "[1][1]"),
+        ([[1.0, None], [None, 1.0]], "[0][1]"),
+        (np.array([[True, False], [False, True]]), "[0][0]"),
+        (np.array([["1", "0"], ["0", "1"]]), "[0][0]")])
+    def test_entries_must_be_numbers(self, cov, at):
+        # Both built ensembles when the API read the matrix with np.array.
+        with pytest.raises(ValueError, match=(
+                r"^invalid-input: covariance entry " + re.escape(at)
+                + " must be a number")):
+            build_from_covariance(["a", "b"], cov)
+
+    @pytest.mark.parametrize("cov", [
+        [[2, 1], [1, 2]], [[np.float32(2.0), 1.0], [np.int64(1), 2.0]],
+        np.array([[2, 1], [1, 2]]), np.array([[2, 1], [1, 2]], np.uint8),
+        np.array([[2.0, 1.0], [1.0, 2.0]], np.float32)])
+    def test_int_and_float_entries_accepted(self, cov):
+        ens = build_from_covariance(["a", "b"], cov)
+        assert ens.covariance.dtype == np.float64
+        assert ens.covariance.tolist() == [[2.0, 1.0], [1.0, 2.0]]
 
     def test_singular_psd_accepted(self, twocluster12):
         # Rank-2 covariance: cholesky fails, the eigen fallback must not.
@@ -285,7 +309,8 @@ class TestSpecLoading:
             from_spec({"iid": {"n": 4}})
         with pytest.raises(ValueError, match=r"'a'.*'b'"):
             from_spec({"labels": ["a", "b"], "covariance": [[1, 1], [1, 1]]})
-        with pytest.raises(ValueError, match="invalid-input: covariance has an entry"):
+        with pytest.raises(ValueError,
+                           match=r"invalid-input: covariance entry \[1\]\[1\] is too large"):
             build_from_covariance(["a", "b"], [[1, 0], [0, 10 ** 400]])
 
     @pytest.mark.parametrize("body", [
@@ -330,6 +355,8 @@ _PARAMETERS = {
     "beta_star resolution": lambda v: sm.beta_star(_IID4, 0.5, 10, 0, resolution=v),
     "soft_super_sudakov scale":
         lambda v: sm.soft_super_sudakov(_IID4, 1.0, 10, 0, scale=v),
+    "Observable alpha": lambda v: sm.Observable("renyi_to_uniform", alpha=v),
+    "renyi_observable alpha": sm.renyi_observable,
 }
 _VALUES = [True, False, np.True_, "1.0", "2", None, [1.0], math.inf, -math.inf,
            math.nan, -0.0, 10 ** 400, -10 ** 400, np.float32(0.5), np.int64(3),
@@ -361,15 +388,22 @@ class TestApiNumberChecks:
     @example(name="beta_star resolution", v="0.01")
     @example(name="soft_super_sudakov scale", v="0.5")
     @example(name="soft_super_sudakov scale", v=True)
+    @example(name="Observable alpha", v="0.5")
+    @example(name="Observable alpha", v=True)
+    @example(name="renyi_observable alpha", v="0.5")
+    @example(name="renyi_observable alpha", v=True)
     def test_refused_or_evaluated(self, name, v):
         number = (isinstance(v, (int, float, np.integer, np.floating))
                   and not isinstance(v, bool))
         try:
             _PARAMETERS[name](v)
         except ValueError as exc:
-            # A count past the i.i.d. cap is a scale refusal, not a bad value.
+            # A count past the i.i.d. cap is a scale refusal, not a bad value,
+            # and so is a c whose participation target (c a / Delta)^2 / 2
+            # underflows to 0.
             if (name == "build_iid n" and isinstance(v, (int, np.integer))
-                    and v > IID_CAP):
+                    and v > IID_CAP
+                    or name == "beta_star c" and number and 0 < v < 1e-162):
                 assert str(exc).startswith("scale:"), exc
             else:
                 assert str(exc).startswith("invalid-"), exc

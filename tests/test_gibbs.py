@@ -992,6 +992,65 @@ class TestSoftMax:
             sm.soft_max(X_HAND, 1.0, [0, 0])
 
 
+class TestFullSetSoftMax:
+    """The softmax over every coordinate in order joins the pass at its
+    beta; any other subset keeps its own kernel, _soft_max."""
+
+    BETAS = [1e-300, 0.5, 1.0, 30.0, 1e17, 1.7e308]
+
+    @staticmethod
+    def _kernel_calls(monkeypatch):
+        calls = []
+        real = gibbs._soft_max
+        monkeypatch.setattr(gibbs, "_soft_max",
+                            lambda x, beta, subset: calls.append(tuple(subset))
+                            or real(x, beta, subset))
+        return calls
+
+    @pytest.mark.parametrize("m", [2, 7, 8, 9, 64, 1024])
+    def test_joins_the_pass_bit_for_bit(self, monkeypatch, m):
+        ens = sm.build_iid(m, 1.3)
+        n = 3000 if m <= 64 else 300
+        x = quench.realization_batch(ens, n, 4)
+        full = sm.soft_max_observable(range(m))
+        want = {beta: gibbs._soft_max(x, beta, np.arange(m)) for beta in self.BETAS}
+        calls = self._kernel_calls(monkeypatch)
+        for beta in self.BETAS:
+            pairs = [(sm.GIBBS_AVERAGE, beta), (full, beta), (sm.FREE_ENERGY, beta),
+                     (sm.RENYI_HALF, beta)]
+            got = dict(gibbs._evaluate(x, pairs))[1]
+            assert _same_bits(got, want[beta]), beta
+            est = sm.mc_estimates(ens, pairs, n, 4)[1]
+            assert (est.mean, est.std_error) == quench._mean_se(want[beta]), beta
+            assert sm.mc_estimate(ens, full, beta, n, 4) == est
+        assert calls == []
+
+    @pytest.mark.parametrize("subset", [(1, 0, 2, 3, 4, 5, 6, 7), (0, 1, 2, 3, 4, 5, 6),
+                                        (2, 5), (3,)])
+    def test_other_subsets_keep_their_kernel(self, monkeypatch, subset):
+        x = random_x(8, 9).reshape(1, 8) * np.arange(1.0, 4.0)[:, None]
+        obs = sm.soft_max_observable(subset)
+        want = gibbs._soft_max(x, 2.0, subset)
+        calls = self._kernel_calls(monkeypatch)
+        got = dict(gibbs._evaluate(x, [(sm.FREE_ENERGY, 2.0), (obs, 2.0)]))[1]
+        assert _same_bits(got, want) and calls == [subset]
+
+    def test_one_coordinate_is_that_coordinate(self, monkeypatch):
+        # The pass would give (beta x) / beta, not x.
+        x = np.array([[0.1], [-3.7], [1e-7]])
+        calls = self._kernel_calls(monkeypatch)
+        got = sm.soft_max_observable((0,)).evaluate(x, 3.0)
+        assert _same_bits(got, x[:, 0]) and calls == [(0,)]
+
+    @pytest.mark.parametrize("beta", [0.0, -0.0])
+    def test_beta_zero_refused(self, iid8, beta):
+        full = sm.soft_max_observable(range(8))
+        with pytest.raises(ValueError, match="invalid-parameter: beta must be positive"):
+            sm.mc_estimates(iid8, [(sm.GIBBS_AVERAGE, beta), (full, beta)], 100, 1)
+        with pytest.raises(ValueError, match="invalid-parameter: beta must be positive"):
+            full.evaluate(random_x(8, 1), beta)
+
+
 class TestParticipationRatio:
     def test_uniform_floor_at_beta_zero(self):
         x = random_x(13, 8)

@@ -295,11 +295,16 @@ class TestWedgeFill:
     @pytest.mark.parametrize("m", [quench._ZIG_MAX_WIDTH + 1, 64, 200])
     def test_wide_rows_resume_once_at_word_zero(self, monkeypatch, m):
         # A row wider than _ZIG_MAX_WIDTH is drawn whole by numpy, from the
-        # start of its stream, and nothing of it is vectorised.
+        # start of its stream, from one state set up per fill: no Philox
+        # block is formed in array ops and no row goes through _resume.
         calls = resumed(monkeypatch)
+        blocks = []
+        real = quench._philox_blocks
+        monkeypatch.setattr(quench, "_philox_blocks",
+                            lambda *args: blocks.append(None) or real(*args))
         got = quench._standard_batch(m, 300, 11)
         assert np.array_equal(got, reference_batch(11, 300, m))
-        assert calls == [(i, 0) for i in range(300)]
+        assert calls == [] and blocks == []
 
     def test_few_rows_resume_numpy(self, monkeypatch):
         # Handing every row with a declined draw to numpy resumed 11% of
