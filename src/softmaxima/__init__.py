@@ -27,9 +27,8 @@ from .quench import (QuenchedEstimate, ThresholdResult,
                      mc_estimate, mc_estimates, per_sample_values,
                      quadrature_oracle, quadrature_oracles, realization_batch,
                      standard_normal_batch)
-from .bounds import (BoundReport, SandwichDiagnostics, claims_at,
-                     divergence_bounds, max_bounds, sandwich_suite,
-                     soft_super_sudakov)
+from .bounds import (BoundReport, SandwichDiagnostics, divergence_bounds,
+                     max_bounds, sandwich_suite, soft_super_sudakov)
 from .rem import (PressureCurve, PressureRow, RemModel, limit_pressure,
                   pressure_sweep, q_lower, q_upper_min, rem_model)
 from .cli import ExperimentConfig, main, run

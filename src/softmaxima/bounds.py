@@ -15,7 +15,7 @@ means they share, and reads the Sudakov constant c from the participation
 threshold; max_bounds takes c, by default quench.SUDAKOV_C.
 soft_super_sudakov carries the softmax over every coordinate as a
 diagnostic, and that observable joins the shifted pass at its beta
-(gibbs._evaluate).  claims_at, the bounds command's per-beta entry point,
+(gibbs._evaluate).  _claims_at, the bounds command's per-beta entry point,
 takes the five means and that softmax in one mc_estimates call, so both
 families share one pass at beta; its reports equal those of
 divergence_bounds and soft_super_sudakov field for field, since each
@@ -146,8 +146,8 @@ def divergence_bounds(ens: IndexedEnsemble, beta, threshold: ThresholdResult,
                               mc_estimates(ens, _divergence_pairs(beta), n, seed))
 
 
-def claims_at(ens: IndexedEnsemble, beta, threshold: ThresholdResult,
-              n: int, seed: int) -> tuple[BoundReport, ...]:
+def _claims_at(ens: IndexedEnsemble, beta, threshold: ThresholdResult,
+               n: int, seed: int) -> tuple[BoundReport, ...]:
     """divergence_bounds(ens, beta, threshold, n, seed) and, for beta > 0,
     soft_super_sudakov(ens, beta, n, seed) at the default scale, in that
     order and equal field for field, from one mc_estimates call.
@@ -266,9 +266,7 @@ def _sudakov_claim(ens, beta, r, n, seed, full) -> BoundReport:
     # Both batches are finite by construction, so they go to the kernel
     # unscanned.
     x = realization_batch(ens, n, seed)
-    # A union of every coordinate is the full set, whose softmax full holds.
-    lhs = (_est(full) if union.size == ens.size
-           else _mean_se(gibbs._soft_max(x, beta, union)))
+    lhs = _mean_se(gibbs._soft_max(x, beta, union))
 
     # Ball average first: shares the batch with the lhs sample-for-sample.
     ball_vals = np.mean([gibbs._soft_max(x, beta, bp) for bp in ball_positions],

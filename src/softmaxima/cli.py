@@ -311,7 +311,7 @@ def _run_bounds(cfg: ExperimentConfig):
 
     reports = []
     for beta in cfg.beta_grid:
-        reports.extend(bounds_mod.claims_at(ens, beta, threshold, n, seed))
+        reports.extend(bounds_mod._claims_at(ens, beta, threshold, n, seed))
     reports.extend(bounds_mod.max_bounds(ens, n, seed, cfg.c))
 
     headers = ["name", "beta", "lhs_mean", "lhs_se", "rhs_mean", "rhs_se",

@@ -379,19 +379,25 @@ def _zig_draws(r, out=None):
     return x, np.greater_equal(rabs, np.take(_ZIG_KI, idx, out=sign, mode="clip"))
 
 
-def _resume(rng, state, i, cursor, words, out):
-    """Fill out with numpy's own generator at word cursor of sample i's stream.
+def _resume(rng, state, rows, cursor, words, out):
+    """Fill each out[h] with numpy's own generator at word cursor of sample
+    rows[h]'s stream.
 
     words is the Philox block holding the cursor's word, as ints; the state
     resumes inside that block with its buffer loaded, or at a block
-    boundary, where words is not read, with the buffer spent.
+    boundary, where words is not read, with the buffer spent.  So rows
+    holds one sample unless the cursor is at a block boundary.  The state
+    is laid out once, and a row writes only its sample into the counter.
     """
     q, s = divmod(cursor, 4)
-    state["state"]["counter"] = [q + 1 if s else q, 0, i, 0]
+    counter = state["state"]["counter"] = [q + 1 if s else q, 0, 0, 0]
     state["buffer"] = words if s else [0, 0, 0, 0]
     state["buffer_pos"] = s or 4
-    rng.bit_generator.state = state
-    rng.standard_normal(out=out)
+    bit_generator, normal = rng.bit_generator, rng.standard_normal
+    for h, i in enumerate(rows):
+        counter[2] = i
+        bit_generator.state = state
+        normal(out=out[h])
 
 
 def _wedges(raw, x, declined, p):
@@ -458,17 +464,17 @@ def _fill_block(out, key):
     """Every row of out, row i being sample i's stream (see above).
 
     A row wider than _ZIG_MAX_WIDTH draws is drawn whole by numpy's own
-    generator from the start of its stream: one state dict is set up per
-    fill, and each row writes only its sample into the counter before numpy
-    reads the state (where _resume would build it anew per row).  Narrower
-    rows take numpy's ziggurat (Marsaglia & Tsang 2000) in array ops: the
-    fast path on whole blocks of Philox words, _CHUNK_BLOCKS blocks at a
-    time, and, where it declines a draw, the wedge tests (_wedges), read
-    _ZIG_EXTRA_BLOCKS blocks further.  The rows with a declined draw keep
-    their words until they and their extra blocks fill a chunk, and then
-    take the wedge tests in one call (_fill_wedge_rows), so a 2e5 x 8 fill
-    makes a few such calls, not one per chunk.  Where _wedges stops a row,
-    numpy's generator, set to the exact state there, draws the rest.
+    generator from the start of its stream, every such row of the fill in
+    one _resume call, which lays the state out once and writes only each
+    row's sample into the counter.  Narrower rows take numpy's ziggurat
+    (Marsaglia & Tsang 2000) in array ops: the fast path on whole blocks of
+    Philox words, _CHUNK_BLOCKS blocks at a time, and, where it declines a
+    draw, the wedge tests (_wedges), read _ZIG_EXTRA_BLOCKS blocks further.
+    The rows with a declined draw keep their words until they and their
+    extra blocks fill a chunk, and then take the wedge tests in one call
+    (_fill_wedge_rows), so a 2e5 x 8 fill makes a few such calls, not one
+    per chunk.  Where _wedges stops a row, numpy's generator, set to the
+    exact state there, draws the rest.
 
     32 is about where the two cost the same.  On 1.28e6 draws (one
     thread, medians of 11 interleaved runs) the array path takes 72-89 ms
@@ -484,15 +490,7 @@ def _fill_block(out, key):
     # words, and _resume sets the state once a resumed row.
     state["state"]["key"] = key.tolist()
     if m > _ZIG_MAX_WIDTH:
-        # Word 0 of sample i's stream: counter (0, 0, i, 0), buffer spent,
-        # as _resume sets it; only the counter's sample word changes a row.
-        counter = state["state"]["counter"] = [0, 0, 0, 0]
-        state["buffer"], state["buffer_pos"] = [0, 0, 0, 0], 4
-        bit_generator, normal = rng.bit_generator, rng.standard_normal
-        for i in range(n):
-            counter[2] = i
-            bit_generator.state = state
-            normal(out=out[i])
+        _resume(rng, state, range(n), 0, None, out)
         return
     n_blocks = -(-m // 4)
     step = _CHUNK_BLOCKS // n_blocks
@@ -542,7 +540,8 @@ def _fill_wedge_rows(out, key, rng, state, rows, raw):
     resumed = np.flatnonzero(k_stop < m)
     for h, i, k, c in zip(resumed.tolist(), rows[resumed].tolist(),
                           k_stop[resumed].tolist(), cursor[resumed].tolist()):
-        _resume(rng, state, i, c, raw[h, c & ~3:(c & ~3) + 4].tolist(), out[i, k:])
+        _resume(rng, state, (i,), c, raw[h, c & ~3:(c & ~3) + 4].tolist(),
+                out[i:i + 1, k:])
 
 
 def _standard_batch(m: int, n: int, seed: int) -> np.ndarray:
@@ -762,6 +761,11 @@ def beta_star(ens: IndexedEnsemble, c: float, n: int, seed: int,
     memoized; pass it to the bounds that need it.
     """
     c = _check_c(c)
+    # a <= Delta, so c^2 / 2 bounds the target on every ensemble.
+    if c * c / 2.0 == 0.0:
+        raise ValueError(
+            f"invalid-parameter: c = {c!r} is too small: the participation "
+            f"target's bound c^2 / 2 underflows to 0")
     _check_n(n)
     sigma = ens.sigma_max
     resolution = (DEFAULT_RESOLUTION / sigma if resolution is None else

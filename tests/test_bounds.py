@@ -290,7 +290,7 @@ class TestClaimsAt:
             if beta > 0:
                 want += (sm.soft_super_sudakov(ens, beta, 2000, 5),)
             sm.clear_cache()
-            got = sm.claims_at(ens, beta, ts, 2000, 5)
+            got = sm.bounds._claims_at(ens, beta, ts, 2000, 5)
             # repr tells -0.0 from 0.0 in every field, extra included.
             assert got == want and repr(got) == repr(want), (name, beta)
 
@@ -305,17 +305,17 @@ class TestClaimsAt:
                             lambda *args: calls.append(None) or real(*args))
         for beta in self.GRID:
             calls.clear()
-            sm.claims_at(ens, beta, ts, 2000, 5)
+            sm.bounds._claims_at(ens, beta, ts, 2000, 5)
             assert len(calls) == 1, beta
 
     def test_refusals(self, iid8):
         ts = sm.beta_star(iid8, 1 / 17, 1000, seed=5)
         with pytest.raises(ValueError, match="invalid-parameter: beta"):
-            sm.claims_at(iid8, "1", ts, 1000, 5)
+            sm.bounds._claims_at(iid8, "1", ts, 1000, 5)
         with pytest.raises(ValueError, match="invalid-parameter: beta"):
-            sm.claims_at(iid8, -1.0, ts, 1000, 5)
+            sm.bounds._claims_at(iid8, -1.0, ts, 1000, 5)
         with pytest.raises(ValueError, match="invalid-input"):
-            sm.claims_at(sm.build_iid(4, 1.0), 1.0, ts, 1000, 5)
+            sm.bounds._claims_at(sm.build_iid(4, 1.0), 1.0, ts, 1000, 5)
 
 
 class TestSoftSuperSudakov:
@@ -369,20 +369,6 @@ class TestSoftSuperSudakov:
         x = sm.realization_batch(twocluster12, 2000, 29)
         lhs = sm.soft_max(x, 1.0, np.arange(12))
         assert r.extra["full_softmax"][0] == sm.quench._mean_se(lhs)[0]
-
-    def test_full_union_takes_no_second_pass(self, twocluster12, monkeypatch):
-        # The union covers all 12 points: its softmax is the full-set
-        # estimate, so the full batch is passed once, beside one pass per
-        # ball of 6 and one on the auxiliary batch of 2.
-        shapes = []
-        real = sm.gibbs._observe
-        monkeypatch.setattr(sm.gibbs, "_observe", lambda x, *args:
-                            shapes.append(x.shape) or real(x, *args))
-        r = sm.soft_super_sudakov(twocluster12, 1.0, 2000, seed=29, scale=0.25)
-        assert r.extra["union_size"] == 12 and r.lhs == r.extra["full_softmax"]
-        assert sorted(shapes) == [(2000, 2), (2000, 6), (2000, 6), (2000, 12)]
-        x = sm.realization_batch(twocluster12, 2000, 29)
-        assert r.lhs == sm.quench._mean_se(sm.soft_max(x, 1.0, range(12)))
 
     def test_ball_boundary_matches_ensemble_ball(self):
         # d^2 = 3.0 exactly and r = sqrt(3): r * r rounds below 3.0, so only a

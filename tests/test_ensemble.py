@@ -398,12 +398,9 @@ class TestApiNumberChecks:
         try:
             _PARAMETERS[name](v)
         except ValueError as exc:
-            # A count past the i.i.d. cap is a scale refusal, not a bad value,
-            # and so is a c whose participation target (c a / Delta)^2 / 2
-            # underflows to 0.
+            # A count past the i.i.d. cap is a scale refusal, not a bad value.
             if (name == "build_iid n" and isinstance(v, (int, np.integer))
-                    and v > IID_CAP
-                    or name == "beta_star c" and number and 0 < v < 1e-162):
+                    and v > IID_CAP):
                 assert str(exc).startswith("scale:"), exc
             else:
                 assert str(exc).startswith("invalid-"), exc

@@ -213,9 +213,9 @@ def resumed(monkeypatch):
     calls = []
     real = quench._resume
 
-    def record(rng, state, i, cursor, words, out):
-        calls.append((i, cursor))
-        real(rng, state, i, cursor, words, out)
+    def record(rng, state, rows, cursor, words, out):
+        calls.extend((i, cursor) for i in rows)
+        real(rng, state, rows, cursor, words, out)
 
     monkeypatch.setattr(quench, "_resume", record)
     return calls
@@ -295,8 +295,7 @@ class TestWedgeFill:
     @pytest.mark.parametrize("m", [quench._ZIG_MAX_WIDTH + 1, 64, 200])
     def test_wide_rows_resume_once_at_word_zero(self, monkeypatch, m):
         # A row wider than _ZIG_MAX_WIDTH is drawn whole by numpy, from the
-        # start of its stream, from one state set up per fill: no Philox
-        # block is formed in array ops and no row goes through _resume.
+        # start of its stream: no Philox block is formed in array ops.
         calls = resumed(monkeypatch)
         blocks = []
         real = quench._philox_blocks
@@ -304,7 +303,7 @@ class TestWedgeFill:
                             lambda *args: blocks.append(None) or real(*args))
         got = quench._standard_batch(m, 300, 11)
         assert np.array_equal(got, reference_batch(11, 300, m))
-        assert calls == [] and blocks == []
+        assert calls == [(i, 0) for i in range(300)] and blocks == []
 
     def test_few_rows_resume_numpy(self, monkeypatch):
         # Handing every row with a declined draw to numpy resumed 11% of
@@ -671,6 +670,25 @@ class TestBetaStar:
             return ts.beta_star / (quench.DEFAULT_RESOLUTION / ens.sigma_max)
 
         assert round(index(sm.build_iid(2, variance))) == round(index(sm.build_iid(2, 1.0)))
+
+    @pytest.mark.parametrize("c", [5e-324, 1e-300, 2.5e-162])
+    def test_c_with_underflowing_target_is_refused(self, monkeypatch, c):
+        # c^2 / 2 = 0 leaves no positive target on any ensemble, since
+        # a <= Delta: the value of c is at fault, not the covariance.
+        def unreachable(*args):
+            raise AssertionError("batch drawn")
+
+        monkeypatch.setattr(quench, "realization_batch", unreachable)
+        with pytest.raises(ValueError, match=(
+                rf"^invalid-parameter: c = {c!r} is too small")):
+            sm.beta_star(sm.build_iid(4, 1.0), c, 50, seed=0)
+
+    def test_c_with_a_positive_target_is_taken(self):
+        # c^2 / 2 is the smallest positive double here, and so is the
+        # target on iid4, where a = Delta.
+        c = 3e-162
+        assert c * c / 2.0 == 5e-324
+        assert sm.beta_star(sm.build_iid(4, 1.0), c, 50, seed=0).c == c
 
     @pytest.mark.parametrize("variance, target", [
         (1e308, "nan")])   # a = Delta = inf
