@@ -311,15 +311,15 @@ class SandwichDiagnostics:
 
 
 def sandwich_suite(x, beta) -> SandwichDiagnostics:
-    """Evaluate both per-realization sandwiches; batched over leading axes."""
+    """Evaluate both per-realization sandwiches, batched over leading axes, in
+    one gibbs._evaluate call: the full-set softmax and <X>_beta share a pass."""
     beta = gibbs._check_beta(beta, positive=True)
-    x = np.asarray(x, dtype=np.float64)
-    m = x.shape[-1]
-    phi = gibbs.soft_max(x, beta, np.arange(m))
-    state = gibbs.gibbs_measure(x, beta)
-    avg = gibbs.gibbs_average(state, x)
-    top = gibbs._row_max(x)
-    gap = math.log(m) / beta
+    x = gibbs._check_x(x)
+    values = dict(gibbs._evaluate(x, [
+        (gibbs.soft_max_observable(range(x.shape[-1])), beta),
+        (gibbs.GIBBS_AVERAGE, beta), (gibbs.EXPECTED_MAX, beta)]))
+    phi, avg, top = values[0], values[1], values[2]
+    gap = math.log(x.shape[-1]) / beta
     slacks = (phi - top, top + gap - phi, top - avg, avg - (top - gap))
     ok = bool(all(np.all(np.asarray(s) >= -SLACK_TOL) for s in slacks))
     return SandwichDiagnostics(*(gibbs._scalar(s) for s in slacks), ok=ok)

@@ -267,6 +267,10 @@ def greedy_packing(ens: IndexedEnsemble, radius: float) -> list[str]:
     """
     if not radius > 0:
         raise ValueError(f"invalid-parameter: radius must be positive, got {radius}")
+    if ens.is_iid:
+        # Every pair is at min_separation, the bits of the dense route's
+        # sqrt(2 v): all labels, or the first alone.
+        return list(ens.labels if ens.min_separation >= radius else ens.labels[:1])
     # Compare at distance scale: sqrt is correctly rounded, so a radius that
     # is exactly a pairwise distance lands on the boundary instead of being
     # pushed off it by squaring.
@@ -290,9 +294,16 @@ def _ball_mask(ens: IndexedEnsemble, centers, radius: float) -> np.ndarray:
     """Mask of d(center, t) <= radius, one row per center position.
 
     Compared at distance scale, as greedy_packing does, so that a point at
-    exactly the radius is inside every ball built here.
+    exactly the radius is inside every ball built here.  An i.i.d. ensemble's
+    balls take the closed form of its distances, 0 at the center and
+    min_separation elsewhere, so no m x m matrix is formed.
     """
-    return np.sqrt(ens.squared_distances[list(centers)]) <= radius
+    centers = list(centers)
+    if not ens.is_iid:
+        return np.sqrt(ens.squared_distances[centers]) <= radius
+    mask = np.full((len(centers), ens.size), ens.min_separation <= radius)
+    mask[np.arange(len(centers)), centers] = 0.0 <= radius
+    return mask
 
 
 def _check_number(what, v):

@@ -100,23 +100,29 @@ def q_upper_min(model: RemModel, beta, beta0_grid, kl) -> float:
         log 2 + beta0^2 / 4 + (beta - beta0) sqrt(E KL(beta) / N)   above
 
     beta_c always joins the knee grid.  kl is an estimate of E KL at beta
-    itself, not at a knee, read only when some knee lies below beta.
+    itself, not at a knee, read only when some knee lies below beta.  A
+    numeric ndarray of knees is checked as one float array, with no Python
+    loop over it; any other grid is read entry by entry.
     """
     beta = gibbs._check_beta(beta)
-    knees = [_check_number("invalid-parameter: beta0", b)
-             for b in np.atleast_1d(np.asarray(beta0_grid, dtype=object))]
-    if len(knees) == 0:
+    grid = beta0_grid
+    if not (isinstance(grid, np.ndarray) and grid.dtype.kind in "fiu"
+            and grid.ndim <= 1):
+        grid = [_check_number("invalid-parameter: beta0", b)
+                for b in np.atleast_1d(np.asarray(grid, dtype=object))]
+    knees = np.append(np.asarray(grid, dtype=np.float64), model.beta_c)
+    if knees.size == 1:
         raise ValueError("invalid-parameter: beta0 grid must be nonempty")
-    knees.append(model.beta_c)
-    bad = [b for b in knees if not (np.isfinite(b) and b >= 0)]
-    if bad:
-        raise ValueError(
-            f"invalid-parameter: beta0 must be nonnegative and finite, got {bad[0]}")
-    div = _divergence(kl) if beta > min(knees) else 0.0
+    bad = ~(np.isfinite(knees) & (knees >= 0))
+    if bad.any():
+        raise ValueError("invalid-parameter: beta0 must be nonnegative and "
+                         f"finite, got {float(knees[bad][0])}")
+    div = _divergence(kl) if beta > knees.min() else 0.0
     slope = math.sqrt(max(div, 0.0) / model.n_spins)
-    return min(math.log(2.0) + beta * beta / 4.0 if beta <= b0
-               else math.log(2.0) + b0 * b0 / 4.0 + (beta - b0) * slope
-               for b0 in knees)
+    with np.errstate(over="ignore"):
+        curves = np.where(beta <= knees, math.log(2.0) + beta * beta / 4.0,
+                          math.log(2.0) + knees * knees / 4.0 + (beta - knees) * slope)
+    return float(curves.min())
 
 
 @dataclass(frozen=True)
@@ -165,11 +171,12 @@ def pressure_sweep(model: RemModel, beta_grid, n: int, seed: int,
         n, seed)
     div_star = estimates.pop(0).mean if star else None
 
+    knees = np.array(grid, dtype=np.float64)  # checked once, read by every row
     rows = []
     for k, beta in enumerate(grid):
         p_hat, kl = estimates[2 * k:2 * k + 2]
         low = q_lower(model, beta, threshold, div_star)
-        up = q_upper_min(model, beta, grid, kl.mean)
+        up = q_upper_min(model, beta, knees, kl.mean)
         limit = limit_pressure(beta)
         margin = Z_MARGIN * p_hat.std_error
         verdict = ("holds"

@@ -401,6 +401,105 @@ class TestSandwichSuite:
                        d.max_over_average.min(), d.average_over_floor.min()) >= -1e-9
 
 
+_SANDWICH_BETAS = (1e-300, 1e-10, 0.3, 1.0, 7.5, 1e4, 1e200, 1.7e308)
+
+
+def _sandwich_batches(m, rng):
+    """(x, betas): realizations of m coordinates, 1-d, 2-d and 3-d with
+    signed zeros at every beta, and over four row blocks (so on two threads)
+    at two; each in C and F order."""
+    for shape in ((m,), (5, m), (3, 4, m)):
+        x = rng.normal(size=shape) * rng.choice([1e-3, 1.0, 30.0])
+        zeros = np.zeros(shape)
+        zeros[..., 1::2] = -0.0
+        for batch in (x, zeros, -zeros):
+            yield batch, _SANDWICH_BETAS
+            yield np.asfortranarray(batch), _SANDWICH_BETAS
+    x = rng.normal(size=(4 * sm.gibbs._BLOCK_ELEMENTS // m + 1, m))
+    yield x, (1.0, 1.7e308)
+    yield np.asfortranarray(x), (1.0, 1.7e308)
+
+
+def _sandwich_composition(x, beta):
+    """sandwich_suite's slacks as the public softmax, Gibbs measure and
+    tilted mean give them, with the row max."""
+    x = np.asarray(x, dtype=np.float64)
+    m = x.shape[-1]
+    with np.errstate(over="ignore"):  # Lambda overflows at the largest betas
+        phi = sm.gibbs.soft_max(x, beta, np.arange(m))
+        avg = sm.gibbs.gibbs_average(sm.gibbs.gibbs_measure(x, beta), x)
+    top = sm.gibbs._row_max(x)
+    gap = math.log(m) / beta
+    slacks = (phi - top, top + gap - phi, top - avg, avg - (top - gap))
+    ok = bool(all(np.all(np.asarray(s) >= -sm.bounds.SLACK_TOL) for s in slacks))
+    return sm.SandwichDiagnostics(*(sm.gibbs._scalar(s) for s in slacks), ok=ok)
+
+
+class TestSandwichRoute:
+    """sandwich_suite from one _evaluate call equals the composition of the
+    public functions it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 8, 9, 16, 64, 300, 1024])
+    def test_equals_composition(self, m):
+        rng = np.random.default_rng(m)
+        for x, betas in _sandwich_batches(m, rng):
+            for beta in betas:
+                got, want = sm.sandwich_suite(x, beta), _sandwich_composition(x, beta)
+                assert got.ok == want.ok
+                for f in dataclasses.fields(want):
+                    a, b = getattr(got, f.name), getattr(want, f.name)
+                    assert type(a) is type(b), f.name
+                    if f.name == "ok" or np.ndim(b) == 0:
+                        assert repr(a) == repr(b), (f.name, x.shape, beta)
+                    else:
+                        assert a.shape == b.shape and a.dtype == b.dtype
+                        np.testing.assert_array_equal(np.signbit(a), np.signbit(b))
+                        assert a.tobytes() == b.tobytes(), (f.name, x.shape, beta)
+
+    def test_one_router_call(self, monkeypatch):
+        calls = []
+        real = sm.gibbs._evaluate
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("sandwich_suite left the router")
+
+        monkeypatch.setattr(sm.gibbs, "_evaluate", counted)
+        for name in ("soft_max", "gibbs_measure", "gibbs_average"):
+            monkeypatch.setattr(sm.gibbs, name, refused)
+        x = np.random.default_rng(3).normal(size=(200, 16))
+        for beta in (0.5, 2.0):
+            sm.sandwich_suite(x, beta)
+        assert [[(obs.kind, b) for obs, b in pairs] for pairs in calls] == [
+            [("soft_max", beta), ("gibbs_average", beta), ("expected_max", beta)]
+            for beta in (0.5, 2.0)]
+
+    @pytest.mark.parametrize("beta", [0.0, -1.0, math.inf, math.nan])
+    def test_refuses_beta(self, beta):
+        with pytest.raises(ValueError, match="invalid-parameter: beta must be positive"):
+            sm.sandwich_suite(np.zeros(3), beta)
+
+    @pytest.mark.parametrize("beta", ["1", None, True, [1.0]])
+    def test_refuses_non_numeric_beta(self, beta):
+        with pytest.raises(ValueError, match="invalid-parameter: beta must be a number"):
+            sm.sandwich_suite(np.zeros(3), beta)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_refuses_non_finite_x(self, bad):
+        x = np.zeros((4, 3))
+        x[2, 1] = bad
+        with pytest.raises(ValueError, match="invalid-input: realization contains non-finite"):
+            sm.sandwich_suite(x, 1.0)
+
+    @pytest.mark.parametrize("shape", [(0,), (4, 0)])
+    def test_refuses_no_coordinates(self, shape):
+        with pytest.raises(ValueError, match="invalid-input: realization must have at least one"):
+            sm.sandwich_suite(np.zeros(shape), 1.0)
+
+
 class TestSePropagation:
     def test_delta_method_matches_bootstrap(self, iid8):
         # rhs of g_upper is sqrt(2 sigma^2 * mean(KL)); bootstrap the same

@@ -244,6 +244,17 @@ class TestBoundsCommand:
         verdicts = {l.split(",")[-1] for l in lines[2:]}
         assert "violated" not in verdicts
 
+    def test_iid_past_the_dense_cap(self, tmp_path):
+        # The soft_super_sudakov row's packing and balls take the i.i.d.
+        # closed form, so no m x m distance matrix caps the ensemble.
+        out = tmp_path / "big"
+        code = run_main(["bounds", "--ensemble",
+                         '{"iid": {"n": 5000, "variance": 1.0}}', "--beta", "1",
+                         "--n", "2", "--out", str(out)])
+        assert code == EXIT_OK
+        rows = out.with_suffix(".csv").read_text().splitlines()[2:]
+        assert any(l.startswith("soft_super_sudakov,") for l in rows)
+
     def test_violation_exit_code(self, tmp_path):
         # c = 0.99 pushes the classical lower bound above E max for |T| = 2
         out = tmp_path / "bv"
@@ -670,6 +681,40 @@ class TestBenchmarkReference:
                 else:
                     assert abs(a_num - r_num) <= (
                         rtol * max(abs(a_num), abs(r_num)) + atol), (col, row, ref)
+
+
+class TestBenchmarkHarness:
+    """The benchmark's child process still finds what it reads from the
+    package by name: the traced kernel dispatch and CSV emission, and the
+    layer sheet's evaluate_values and quadrature_oracle, which no command
+    calls."""
+
+    @staticmethod
+    def _child(tmp_path, mode, *args):
+        record = tmp_path / f"{mode}.json"
+        proc = subprocess.run([sys.executable, str(BENCH / "child.py"), mode,
+                               str(record), *args],
+                              cwd=tmp_path, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(record.read_text(encoding="utf-8"))
+
+    def test_trace_mode(self, tmp_path):
+        record = self._child(tmp_path, "trace", "estimate", "--ensemble", IID8,
+                             "--beta", "1", "--n", "1000", "--seed", "3",
+                             "--out", str(tmp_path / "x"))
+        assert set(record) == {"t_import", "exit_mismatch", "spans", "wrapper_s"}
+        names = {span[0] for span in record["spans"]}
+        assert {"cli.main", "cli._emit", "quench.mc_estimates"} <= names
+        assert record["exit_mismatch"] == EXIT_MISMATCH
+
+    def test_sheet_mode(self, tmp_path):
+        record = self._child(tmp_path, "sheet", "7", str(tmp_path),
+                             str(BENCH / "reference" / "bounds-iid64" / "7.csv"))
+        assert set(record) == {"t_import", "exit_mismatch", "sheet"}
+        spec = json.loads((BENCH.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
+        assert set(record["sheet"]) == {m["name"] for m in spec["per_layer"]
+                                        if m["name"].startswith("sheet.")}
+        assert all(math.isfinite(v) and v > 0 for v in record["sheet"].values())
 
 
 class TestModuleEntry:

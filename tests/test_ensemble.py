@@ -13,7 +13,7 @@ import softmaxima as sm
 from softmaxima import (ball, build_from_covariance, build_iid, from_spec,
                         greedy_packing)
 from softmaxima.cli import _resolve_ensemble
-from softmaxima.ensemble import DENSE_CAP, IID_CAP
+from softmaxima.ensemble import DENSE_CAP, IID_CAP, _ball_mask
 from tests.conftest import two_cluster_vectors
 
 
@@ -285,6 +285,54 @@ class TestBall:
         # A nan radius would give an empty ball, without its center.
         with pytest.raises(ValueError, match="invalid-parameter"):
             ball(corr3, "b", radius)
+
+
+def _dense_packing(ens, radius):
+    """greedy_packing's scan over the dense distance matrix."""
+    dist = np.sqrt(ens.squared_distances)
+    chosen = []
+    for i in range(ens.size):
+        if all(dist[i, j] >= radius for j in chosen):
+            chosen.append(i)
+    return [ens.labels[i] for i in chosen]
+
+
+class TestIidClosedForm:
+    """An i.i.d. ensemble's packings and balls come from its one off-diagonal
+    distance, with the dense route's results and no m x m matrix."""
+
+    @pytest.mark.parametrize("m", [2, 3, 8, 64, 300])
+    @pytest.mark.parametrize("variance", [1.0, 0.5, 3.7, 1e-300, 1e300])
+    def test_equals_dense_route(self, m, variance):
+        sep = float(np.sqrt(2.0 * variance))
+        radii = [sep, np.nextafter(sep, 0.0), np.nextafter(sep, np.inf),
+                 sep / 4.0, 4.0 * sep]
+        centers = [0, m - 1, m // 2, 0]
+        for ens in (build_iid(m, variance),
+                    build_from_covariance([str(i) for i in range(m)],
+                                          variance * np.eye(m))):
+            assert ens.is_iid and ens.min_separation == sep
+            for r in radii:
+                assert greedy_packing(ens, r) == _dense_packing(ens, r)
+            for r in radii + [0.0]:
+                mask = _ball_mask(ens, centers, r)
+                assert mask.dtype == bool and mask.shape == (len(centers), m)
+                np.testing.assert_array_equal(
+                    mask, np.sqrt(ens.squared_distances[centers]) <= r)
+                assert ball(ens, str(m - 1), r) == [
+                    ens.labels[i] for i in np.flatnonzero(
+                        np.sqrt(ens.squared_distances[m - 1]) <= r)]
+
+    @pytest.mark.parametrize("m", [DENSE_CAP, DENSE_CAP + 904])
+    def test_no_distance_matrix(self, m):
+        # At and past the dense cap: a one-point packing, a singleton ball
+        # and a full ball, with no m x m matrix formed.
+        ens = build_iid(m, 1.0)
+        assert greedy_packing(ens, 4.0) == ["0"]
+        assert greedy_packing(ens, math.sqrt(2.0)) == list(ens.labels)
+        assert ball(ens, "7", 1.0) == ["7"]
+        assert ball(ens, "7", math.sqrt(2.0)) == list(ens.labels)
+        assert ens._d2 is None
 
 
 class TestSpecLoading:

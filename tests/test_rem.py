@@ -219,6 +219,40 @@ class TestQUpper:
         with pytest.raises(ValueError, match="invalid-input: E KL"):
             sm.q_upper_min(model, 2.0, [3.0], math.nan)
 
+    def test_array_knees_equal_list_knees(self):
+        # The one-array read of an ndarray grid gives the per-entry read's
+        # bits, on both branches, at huge knees and at knees equal to beta.
+        model = sm.rem_model(5)
+        grids = [[0.0, 0.5, 1.0, 1.5], [2.0], [0.25, BETA_C, 3.0],
+                 [0.0, 1e154, 1.7e308], list(np.linspace(0.0, 4.0, 17))]
+        for grid in grids:
+            for beta in (0.0, 0.5, 1.0, BETA_C, 2.0, 3.7, 1e10):
+                want = sm.q_upper_min(model, beta, grid, 2.3)
+                got = sm.q_upper_min(model, beta, np.array(grid), 2.3)
+                assert type(got) is float
+                assert got.hex() == want.hex(), (grid, beta)
+        for arr in (np.array([1, 3]), np.array([1, 3], dtype=np.float32)):
+            assert sm.q_upper_min(model, 2.0, arr, 2.3) == (
+                sm.q_upper_min(model, 2.0, [1.0, 3.0], 2.3))
+        assert sm.q_upper_min(model, 2.0, np.float64(1.0), 2.3) == (
+            sm.q_upper_min(model, 2.0, [1.0], 2.3))
+
+    def test_array_knees_refused_as_list_knees(self):
+        model = sm.rem_model(4)
+        for knees in ([-0.5], [1.0, math.inf], [math.nan], [0.5, -0.0, -2.0]):
+            with pytest.raises(ValueError) as want:
+                sm.q_upper_min(model, 1.0, knees, 0.5)
+            with pytest.raises(ValueError) as got:
+                sm.q_upper_min(model, 1.0, np.array(knees), 0.5)
+            assert str(got.value) == str(want.value)
+            assert str(got.value).startswith("invalid-parameter: beta0")
+        with pytest.raises(ValueError, match="beta0 grid must be nonempty"):
+            sm.q_upper_min(model, 1.0, np.array([]), 0.5)
+        for knees in (np.array([True, False]), np.array(["0.5"]),
+                      np.array([[0.5, 1.0]])):
+            with pytest.raises(ValueError, match="invalid-parameter: beta0 must be a number"):
+                sm.q_upper_min(model, 1.0, knees, 0.5)
+
 
 class TestPressureSweep:
     def test_acceptance_shape(self):
@@ -348,7 +382,8 @@ class TestDivergenceEstimates:
 # 0:1500:100 runs past beta_star of the N = 4 model at n = 400.
 GRID_ACROSS = [100.0 * k for k in range(16)]
 SWEEP_CASES = [(6, [0.0, 0.5, 1.0, 1.5, 2.0], 400, 42),  # below beta_star
-               (4, GRID_ACROSS, 400, 45)]                # across beta_star
+               (4, GRID_ACROSS, 400, 45),                # across beta_star
+               (4, [k / 12 for k in range(61)], 100, 1)]  # many knees per row
 
 
 class TestSweepPasses:
@@ -409,6 +444,31 @@ class TestSweepPasses:
         assert sorted(passes) == sorted(want)
         # One shift per call: each batch here is one row block.
         assert shifts == [n] * len(calls)
+
+
+    def test_number_reads_linear_in_the_grid(self, monkeypatch):
+        # Every _check_number call the sweep makes, in every module that
+        # holds it: O(G) for a G-point grid, where a per-row read of the
+        # whole grid made G^2.
+        calls = []
+        real = rem._check_number
+
+        def counted(what, v):
+            calls.append(what)
+            return real(what, v)
+
+        for mod in (rem, gibbs, quench, sm.ensemble):
+            if hasattr(mod, "_check_number"):
+                monkeypatch.setattr(mod, "_check_number", counted)
+        model = sm.rem_model(4)
+        counts = {}
+        for points in (50, 200):
+            calls.clear()
+            sm.pressure_sweep(model, np.linspace(0.0, 5.0, points), 100, 1)
+            counts[points] = len(calls)
+        assert calls.count("invalid-parameter: beta0") == 0
+        assert counts[200] <= 10 * 200
+        assert counts[200] - counts[50] <= 10 * 150
 
 
 class TestFiniteSizeTrend:
